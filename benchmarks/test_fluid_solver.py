@@ -10,12 +10,11 @@ the identical workloads for the committed ``BENCH_*.json`` baselines.
   this is quadratic in the number of components — the incremental
   solver re-solves only the touched component, so the event cost stays
   flat as components are added.
-* ``test_fluid_wide_component_resolve`` (PR 8 tentpole): one wide
-  fabric component re-solved repeatedly under trunk-capacity wiggles —
-  the regime the vectorized component solve and the dirty-component
-  memo target.
-* ``test_fluid_tiny_components`` (PR 9 tentpole): 1–2-flow component
-  churn — the closed-form small-component fast path.
+* ``test_fluid_wide_component_resolve``: one wide fabric component
+  re-solved repeatedly under trunk-capacity wiggles — the rate solver
+  on wide components and the dirty-component memo.
+* ``test_fluid_tiny_components``: 1–2-flow component churn — the rate
+  solver's per-solve overhead on the smallest components.
 * ``test_sampler_dense`` (PR 9 tentpole): dense periodic sampling
   under activity churn — the epoch-batched sampler.
 """

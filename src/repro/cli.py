@@ -483,9 +483,9 @@ def main(argv: Optional[list] = None) -> int:
     robust.add_argument("--check-invariants", action="store_true",
                         help="runtime self-checks after every rate "
                         "solve: capacity/rate/usage-cache invariants "
-                        "plus a sampled bitwise cross-check of the "
-                        "incremental fluid solver against a from-scratch "
-                        "solve (env: REPRO_CHECK_INVARIANTS=1)")
+                        "plus sampled cross-checks of the incremental "
+                        "fluid solver against its reference solver "
+                        "(env: REPRO_CHECK_INVARIANTS=1)")
     run.add_argument("--out", default=None,
                      help="write a markdown record to this path")
     run.add_argument("--plot", action="store_true",

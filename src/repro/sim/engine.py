@@ -467,6 +467,10 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
+        except _inv.InvariantViolation:
+            # A failed self-check is corrupted simulator state, not a
+            # process outcome: fail the run, not just this process.
+            raise
         except Exception as error:
             self.fail(error)
             return

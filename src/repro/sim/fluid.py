@@ -26,19 +26,18 @@ The model is event-driven, and rate recomputation is *incremental*:
 flows and resources form a bipartite graph, and a start / stop / demand
 / capacity event only re-solves the connected component of flows that
 (transitively) share a resource with the changed flow.  Flows in other
-components keep their rates untouched — progressive filling restricted
-to a component freezes its flows in exactly the same order as a global
-pass would, so the allocation (and its floating-point rounding) is the
-one a full recompute produces.  See "Fluid solver internals" in
-DESIGN.md for the invariants this relies on.
+components keep their rates untouched.  A component solve gives the
+allocation a full recompute gives: weighted max-min fairness factorises
+over components.  The floating-point roundings can differ, because a
+global pass interleaves the freezes of unrelated components; the two
+agree to ~1e-15 relative.  See "Fluid solver internals" in DESIGN.md
+for the invariants this relies on.
 
-Large components solve on a *vectorized* path: the first repeat solve
-of a given component membership freezes its flow×resource incidence
-into a :class:`_ComponentPlan` of numpy arrays, and progressive filling
-runs as batched row operations instead of dict-of-set scans.  The
-vector path is an arithmetic twin of the scalar one — same operand
-order, same tie-breaking — so seeded runs are bit-identical whichever
-path solves a component (see DESIGN.md §4.1).
+There is one rate solver, :meth:`FluidNetwork._assign_rates`, plus its
+executable reference :meth:`FluidNetwork._assign_rates_scalar`.  The
+two are arithmetic twins — same operand order, same tie-breaking — and
+the sampled invariant check (:mod:`repro.sim.invariants`) holds the
+fast path to the reference bit for bit.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ from __future__ import annotations
 import math
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.obs import context as _obs_context
 from repro.sim import invariants as _inv
@@ -62,16 +59,6 @@ _REL_TOL = 1e-9
 # Activation-order sort key (used on every restricted-scan path; an
 # attrgetter beats a lambda at these call counts).
 _SEQ_KEY = attrgetter("_seq")
-
-# Components below this many flows solve on the scalar path: numpy's
-# per-op dispatch overhead (~1–2 µs) swamps the win on small arrays,
-# and the figures' components are mostly single-digit.  Tests pin
-# ``FluidNetwork._vec_min`` to force either path.
-_VEC_MIN = 32
-
-# Component-plan cache bound; cleared wholesale on overflow (plans are
-# cheap to rebuild and the cache is hot for a handful of memberships).
-_PLAN_CACHE_MAX = 256
 
 
 class Resource:
@@ -205,118 +192,6 @@ class Flow:
                 f"remaining={self.remaining})")
 
 
-class _ComponentPlan:
-    """Frozen array layout of one dirty connected component.
-
-    Built once per distinct component membership (keyed by the flows'
-    activation-sequence tuple) and reused for every subsequent solve of
-    the same component:
-
-    * ``W`` — resources × flows matrix of cached ``weight · usage``
-      products (the water-level denominators are left-to-right sums of
-      its rows over the still-unfixed columns);
-    * ``M`` — boolean membership matrix (``usage`` may be 0, which
-      zeroes the product but keeps the flow on the resource);
-    * per-flow path index/usage arrays for the residual-capacity
-      subtraction of :meth:`FluidNetwork._fix_vec`.
-
-    Everything baked in is immutable for the key's lifetime: sequence
-    numbers are never reused, and a flow's path, weight and usage
-    multipliers are fixed at construction.  Demands and capacities can
-    change between solves, so those are re-gathered per solve.
-
-    Flow columns are in activation (``_seq``) order and resources in
-    first-touch order — exactly the iteration orders of the scalar
-    solver, so freeze order and rounding match it bitwise.
-    """
-
-    __slots__ = ("flows", "empty", "resources", "W", "M", "weights",
-                 "weights_l", "paths")
-
-    def __init__(self, dirty: Sequence[Flow]):
-        empty: List[Flow] = []
-        flows: List[Flow] = []
-        for f in dirty:
-            (flows if f.resources else empty).append(f)
-        self.empty = tuple(empty)
-        self.flows = tuple(flows)
-        res_index: Dict[Resource, int] = {}
-        resources: List[Resource] = []
-        for f in flows:
-            for res in f.resources:
-                if res not in res_index:
-                    res_index[res] = len(resources)
-                    resources.append(res)
-        self.resources = tuple(resources)
-        nf = len(flows)
-        nr = len(resources)
-        W = np.zeros((nr, nf))
-        M = np.zeros((nr, nf), dtype=bool)
-        # Per-flow path as (resource index, usage) pairs for the
-        # residual-capacity debit of _fix_vec.  Plain Python pairs on
-        # purpose: the debit is sequential by construction (its
-        # rounding is order-dependent), so per-element numpy indexing
-        # would only add dispatch overhead to an O(path) scalar loop.
-        paths: List[Tuple[Tuple[int, float], ...]] = []
-        for j, f in enumerate(flows):
-            w = f.weight
-            path: List[Tuple[int, float]] = []
-            for res, wu in zip(f.resources, f._usages):
-                i = res_index[res]
-                W[i, j] = w * wu
-                M[i, j] = True
-                path.append((i, wu))
-            paths.append(tuple(path))
-        self.W = W
-        self.M = M
-        self.weights = np.array([f.weight for f in flows])
-        self.weights_l = [f.weight for f in flows]
-        self.paths = paths
-
-
-class _SmallPlan:
-    """Cached list layout of a sub-``_vec_min`` component.
-
-    The small-component solver's per-solve cost is dominated by
-    rebuilding its resource table and member/path lists; all of that is
-    immutable for a given membership (seqs are never reused, paths,
-    weights and usage multipliers are fixed at flow construction), so
-    it is built once per ``_comp_cache`` key.  Demands and capacities
-    are re-read each solve.  Orders (flow slots == activation order,
-    resources == first-touch order, members slot-ordered per resource)
-    mirror the scalar solver's dict iteration orders exactly.
-    """
-
-    __slots__ = ("flows", "empty", "resources", "members", "paths")
-
-    def __init__(self, dirty: Sequence[Flow]):
-        empty: List[Flow] = []
-        flows: List[Flow] = []
-        for f in dirty:
-            (flows if f.resources else empty).append(f)
-        self.empty = tuple(empty)
-        self.flows = tuple(flows)
-        index: Dict[Resource, int] = {}
-        resources: List[Resource] = []
-        members: List[List[Tuple[int, float]]] = []
-        paths: List[Tuple[Tuple[int, float], ...]] = []
-        for k, flow in enumerate(flows):
-            weight = flow.weight
-            path: List[Tuple[int, float]] = []
-            for res, wu in zip(flow.resources, flow._usages):
-                i = index.get(res)
-                if i is None:
-                    i = index[res] = len(resources)
-                    resources.append(res)
-                    members.append([])
-                members[i].append((k, weight * wu))
-                path.append((i, wu))
-            paths.append(tuple(path))
-        self.resources = tuple(resources)
-        self.members = tuple(tuple(m) for m in members)
-        self.paths = tuple(paths)
-
-
 class FluidNetwork:
     """Set of active flows over shared resources; owns rate assignment.
 
@@ -343,14 +218,6 @@ class FluidNetwork:
         self._res_flows: Dict[Resource, Dict[Flow, None]] = {}
         self._next_seq = 0
         self._n_solves = 0  # rate solves, for invariant-check sampling
-        # Component-plan cache: activation-seq tuple -> _ComponentPlan,
-        # or None for a membership seen exactly once (see the warm-up
-        # note in _assign_rates).  Seqs are never reused, so entries
-        # can never alias a different membership.
-        self._comp_cache: Dict[Tuple[int, ...],
-                               Optional[_ComponentPlan]] = {}
-        self._vec_min = _VEC_MIN  # tests pin this to force either path
-        self._plan_warmup = True  # tests clear to build plans eagerly
         # Single-seed dirty-component memo, cleared on any adjacency
         # change (start/stop).  Demand and capacity updates re-solve
         # the same membership over and over; the graph traversal (and
@@ -677,282 +544,63 @@ class FluidNetwork:
         """Weighted max-min fair allocation via progressive filling,
         restricted to the *dirty* component(s).
 
-        Dispatches on component size: large components run the
-        vectorized solver over a cached :class:`_ComponentPlan`, small
-        ones the scalar reference.  The two are arithmetic twins —
-        every sum, product, comparison and clamp happens in the same
-        order with the same operands — so the choice never changes a
-        single bit of the resulting rates.
-        """
-        n = len(dirty)
-        if n < self._vec_min:
-            if n == 0:
-                return None
-            if n == 1:
-                return self._assign_rates_one(dirty[0], touched)
-            if n == 2:
-                return self._assign_rates_two(dirty, touched)
-        key = tuple(f._seq for f in dirty)
-        cache = self._comp_cache
-        plan = cache.get(key, False)
-        if plan is False and self._plan_warmup:
-            # First sighting of this membership: solve without a plan
-            # and only mark the key.  Churn-once components (a burst of
-            # starts that never re-solves the same membership) never pay
-            # for a plan build; the second solve does, and every one
-            # after that amortizes it.
-            if len(cache) >= _PLAN_CACHE_MAX:
-                cache.clear()
-            cache[key] = None
-            if n < self._vec_min:
-                return self._assign_rates_small(dirty, touched)
-            return self._assign_rates_scalar(dirty, touched)
-        if not plan:
-            if len(cache) >= _PLAN_CACHE_MAX:
-                cache.clear()
-            plan = cache[key] = (_SmallPlan(dirty) if n < self._vec_min
-                                 else _ComponentPlan(dirty))
-        if type(plan) is _SmallPlan:
-            self._assign_rates_small_plan(touched, plan)
-        else:
-            self._assign_rates_vector(touched, plan)
-
-    def _assign_rates_one(self, flow: Flow,
-                          touched: Dict[Resource, None]) -> None:
-        """Closed-form allocation for a single-flow component.
-
-        Arithmetic twin of :meth:`_assign_rates_scalar` on a one-flow
-        dirty list: the water level collapses to the minimum
-        ``capacity / (weight·usage)`` over the flow's (distinct)
-        resources, compared against the demand with the identical
-        ``(1 + _REL_TOL)`` guard, so the resulting rate is bit-equal.
-        """
-        if not flow.resources:
-            flow.rate = flow.demand
-            return
-        self._solve_single(flow, touched)
-
-    def _solve_single(self, flow: Flow,
-                      touched: Dict[Resource, None]) -> None:
-        """Rate for one flow with a non-empty path (shared by the 1- and
-        2-flow fast paths).  Duplicate resources in the path keep the
-        scalar solver's dict semantics: the *last* ``weight·usage``
-        product wins."""
-        weight = flow.weight
-        index: Dict[Resource, int] = {}
-        res_list: List[Resource] = []
-        prods: List[float] = []
-        for res, wu in zip(flow.resources, flow._usages):
-            i = index.get(res)
-            if i is None:
-                index[res] = len(res_list)
-                res_list.append(res)
-                prods.append(weight * wu)
-                touched[res] = None
-            else:
-                prods[i] = weight * wu
-        level = math.inf
-        for i, prod in enumerate(prods):
-            if prod <= 0:
-                continue
-            lvl = res_list[i].capacity / prod
-            if lvl < level:
-                level = lvl
-        if not math.isfinite(level):
-            if not math.isfinite(flow.demand):
-                raise SimulationError(
-                    f"flow {flow.label!r} has unbounded rate")
-            rate = flow.demand
-        elif flow.demand <= weight * level * (1 + _REL_TOL):
-            rate = flow.demand
-        else:
-            rate = weight * level
-        flow.rate = rate if rate > 0.0 else 0.0
-
-    def _assign_rates_two(self, dirty: List[Flow],
-                          touched: Dict[Resource, None]) -> None:
-        """Progressive filling specialised to a two-flow component.
-
-        Mirrors :meth:`_assign_rates_scalar` step for step on parallel
-        lists instead of dicts-of-dicts: same resource visit order
-        (first flow's path first), same two-term denominators (summed
-        first-flow-first, matching dict insertion order), same
-        demand-vs-bottleneck freeze order and the same residual
-        capacity debit order — so every rounding decision is identical
-        and the result is bit-equal to the reference solver.
-        """
-        remaining = []
-        for flow in dirty:
-            if not flow.resources:
-                flow.rate = flow.demand
-            else:
-                remaining.append(flow)
-        if not remaining:
-            return
-        if len(remaining) == 1:
-            return self._solve_single(remaining[0], touched)
-
-        index: Dict[Resource, int] = {}
-        res_list: List[Resource] = []
-        avail: List[float] = []
-        prods: List[List[Optional[float]]] = []
-        paths: Tuple[List[Tuple[int, float]], List[Tuple[int, float]]] = \
-            ([], [])
-        for k in (0, 1):
-            flow = remaining[k]
-            weight = flow.weight
-            path = paths[k]
-            for res, wu in zip(flow.resources, flow._usages):
-                i = index.get(res)
-                if i is None:
-                    i = index[res] = len(res_list)
-                    res_list.append(res)
-                    avail.append(res.capacity)
-                    prods.append([None, None])
-                    touched[res] = None
-                prods[i][k] = weight * wu
-                path.append((i, wu))
-
-        fixed = [False, False]
-        n_res = len(res_list)
-
-        def fix(k: int, rate: float) -> None:
-            flow = remaining[k]
-            flow.rate = rate = rate if rate > 0.0 else 0.0
-            for i, usage in paths[k]:
-                left = avail[i] - rate * usage
-                avail[i] = left if left > 0.0 else 0.0
-            fixed[k] = True
-
-        while True:
-            level = math.inf
-            for i in range(n_res):
-                pa, pb = prods[i]
-                if pa is None or fixed[0]:
-                    if pb is None or fixed[1]:
-                        continue
-                    denom = pb
-                elif pb is None or fixed[1]:
-                    denom = pa
-                else:
-                    denom = pa + pb
-                if denom <= 0:
-                    continue
-                lvl = avail[i] / denom
-                if lvl < level:
-                    level = lvl
-            if not math.isfinite(level):
-                for k in (0, 1):
-                    if fixed[k]:
-                        continue
-                    flow = remaining[k]
-                    if not math.isfinite(flow.demand):
-                        raise SimulationError(
-                            f"flow {flow.label!r} has unbounded rate")
-                    fix(k, flow.demand)
-                break
-
-            # NB: the demand guard must round exactly like the scalar
-            # solver's left-associative ``weight * level * (1 + tol)``;
-            # the bottleneck guard below hoists ``level * (1 + tol)``
-            # because the scalar compare is written that way too.
-            demand_limited = [
-                k for k in (0, 1)
-                if not fixed[k]
-                and remaining[k].demand
-                <= remaining[k].weight * level * (1 + _REL_TOL)]
-            guard = level * (1 + _REL_TOL)
-            if demand_limited:
-                for k in demand_limited:
-                    fix(k, remaining[k].demand)
-                if fixed[0] and fixed[1]:
-                    break
-                continue
-
-            froze = False
-            for i in range(n_res):
-                pa, pb = prods[i]
-                members = [k for k in (0, 1)
-                           if prods[i][k] is not None and not fixed[k]]
-                if not members:
-                    continue
-                if len(members) == 2:
-                    denom = pa + pb
-                else:
-                    denom = prods[i][members[0]]
-                if denom <= 0:
-                    continue
-                if avail[i] / denom <= guard:
-                    for k in members:
-                        if not fixed[k]:
-                            fix(k, remaining[k].weight * level)
-                            froze = True
-            if not froze:  # pragma: no cover - numerical safety net
-                for k in (0, 1):
-                    if not fixed[k]:
-                        fix(k, remaining[k].weight * level)
-            if fixed[0] and fixed[1]:
-                break
-
-    def _assign_rates_small(self, dirty: List[Flow],
-                            touched: Dict[Resource, None]) -> None:
-        """List-based progressive filling for mid-size components
-        (``2 < n < _vec_min``, and the 2-flow fallback's peer).
-
-        The dict-of-dicts machinery of :meth:`_assign_rates_scalar`
-        dominates its runtime for components of a handful of flows;
-        this twin keeps every float operation — denominator summation
-        order (slot order == dirty order == fset insertion order),
-        freeze order, residual debit order and all ``(1 + _REL_TOL)``
-        guards — bit-identical while replacing the dict churn with
-        parallel lists indexed by flow slot and resource index.
+        The one rate solver, for every component size.  It is the
+        arithmetic twin of :meth:`_assign_rates_scalar` on parallel
+        lists indexed by flow slot and resource index instead of
+        dicts-of-dicts: flow slots follow *dirty* order (activation
+        order), resources first-touch order and each resource's members
+        slot order — the reference's dict iteration orders — so every
+        denominator sum, freeze, residual debit and ``(1 + _REL_TOL)``
+        guard rounds identically and the rates are bit-equal.
         """
         flows: List[Flow] = []
         for flow in dirty:
-            if not flow.resources:
-                flow.rate = flow.demand
-            else:
+            if flow.resources:
                 flows.append(flow)
+            else:
+                # An empty path is only demand-limited.
+                flow.rate = flow.demand
         n = len(flows)
-        if n == 0:
+        if not n:
             return
-        if n == 1:
-            return self._solve_single(flows[0], touched)
 
         index: Dict[Resource, int] = {}
-        res_list: List[Resource] = []
         avail: List[float] = []
+        # Per resource: (flow slot, weight·usage) in slot order.  Per
+        # flow: (resource index, usage) for the residual debit.
         members: List[List[Tuple[int, float]]] = []
         paths: List[List[Tuple[int, float]]] = []
-        weights: List[float] = []
-        demands: List[float] = []
         for k, flow in enumerate(flows):
             weight = flow.weight
-            weights.append(weight)
-            demands.append(flow.demand)
             path: List[Tuple[int, float]] = []
             paths.append(path)
             for res, wu in zip(flow.resources, flow._usages):
                 i = index.get(res)
                 if i is None:
-                    i = index[res] = len(res_list)
-                    res_list.append(res)
-                    avail.append(res.capacity)
+                    i = index[res] = len(avail)
+                    avail.append(res._capacity)
                     members.append([])
                     touched[res] = None
                 members[i].append((k, weight * wu))
                 path.append((i, wu))
 
         fixed = [False] * n
-        n_res = len(res_list)
-        unfixed_left = n
         tol = 1 + _REL_TOL
 
-        while unfixed_left:
+        def fix(k: int, rate: float) -> None:
+            # Same clamp and debit order as the reference's _fix.
+            flows[k].rate = rate = rate if rate > 0.0 else 0.0
+            for i, usage in paths[k]:
+                left = avail[i] - rate * usage
+                avail[i] = left if left > 0.0 else 0.0
+            fixed[k] = True
+
+        unfixed = n
+        while unfixed:
             level = math.inf
-            for i in range(n_res):
+            for i, mem in enumerate(members):
                 denom = 0.0
-                for k, prod in members[i]:
+                for k, prod in mem:
                     if not fixed[k]:
                         denom += prod
                 if denom <= 0:
@@ -961,39 +609,31 @@ class FluidNetwork:
                 if lvl < level:
                     level = lvl
             if not math.isfinite(level):
+                # No binding resource: the rest must be demand-limited.
                 for k in range(n):
-                    if fixed[k]:
-                        continue
-                    rate = demands[k]
-                    if not math.isfinite(rate):
-                        raise SimulationError(
-                            f"flow {flows[k].label!r} has unbounded rate")
-                    flows[k].rate = rate = rate if rate > 0.0 else 0.0
-                    for i, usage in paths[k]:
-                        left = avail[i] - rate * usage
-                        avail[i] = left if left > 0.0 else 0.0
-                    fixed[k] = True
-                    unfixed_left -= 1
-                break
+                    if not fixed[k]:
+                        demand = flows[k].demand
+                        if not math.isfinite(demand):
+                            raise SimulationError(
+                                f"flow {flows[k].label!r} has unbounded rate")
+                        fix(k, demand)
+                return
 
-            demand_limited = [
-                k for k in range(n)
-                if not fixed[k] and demands[k] <= weights[k] * level * tol]
-            if demand_limited:
-                for k in demand_limited:
-                    rate = demands[k]
-                    flows[k].rate = rate = rate if rate > 0.0 else 0.0
-                    for i, usage in paths[k]:
-                        left = avail[i] - rate * usage
-                        avail[i] = left if left > 0.0 else 0.0
-                    fixed[k] = True
-                    unfixed_left -= 1
+            # Demand-limited flows below the water level freeze first.
+            limited = [k for k in range(n) if not fixed[k]
+                       and flows[k].demand <= flows[k].weight * level * tol]
+            if limited:
+                for k in limited:
+                    fix(k, flows[k].demand)
+                unfixed -= len(limited)
                 continue
 
+            # Otherwise freeze every flow crossing a bottleneck resource,
+            # re-summing each denominator after this pass's earlier
+            # freezes (exactly like the reference).
             guard = level * tol
-            froze = False
-            for i in range(n_res):
-                mem = members[i]
+            froze = 0
+            for i, mem in enumerate(members):
                 denom = 0.0
                 for k, prod in mem:
                     if not fixed[k]:
@@ -1003,144 +643,27 @@ class FluidNetwork:
                 if avail[i] / denom <= guard:
                     for k, _prod in mem:
                         if not fixed[k]:
-                            rate = weights[k] * level
-                            flows[k].rate = rate = rate if rate > 0.0 else 0.0
-                            for j, usage in paths[k]:
-                                left = avail[j] - rate * usage
-                                avail[j] = left if left > 0.0 else 0.0
-                            fixed[k] = True
-                            unfixed_left -= 1
-                            froze = True
+                            fix(k, flows[k].weight * level)
+                            froze += 1
             if not froze:  # pragma: no cover - numerical safety net
                 for k in range(n):
                     if not fixed[k]:
-                        rate = weights[k] * level
-                        flows[k].rate = rate = rate if rate > 0.0 else 0.0
-                        for i, usage in paths[k]:
-                            left = avail[i] - rate * usage
-                            avail[i] = left if left > 0.0 else 0.0
-                        fixed[k] = True
-                        unfixed_left -= 1
-
-    def _assign_rates_small_plan(self, touched: Dict[Resource, None],
-                                 plan: _SmallPlan) -> None:
-        """Progressive filling over a cached :class:`_SmallPlan`.
-
-        Same float operations as :meth:`_assign_rates_small` (and thus
-        the scalar reference), minus the per-solve rebuild of the
-        resource table and member/path lists.  Only capacities and
-        demands are read live.
-        """
-        for flow in plan.empty:
-            flow.rate = flow.demand
-        flows = plan.flows
-        n = len(flows)
-        if n == 0:
-            return
-        res_list = plan.resources
-        avail = [res.capacity for res in res_list]
-        for res in res_list:
-            touched[res] = None
-        members = plan.members
-        paths = plan.paths
-        n_res = len(res_list)
-        fixed = [False] * n
-        unfixed_left = n
-
-        while unfixed_left:
-            level = math.inf
-            for i in range(n_res):
-                denom = 0.0
-                for k, prod in members[i]:
-                    if not fixed[k]:
-                        denom += prod
-                if denom <= 0:
-                    continue
-                lvl = avail[i] / denom
-                if lvl < level:
-                    level = lvl
-            if not math.isfinite(level):
-                for k in range(n):
-                    if fixed[k]:
-                        continue
-                    flow = flows[k]
-                    if not math.isfinite(flow.demand):
-                        raise SimulationError(
-                            f"flow {flow.label!r} has unbounded rate")
-                    rate = flow.demand
-                    flow.rate = rate = rate if rate > 0.0 else 0.0
-                    for i, usage in paths[k]:
-                        left = avail[i] - rate * usage
-                        avail[i] = left if left > 0.0 else 0.0
-                    fixed[k] = True
-                    unfixed_left -= 1
-                break
-
-            demand_limited = [
-                k for k in range(n)
-                if not fixed[k]
-                and flows[k].demand <= flows[k].weight * level * (1 + _REL_TOL)]
-            if demand_limited:
-                for k in demand_limited:
-                    flow = flows[k]
-                    rate = flow.demand
-                    flow.rate = rate = rate if rate > 0.0 else 0.0
-                    for i, usage in paths[k]:
-                        left = avail[i] - rate * usage
-                        avail[i] = left if left > 0.0 else 0.0
-                    fixed[k] = True
-                    unfixed_left -= 1
-                continue
-
-            guard = level * (1 + _REL_TOL)
-            froze = False
-            for i in range(n_res):
-                mem = members[i]
-                denom = 0.0
-                for k, prod in mem:
-                    if not fixed[k]:
-                        denom += prod
-                if denom <= 0:
-                    continue
-                if avail[i] / denom <= guard:
-                    for k, _prod in mem:
-                        if not fixed[k]:
-                            flow = flows[k]
-                            rate = flow.weight * level
-                            flow.rate = rate = rate if rate > 0.0 else 0.0
-                            for ii, usage in paths[k]:
-                                left = avail[ii] - rate * usage
-                                avail[ii] = left if left > 0.0 else 0.0
-                            fixed[k] = True
-                            unfixed_left -= 1
-                            froze = True
-            if not froze:  # pragma: no cover - numerical safety net
-                for k in range(n):
-                    if not fixed[k]:
-                        flow = flows[k]
-                        rate = flow.weight * level
-                        flow.rate = rate = rate if rate > 0.0 else 0.0
-                        for i, usage in paths[k]:
-                            left = avail[i] - rate * usage
-                            avail[i] = left if left > 0.0 else 0.0
-                        fixed[k] = True
-                        unfixed_left -= 1
+                        fix(k, flows[k].weight * level)
+                return
+            unfixed -= froze
 
     def _assign_rates_scalar(self, dirty: List[Flow],
                              touched: Dict[Resource, None]) -> None:
-        """The dict-based reference solver (pre-vectorization form).
+        """The dict-based reference solver.
 
         All working collections are insertion-ordered dicts-as-sets so
         the freezing order — and with it the floating-point rounding of
         the residual-capacity subtractions — is identical on every run.
-        Restricting the pass to a connected component preserves that
-        order: a component's flows only ever compete among themselves,
-        so the sequence of capacity subtractions on its resources is
-        the same one a global pass performs.
 
-        Retained both as the fast path for small components and as the
-        executable reference the sampled invariant check re-solves
-        with (see :meth:`_check_invariants`).
+        Never on the simulation path: it is the executable reference the
+        sampled invariant check re-solves with, both on the dirty list
+        (bitwise against :meth:`_assign_rates`) and globally over every
+        active flow (see :meth:`_check_invariants`).
         """
         unfixed: Dict[Flow, None] = dict.fromkeys(dirty)
         # Flows with an empty path are only demand-limited.
@@ -1165,11 +688,16 @@ class FluidNetwork:
             # per-resource Σ weight·usage denominators are sums over the
             # cached per-flow products stored in res_flows, so no usage
             # lookups happen in this hot loop.
+            # Left-to-right sums, spelled out: sum() of floats is
+            # compensated from Python 3.12 on and would round unlike
+            # the fast path's running total.
             level = math.inf
             for res, fset in res_flows.items():
                 if not fset:
                     continue
-                denom = sum(fset.values())
+                denom = 0.0
+                for prod in fset.values():
+                    denom += prod
                 if denom <= 0:
                     continue
                 lvl = avail[res] / denom
@@ -1205,7 +733,9 @@ class FluidNetwork:
             for res, fset in list(res_flows.items()):
                 if not fset:
                     continue
-                denom = sum(fset.values())
+                denom = 0.0
+                for prod in fset.values():
+                    denom += prod
                 if denom <= 0:
                     continue
                 if avail[res] / denom <= level * (1 + _REL_TOL):
@@ -1230,115 +760,6 @@ class FluidNetwork:
             avail[res] = left if left > 0.0 else 0.0
             res_flows[res].pop(flow, None)
 
-    def _assign_rates_vector(self, touched: Dict[Resource, None],
-                             plan: _ComponentPlan) -> None:
-        """Progressive filling over the component's array layout.
-
-        Arithmetic twin of :meth:`_assign_rates_scalar` (see the
-        dispatch note in :meth:`_assign_rates`): denominators are
-        left-to-right ``np.cumsum`` sums over the ``W`` rows with fixed
-        flows zeroed (adding 0.0 is exact for the non-negative products
-        here), the water level is an order-independent exact ``min``,
-        and the per-flow residual-capacity subtractions of
-        :meth:`_fix_vec` stay sequential in the scalar solver's freeze
-        order — those are the only order-dependent roundings.
-        """
-        for flow in plan.empty:
-            flow.rate = flow.demand
-        for res in plan.resources:
-            touched[res] = None
-        flows = plan.flows
-        nf = len(flows)
-        if not nf:
-            return
-        demand_l = [f.demand for f in flows]
-        demand = np.array(demand_l)
-        weights_l = plan.weights_l
-        W = plan.W
-        M = plan.M
-        # Residual capacities live in a plain Python list: the debits
-        # of _fix_vec are sequential scalar float ops (order-dependent
-        # rounding — the bit-identity constraint), and list indexing
-        # beats numpy scalar indexing severalfold there.  The array
-        # view is materialized once per water level below.
-        avail_l = [r._capacity for r in plan.resources]
-        active = np.ones(nf, dtype=bool)
-        n_active = nf
-        one_rel = 1.0 + _REL_TOL
-        while n_active:
-            denom = np.cumsum(W * active, axis=1)[:, -1]
-            pos = denom > 0.0
-            if pos.any():
-                avail = np.array(avail_l)
-                level = float((avail[pos] / denom[pos]).min())
-            else:
-                level = math.inf
-            if not math.isfinite(level):
-                # No binding resource left: remaining flows must be
-                # demand-limited.  Fix in activation order, raising at
-                # the first unbounded flow exactly like the scalar.
-                for j in np.nonzero(active)[0].tolist():
-                    d = demand_l[j]
-                    if not math.isfinite(d):
-                        raise SimulationError(
-                            f"flow {flows[j].label!r} has unbounded rate")
-                    self._fix_vec(plan, j, d, avail_l, active)
-                break
-
-            # Demand-limited flows below the water level freeze first.
-            limited = active & (demand <= plan.weights * level * one_rel)
-            if limited.any():
-                fixed = np.nonzero(limited)[0].tolist()
-                for j in fixed:
-                    self._fix_vec(plan, j, demand_l[j], avail_l, active)
-                n_active -= len(fixed)
-                continue
-
-            # Otherwise freeze every flow crossing a bottleneck
-            # resource, re-deriving each row's denominator after the
-            # freezes of earlier rows in this same pass.
-            threshold = level * one_rel
-            froze = 0
-            for i in range(len(plan.resources)):
-                members = M[i] & active
-                if not members.any():
-                    continue
-                denom_i = np.cumsum(W[i] * members)[-1]
-                if denom_i <= 0.0:
-                    continue
-                if avail_l[i] / denom_i <= threshold:
-                    for j in np.nonzero(members)[0].tolist():
-                        self._fix_vec(plan, j, weights_l[j] * level,
-                                      avail_l, active)
-                        froze += 1
-            if froze:
-                n_active -= froze
-            else:  # pragma: no cover - numerical safety net
-                for j in np.nonzero(active)[0].tolist():
-                    self._fix_vec(plan, j, weights_l[j] * level,
-                                  avail_l, active)
-                n_active = 0
-
-    @staticmethod
-    def _fix_vec(plan: _ComponentPlan, j: int, rate: float,
-                 avail_l: List[float], active: np.ndarray) -> None:
-        """Freeze plan flow *j* at *rate* and debit its path's capacity
-        (same clamp and operand order as :meth:`_fix`).
-
-        The debit loop is scalar Python over the plan's ``(resource
-        index, usage)`` pairs and a plain-list ``avail_l``: its
-        rounding is order-dependent (that is the whole bit-identity
-        constraint), so it cannot be batched, and numpy indexing would
-        only add dispatch overhead to scalar float arithmetic that is
-        already bit-exact against the scalar solver's dicts.
-        """
-        r = rate if rate > 0.0 else 0.0
-        plan.flows[j].rate = r
-        for i, u in plan.paths[j]:
-            left = avail_l[i] - r * u
-            avail_l[i] = left if left > 0.0 else 0.0
-        active[j] = False
-
     # -- runtime self-checks (--check-invariants) --------------------------
     def _component_of(self, flow: Optional[Flow] = None,
                       resource: Optional[Resource] = None) -> str:
@@ -1362,52 +783,24 @@ class FluidNetwork:
         non-negative and demand-capped, and no resource's capacity is
         exceeded (computed from :meth:`Flow.usage_on`, *not* the cache,
         so a corrupted cache is caught by the first check rather than
-        masked).  Every ``SAMPLE_EVERY``-th solve additionally re-runs
-        progressive filling globally and cross-checks every active
-        flow's rate **bitwise** — the incremental dirty-component
-        invariant of DESIGN.md made executable.
+        masked).  Every ``SAMPLE_EVERY``-th solve additionally runs
+        :meth:`_cross_check` against the reference solver.
         """
         self._n_solves += 1
         if _obs_context._ACTIVE is not None:
             _obs_context._ACTIVE.on_invariant_check()
-        n = len(dirty)
-        if n >= self._vec_min:
-            # Batched form of the per-flow checks below, so the guard
-            # stays affordable on the components the vectorized solver
-            # targets.  The per-flow loops only run to name a culprit.
-            rates = np.fromiter((f.rate for f in dirty), float, n)
-            demands = np.fromiter((f.demand for f in dirty), float, n)
-            if (~np.isfinite(rates) | (rates < 0.0)).any():
-                for flow in dirty:
-                    rate = flow.rate
-                    if not math.isfinite(rate) or rate < 0.0:
-                        self._violation(
-                            f"flow {flow.label or 'anon'!r} has invalid "
-                            f"rate {rate!r} in "
-                            f"{self._component_of(flow=flow)}")
-            if (rates > demands * (1.0 + _REL_TOL)).any():
-                for flow in dirty:
-                    if flow.rate > flow.demand * (1.0 + _REL_TOL):
-                        self._violation(
-                            f"flow {flow.label or 'anon'!r} rate "
-                            f"{flow.rate!r} exceeds its demand cap "
-                            f"{flow.demand!r} in "
-                            f"{self._component_of(flow=flow)}")
-            for flow in dirty:
-                self._check_usage_cache(flow)
-        else:
-            for flow in dirty:
-                self._check_usage_cache(flow)
-                rate = flow.rate
-                if not math.isfinite(rate) or rate < 0.0:
-                    self._violation(
-                        f"flow {flow.label or 'anon'!r} has invalid rate "
-                        f"{rate!r} in {self._component_of(flow=flow)}")
-                if rate > flow.demand * (1.0 + _REL_TOL):
-                    self._violation(
-                        f"flow {flow.label or 'anon'!r} rate {rate!r} "
-                        f"exceeds its demand cap {flow.demand!r} in "
-                        f"{self._component_of(flow=flow)}")
+        for flow in dirty:
+            self._check_usage_cache(flow)
+            rate = flow.rate
+            if not math.isfinite(rate) or rate < 0.0:
+                self._violation(
+                    f"flow {flow.label or 'anon'!r} has invalid rate "
+                    f"{rate!r} in {self._component_of(flow=flow)}")
+            if rate > flow.demand * (1.0 + _REL_TOL):
+                self._violation(
+                    f"flow {flow.label or 'anon'!r} rate {rate!r} "
+                    f"exceeds its demand cap {flow.demand!r} in "
+                    f"{self._component_of(flow=flow)}")
         seen_res: Set[Resource] = set()
         for flow in dirty:
             for res in flow.resources:
@@ -1422,22 +815,51 @@ class FluidNetwork:
                         f"{used!r} > {res.capacity!r} in "
                         f"{self._component_of(resource=res)}")
         if self._n_solves % _inv.SAMPLE_EVERY == 0 and self._flows:
-            snapshot = [(f, f.rate) for f in self._flows]
-            # The reference re-solve is always the scalar solver: the
-            # cross-check then validates both the incremental-component
-            # invariant *and* (when the dirty solve ran vectorized) the
-            # scalar/vector bit-identity contract in one comparison.
-            self._assign_rates_scalar(
-                sorted(self._flows, key=_SEQ_KEY), {})
-            for flow, incremental in snapshot:
-                if flow.rate != incremental:
-                    globally = flow.rate
-                    flow.rate = incremental  # leave state as found
-                    self._violation(
+            self._cross_check(dirty)
+
+    def _cross_check(self, dirty: List[Flow]) -> None:
+        """Re-solve with :meth:`_assign_rates_scalar` and compare.
+
+        * The *dirty* list re-solved by the reference must reproduce
+          the fast path's rates **bitwise** — the fast-path contract.
+        * A from-scratch global solve over every active flow must agree
+          with the incremental rates within relative ``_REL_TOL`` — the
+          dirty-component invariant of DESIGN.md §4.1.  Only a tolerance
+          holds here: the global pass interleaves the freezes of
+          unrelated components, so its residual debits round differently
+          (~1e-15 relative).  A stale rate is off by far more.
+
+        Every snapshotted rate is restored before a violation is raised,
+        so the network is left exactly as the fast path set it.
+        """
+        before = {flow: flow.rate for flow in self._flows}
+        culprit: Optional[Flow] = None
+        self._assign_rates_scalar(dirty, {})
+        for flow in dirty:
+            if flow.rate != before[flow]:
+                culprit = flow
+                message = (
+                    f"fast path diverged from the reference solver for "
+                    f"flow {flow.label or 'anon'!r}: fast path gave "
+                    f"{before[flow]!r}, reference gave {flow.rate!r}")
+                break
+        if culprit is None:
+            self._assign_rates_scalar(sorted(self._flows, key=_SEQ_KEY), {})
+            for flow, incremental in before.items():
+                globally = flow.rate
+                if not abs(globally - incremental) <= _REL_TOL * max(
+                        abs(globally), abs(incremental)):
+                    culprit = flow
+                    message = (
                         f"incremental solve diverged from global solve for "
                         f"flow {flow.label or 'anon'!r}: component gave "
-                        f"{incremental!r}, from-scratch gave {globally!r} "
-                        f"in {self._component_of(flow=flow)}")
+                        f"{incremental!r}, from-scratch gave {globally!r}")
+                    break
+        for flow, rate in before.items():
+            flow.rate = rate
+        if culprit is not None:
+            self._violation(
+                f"{message} in {self._component_of(flow=culprit)}")
 
     def _check_usage_cache(self, flow: Flow) -> None:
         """Verify one flow's cached per-resource usage multipliers

@@ -11,24 +11,26 @@ themselves at runtime:
 * per-resource capacity is never exceeded and rates stay non-negative
   and demand-capped after every rate solve;
 * the per-flow usage caches agree with the authoritative usage maps;
-* on a sampled fraction of solves, the dirty-component solution is
-  cross-checked **bitwise** against a from-scratch global solve — the
-  global reference deliberately runs the *scalar* solver, so with the
-  vectorized component path (PR 8) enabled this one comparison also
-  pins vector-vs-scalar bit-equivalence on live workloads;
+* on a sampled fraction of solves, the dirty list is re-solved by the
+  reference solver and must match the fast path **bitwise**, and the
+  incremental rates are cross-checked against a from-scratch global
+  solve to a relative tolerance (a global pass rounds differently, by
+  ~1e-15, because it interleaves the freezes of unrelated components);
 * event time never moves backwards through the engine's heap.
 
 A failed check raises :class:`InvariantViolation` naming the culprit
 flow/resource and its connected component, so the diagnostic points at
 the corrupted state instead of at whichever figure happened to consume
-it ten thousand events later.
+it ten thousand events later.  A violation raised inside a sim process
+propagates out of ``Simulator.run`` instead of failing that process.
 
 Checking is off by default (the hot paths pay one module-attribute
 test).  Enable it with ``REPRO_CHECK_INVARIANTS=1`` in the environment
 (read at import, the CI switch), the ``--check-invariants`` CLI flag,
 or :func:`enable` / the :func:`invariant_checks` context manager from
 code.  ``REPRO_CHECK_SAMPLE`` (default 16) sets the 1-in-N sampling of
-the expensive global cross-check; the cheap checks run on every solve.
+the expensive reference cross-checks; the cheap checks run on every
+solve.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def enabled() -> bool:
 
 
 def sample_every() -> int:
-    """Run the global cross-check on every Nth rate solve."""
+    """Run the reference cross-checks on every Nth rate solve."""
     return SAMPLE_EVERY
 
 

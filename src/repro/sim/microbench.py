@@ -8,15 +8,14 @@ figure sweeps that happen to exercise it.
 Four shapes:
 
 * :func:`churn` — many small components (fig10-style: one bus per
-  socket) under start/finish/capacity churn.  Components stay below
-  the vectorization threshold, so this guards the scalar path and the
-  dirty-component bookkeeping.
+  socket) under start/finish/capacity churn, guarding the rate solver
+  on mid-size components and the dirty-component bookkeeping.
 * :func:`churn_wide` — a few wide components (fabric-style: dozens of
   flows sharing a bus *and* a link) re-solved repeatedly under
-  capacity wiggles.  Components sit above the threshold, so this
-  guards the vectorized solver and its component-plan cache.
+  capacity wiggles, guarding the rate solver on wide components and
+  the dirty-component memo.
 * :func:`tiny_components` — 1–2-flow component churn, guarding the
-  PR 9 closed-form small-component fast path.
+  rate solver's per-solve overhead on the smallest components.
 * :func:`sampler_dense` — dense periodic sampling under activity
   churn, guarding the PR 9 epoch-batched sampler.
 """
@@ -64,10 +63,10 @@ def tiny_components(n_components: int = 200, rounds: int = 60
                     ) -> Tuple[int, float]:
     """1–2-flow component churn (the fig10 per-socket regime).
 
-    Every component stays at one or two flows, so each solve takes the
-    closed-form small-component fast path (PR 9); the churn itself
-    (start/complete/capacity wiggles) exercises the dirty-component
-    bookkeeping and completion rescheduling around it.
+    Every component stays at one or two flows, so per-solve setup
+    dominates each solve; the churn itself (start/complete/capacity
+    wiggles) exercises the dirty-component bookkeeping and completion
+    rescheduling around it.
     """
     sim = Simulator()
     net = FluidNetwork(sim)
@@ -135,11 +134,10 @@ def churn_wide(per: int = 128, groups: int = 16, rounds: int = 6,
     """Re-solve one wide fabric component under trunk-capacity churn.
 
     Every flow crosses a shared trunk plus its group's bus and link, so
-    all *per* flows form one connected component — large enough for the
-    vectorized solver.  Each round starts the block once and then
-    wiggles the trunk capacity *wiggles* times: every wiggle re-solves
-    the same membership, which is exactly the access pattern the
-    component-plan and dirty-component caches amortize.
+    all *per* flows form one connected component.  Each round starts
+    the block once and then wiggles the trunk capacity *wiggles* times:
+    every wiggle re-solves the same membership, which is exactly the
+    access pattern the dirty-component memo amortizes.
     """
     sim = Simulator()
     net = FluidNetwork(sim)

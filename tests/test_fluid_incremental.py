@@ -11,6 +11,8 @@ Covers:
   capacity restore, deterministic same-instant completion order;
 * a property test cross-checking dirty-component rates against a
   reference global recompute on randomized flow graphs;
+* a churn property test holding every solve of the fast path to the
+  reference solver under the invariant guard;
 * the engine's generation-based heap-entry reuse (``reschedule``);
 * ``P2PContext.cancel`` for unmatched requests.
 """
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from repro.obs.telemetry import telemetry_context
 from repro.sim import Flow, FluidNetwork, Resource, Simulator
 from repro.sim.engine import SimulationError
+from repro.sim.invariants import invariant_checks
 
 
 def make_net():
@@ -390,12 +393,12 @@ def test_conservation_with_incremental_solver(cap, sizes):
 
 
 # ---------------------------------------------------------------------------
-# Property test: vectorized component solve == scalar solve, bit for bit
+# Property test: the fast path matches the reference solver, bit for bit
 # ---------------------------------------------------------------------------
 
-vec_op_spec = st.tuples(
-    st.sampled_from(["start", "start", "stop", "demand", "capacity",
-                     "advance"]),
+churn_op_spec = st.tuples(
+    st.sampled_from(["start", "start", "greedy", "stop", "demand",
+                     "capacity", "advance", "empty"]),
     st.floats(min_value=0.1, max_value=100.0),   # demand / capacity / dt
     st.floats(min_value=0.25, max_value=4.0),    # weight
     st.floats(min_value=0.5, max_value=2.0),     # usage multiplier
@@ -409,64 +412,40 @@ vec_op_spec = st.tuples(
 @given(
     caps=st.lists(st.floats(min_value=1.0, max_value=200.0),
                   min_size=6, max_size=6),
-    ops=st.lists(vec_op_spec, min_size=1, max_size=24),
+    ops=st.lists(churn_op_spec, min_size=1, max_size=24),
 )
-def test_vectorized_solve_matches_scalar_bitwise(caps, ops):
-    """Two networks driven through the identical randomized churn —
-    one forced onto the vectorized component solve (``_vec_min = 1``,
-    warm-up off so plans build immediately), one pinned to the scalar
-    reference — must agree bit for bit on every rate, every transferred
-    byte count, and the simulated clock.  This is the seeded-replay
-    bit-identity contract: dispatch between the two paths may depend on
-    component size, so they must be arithmetically indistinguishable.
+def test_fast_path_matches_reference_under_churn(caps, ops):
+    """Randomized start/stop/demand/capacity/advance churn — including
+    path-limited (infinite-demand) and empty-path, finite-demand
+    flows — with the invariant guard
+    cross-checking *every* solve: the fast path must reproduce the
+    reference solver's rates bit for bit on the same dirty list, and
+    the incremental rates must match a from-scratch global solve.
     """
-    def build():
-        sim = Simulator()
-        net = FluidNetwork(sim)
-        res = [Resource(f"r{i}", caps[i]) for i in range(6)]
-        return sim, net, res
-
-    sim_v, net_v, res_v = build()
-    net_v._vec_min = 1           # noqa: SLF001 - always vectorize
-    net_v._plan_warmup = False   # noqa: SLF001 - build plans eagerly
-    sim_s, net_s, res_s = build()
-    net_s._vec_min = 1 << 30     # noqa: SLF001 - never vectorize
-
-    all_v, all_s = [], []
-    for kind, value, weight, usage, idxs, size in ops:
-        live_v = [f for f in all_v if f.active]
-        live_s = [f for f in all_s if f.active]
-        if kind == "advance":
-            dt = value / 50.0
-            sim_v.run(until=sim_v.now + dt)
-            sim_s.run(until=sim_s.now + dt)
-        elif kind == "start" or not live_v:
-            for net, res, acc in ((net_v, res_v, all_v),
-                                  (net_s, res_s, all_s)):
-                acc.append(net.transfer(
-                    [res[i] for i in idxs], size=size, demand=value,
+    sim = Simulator()
+    net = FluidNetwork(sim)
+    res = [Resource(f"r{i}", caps[i]) for i in range(6)]
+    flows = []
+    with invariant_checks(sample=1):
+        for kind, value, weight, usage, idxs, size in ops:
+            live = [f for f in flows if f.active]
+            if kind == "advance":
+                sim.run(until=sim.now + value / 50.0)
+            elif kind == "empty":
+                flows.append(net.transfer([], size=size, demand=value))
+            elif kind in ("start", "greedy") or not live:
+                demand = math.inf if kind == "greedy" else value
+                flows.append(net.transfer(
+                    [res[i] for i in idxs], size=size, demand=demand,
                     weight=weight, usage=usage))
-        elif kind == "stop":
-            j = len(idxs) % len(live_v)
-            net_v.stop_flow(live_v[j])
-            net_s.stop_flow(live_s[j])
-        elif kind == "demand":
-            j = len(idxs) % len(live_v)
-            net_v.set_demand(live_v[j], value)
-            net_s.set_demand(live_s[j], value)
-        else:
-            res_v[idxs[0]].set_capacity(value)
-            res_s[idxs[0]].set_capacity(value)
-        for fv, fs in zip(all_v, all_s):
-            assert fv.rate == fs.rate, (fv.label, fv.rate, fs.rate)
-            assert fv.transferred == fs.transferred
-
-    sim_v.run()
-    sim_s.run()
-    assert sim_v.now == sim_s.now
-    for fv, fs in zip(all_v, all_s):
-        assert fv.transferred == fs.transferred
-        assert fv.done.triggered == fs.done.triggered
+            elif kind == "stop":
+                net.stop_flow(live[len(idxs) % len(live)])
+            elif kind == "demand":
+                net.set_demand(live[len(idxs) % len(live)], value)
+            else:
+                res[idxs[0]].set_capacity(value)
+        sim.run()
+    assert all(not f.active for f in flows)
 
 
 def test_stop_noops_counter_ticks_on_completed_flow():

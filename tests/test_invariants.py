@@ -3,12 +3,15 @@
 The guard (:mod:`repro.sim.invariants`) is strictly pay-for-what-you-
 use: with the flag off the hot paths check one module-level bool.  On,
 every rate solve verifies usage caches, rate bounds and capacity
-conservation, every ``sample``-th solve bitwise cross-checks the
-incremental dirty-component solve against a from-scratch global solve,
+conservation, every ``sample``-th solve re-solves the dirty component
+with the reference solver (bitwise) and cross-checks the incremental
+rates against a from-scratch global solve (to a relative tolerance),
 and the event loop asserts heap monotonicity.  Violations raise
 :class:`InvariantViolation` naming the offending connected component.
 """
 
+import hashlib
+import json
 import math
 import random
 
@@ -149,6 +152,96 @@ def test_sampled_global_cross_check_catches_divergence():
         with pytest.raises(InvariantViolation,
                            match="diverged from global solve"):
             net.set_demand(flow_b, 40.0)
+
+
+def test_reference_cross_check_catches_fast_path_divergence(monkeypatch):
+    """A fast path one ulp off the reference solver trips the bitwise
+    re-solve of the same dirty list."""
+    sim, net = _net()
+    link = Resource("link", 100.0)
+    flow = net.transfer([link], size=1e6, demand=40.0, label="skewed")
+    solve = FluidNetwork._assign_rates
+
+    def off_by_an_ulp(self, dirty, touched):
+        solve(self, dirty, touched)
+        for f in dirty:
+            f.rate = math.nextafter(f.rate, 0.0)
+
+    monkeypatch.setattr(FluidNetwork, "_assign_rates", off_by_an_ulp)
+    with invariant_checks(sample=1):
+        with pytest.raises(InvariantViolation,
+                           match="diverged from the reference solver"):
+            net.set_demand(flow, 30.0)
+    # The reference's rate was not left behind.
+    assert flow.rate == math.nextafter(30.0, 0.0)
+
+
+def test_global_cross_check_tolerates_rounding():
+    """The global re-solve may round differently from a component
+    solve; a few-ulp difference is not a violation and leaves every
+    rate exactly as the fast path set it."""
+    sim, net = _net()
+    link_a, link_b = Resource("a", 100.0), Resource("b", 100.0)
+    flow_a = net.transfer([link_a], size=1e6, label="rounded")
+    flow_b = net.transfer([link_b], size=1e6, label="trigger")
+    flow_a.rate = 100.0 * (1.0 - 4e-16)  # a global pass's rounding
+    with invariant_checks(sample=1):
+        net.set_demand(flow_b, 40.0)
+    assert flow_a.rate == 100.0 * (1.0 - 4e-16)
+    assert flow_b.rate == 40.0
+
+
+def test_cross_check_restores_every_rate_before_raising():
+    sim, net = _net()
+    link_a, link_b = Resource("a", 100.0), Resource("b", 100.0)
+    link_c = Resource("c", 100.0)
+    flow_a = net.transfer([link_a], size=1e6, label="stale")
+    flow_c = net.transfer([link_c], size=1e6, label="also-stale")
+    flow_b = net.transfer([link_b], size=1e6, label="trigger")
+    flow_a.rate = 50.0
+    flow_c.rate = 25.0
+    with invariant_checks(sample=1):
+        with pytest.raises(InvariantViolation, match="'stale'"):
+            net.set_demand(flow_b, 40.0)
+    assert (flow_a.rate, flow_b.rate, flow_c.rate) == (50.0, 40.0, 25.0)
+
+
+# -- violations are never swallowed -----------------------------------------
+
+def test_violation_inside_a_process_fails_the_run():
+    """A check tripped inside a sim process must surface from
+    ``sim.run()``, not quietly fail that one process."""
+    sim, net = _net()
+    link = Resource("link", 100.0)
+    flow = net.transfer([link], size=1e6, label="victim")
+
+    def corrupt():
+        yield 1.0
+        flow._usages = (2.0,)  # noqa: SLF001 - deliberate corruption
+        net.set_demand(flow, 50.0)
+
+    sim.process(corrupt())
+    with invariant_checks():
+        with pytest.raises(InvariantViolation, match="usage cache"):
+            sim.run()
+
+
+def test_checks_never_change_results():
+    """One fig10 --fast point gives the same result with and without
+    the guard (it used to trip a bitwise global cross-check on
+    rounding, failing the point)."""
+    from repro.core.experiments import _fig10_point
+
+    def digest():
+        point = _fig10_point(dict(spec="henri", nw=24, cg_kwargs={},
+                                  gemm_kwargs={}))
+        return hashlib.sha256(
+            json.dumps(point, sort_keys=True).encode()).hexdigest()
+
+    plain = digest()
+    with invariant_checks():
+        checked = digest()
+    assert checked == plain
 
 
 # -- engine heap monotonicity -----------------------------------------------
