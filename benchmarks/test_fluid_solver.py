@@ -1,8 +1,8 @@
 """Micro-benchmarks of the incremental fluid solver.
 
 Unlike the figure benchmarks, these stress the solver directly.  The
-drivers live in :mod:`repro.sim.microbench` so ``repro bench`` times
-the identical workloads for the committed ``BENCH_*.json`` baselines.
+drivers live in :mod:`repro.sim.microbench`; the end-to-end and
+per-layer benchmark of the figure sweeps is ``perfbench/run.py``.
 
 * ``test_fluid_component_churn`` (PR 3 tentpole): a many-component
   flow graph (one shared bus per "socket", fig10-style) driven by a

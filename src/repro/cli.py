@@ -24,7 +24,6 @@ combinations live in scenario TOML files (docs/SCENARIOS.md).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import time
@@ -71,42 +70,6 @@ def _setup_logging(level: str) -> None:
         level=getattr(logging, level.upper()),
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr)
-
-
-def _bench_lap(names, spec: str, jobs: int) -> Dict[str, float]:
-    """Time the bench subset once, serially or under a --jobs pool."""
-    from contextlib import ExitStack
-
-    from repro.core.executor import executor_context
-    seconds: Dict[str, float] = {}
-    label = f"jobs={jobs}" if jobs != 1 else "serial"
-    with ExitStack() as stack:
-        if jobs != 1:
-            stack.enter_context(executor_context(jobs))
-        for name in names:
-            t0 = time.perf_counter()
-            run_experiment(name, spec=spec, fast=True)
-            seconds[name] = round(time.perf_counter() - t0, 3)
-            print(f"[bench {label}] {name}: {seconds[name]:.1f}s",
-                  file=sys.stderr)
-    return seconds
-
-
-def _bench_micro() -> Dict[str, float]:
-    """Time the fluid-solver microbenches (the shapes of
-    benchmarks/test_fluid_solver.py, shared via repro.sim.microbench)."""
-    from repro.sim.microbench import (churn, churn_wide, sampler_dense,
-                                      tiny_components)
-    out: Dict[str, float] = {}
-    for name, fn in (("fluid_churn", churn),
-                     ("fluid_churn_wide", churn_wide),
-                     ("sampler_dense", sampler_dense),
-                     ("tiny_components", tiny_components)):
-        t0 = time.perf_counter()
-        fn()
-        out[name] = round(time.perf_counter() - t0, 3)
-        print(f"[bench micro] {name}: {out[name]:.1f}s", file=sys.stderr)
-    return out
 
 
 def _profile(args) -> int:
@@ -178,67 +141,6 @@ def _profile(args) -> int:
         # already written, so a quiet exit is the right behaviour.
         import os as _os
         _os.dup2(_os.open(_os.devnull, _os.O_WRONLY), 1)
-    return 0
-
-
-def _bench_tag(args) -> Optional[str]:
-    """The baseline tag: explicit --tag, else derived from --out."""
-    if args.tag:
-        return args.tag
-    if args.out:
-        import os
-        stem = os.path.splitext(os.path.basename(args.out))[0]
-        return stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
-    return None
-
-
-def _bench(args) -> int:
-    """Timed --fast experiment subset: the repo's perf trajectory."""
-    names = [n.strip() for n in args.experiments.split(",") if n.strip()]
-    unknown = [n for n in names if n not in registry.names()]
-    if unknown:
-        print(f"unknown bench experiment(s): {unknown}", file=sys.stderr)
-        return 2
-    tag = _bench_tag(args)
-    if tag is None:
-        print("bench needs a baseline tag: pass --tag, or --out to "
-              "derive one from the filename", file=sys.stderr)
-        return 2
-    import os
-    import platform
-    out = args.out if args.out else f"BENCH_{tag}.json"
-    seconds = _bench_lap(names, args.spec, jobs=1)
-    # Solver microbenches ride along in the serial lap only (they
-    # never touch the executor pool, so a parallel lap would just
-    # repeat the same numbers).
-    seconds.update(_bench_micro())
-    doc = {
-        "bench": tag,
-        "mode": "fast",
-        "spec": args.spec,
-        "python": platform.python_version(),
-        "host_cpus": os.cpu_count(),
-        "seconds": seconds,
-        "total_seconds": round(sum(seconds.values()), 3),
-    }
-    if args.jobs != 1:
-        if (os.cpu_count() or 1) <= 1:
-            # A 1-CPU host cannot overlap worker processes: the lap
-            # would only measure pool overhead and read as a perf
-            # regression in trend tooling.
-            doc["jobs"] = args.jobs
-            doc["seconds_parallel"] = "skipped_1cpu"
-            print("[bench] parallel lap skipped: host has 1 CPU",
-                  file=sys.stderr)
-        else:
-            parallel = _bench_lap(names, args.spec, jobs=args.jobs)
-            doc["jobs"] = args.jobs
-            doc["seconds_parallel"] = parallel
-            doc["total_seconds_parallel"] = round(sum(parallel.values()), 3)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out} (total {doc['total_seconds']:.1f}s)")
     return 0
 
 
@@ -381,22 +283,6 @@ def main(argv: Optional[list] = None) -> int:
     topo = sub.add_parser("topology",
                           help="print a cluster preset's topology")
     topo.add_argument("--spec", default="henri")
-    bench = sub.add_parser(
-        "bench", help="time the --fast experiment subset and write a "
-        "perf-baseline JSON (BENCH_<tag>.json)")
-    bench.add_argument("--tag", default=None,
-                       help="baseline tag; names the output file and the "
-                       "'bench' field (derived from --out when omitted)")
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (default: BENCH_<tag>.json)")
-    bench.add_argument("--spec", default="henri")
-    bench.add_argument("--experiments", default=None,
-                       help="comma-separated experiment names to time "
-                       "(default: the registry's bench subset)")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="also time the subset under a --jobs process "
-                       "pool and record both laps side by side "
-                       "(0 = cpu count)")
     profile = sub.add_parser(
         "profile", help="cProfile one --fast experiment and write a "
         "PROFILE_<experiment>.txt artifact (top-N cumulative/internal "
@@ -526,11 +412,6 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     _setup_logging(args.log_level)
 
-    if args.command == "bench":
-        if args.experiments is None:
-            args.experiments = ",".join(registry.bench_names())
-        return _bench(args)
-
     if args.command == "profile":
         return _profile(args)
 
@@ -593,6 +474,8 @@ def main(argv: Optional[list] = None) -> int:
                   file=sys.stderr)
 
     from contextlib import ExitStack
+
+    from repro.sim.invariants import InvariantViolation
     sections: Dict[str, str] = {}
     results: Dict[str, object] = {}
     with ExitStack() as stack:
@@ -625,8 +508,15 @@ def main(argv: Optional[list] = None) -> int:
             if tele is not None:
                 tele.set_run(name)
             overrides = scenario.params if scenario is not None else None
-            result = defn.run(spec=args.spec, fast=args.fast,
-                              journal=journal, overrides=overrides)
+            try:
+                result = defn.run(spec=args.spec, fast=args.fast,
+                                  journal=journal, overrides=overrides)
+            except InvariantViolation as err:
+                # Outside a sweep there is no point boundary to
+                # journal it at; the run stops here.
+                print(f"InvariantViolation in {name}: {err}",
+                      file=sys.stderr)
+                return 1
             results[name] = result
             text = defn.render(result)
             if getattr(args, "plot", False) and defn.plot_capable:
@@ -654,14 +544,20 @@ def main(argv: Optional[list] = None) -> int:
                              f"{', fast' if args.fast else ''})")
         print(f"wrote {args.out}", file=sys.stderr)
 
+    # An invariant violation means the model broke: the run fails.
     # Harness-level point losses (worker crash / timeout with retries
     # exhausted) mean the campaign is degraded: reports render with the
     # holes marked, the journal has structured failure entries, and the
     # exit code says so.  Simulated-fault failures are expected output
     # and do not affect the exit code.
-    from repro.core.report import (collect_harness_failures,
-                                   render_failure_table)
-    harness = collect_harness_failures(results)
+    from repro.core.report import collect_failures, render_failure_table
+    violations = collect_failures(results, "invariant")
+    for v in violations:
+        print(f"InvariantViolation in {v['experiment']} at point "
+              f"{v['key']}: {v['message']}", file=sys.stderr)
+    if violations:
+        return 1
+    harness = collect_failures(results, "harness")
     if harness:
         print(f"\ncampaign DEGRADED: {len(harness)} point(s) lost to "
               f"harness failures (retries exhausted)", file=sys.stderr)

@@ -8,25 +8,21 @@ campaign.  :class:`SweepGuard` wraps each point:
 
 * on success, the point's appended series rows are written to a
   :class:`CampaignJournal` (JSON lines, one entry per point);
-* on failure, partially-appended rows are rolled back so the series
-  stay rectangular, and a structured failure annotation is recorded in
-  ``ExperimentResult.failures`` (and journaled);
+* on failure, a structured failure annotation is recorded in
+  ``ExperimentResult.failures`` (and journaled); a failed point merges
+  no rows, so the series stay rectangular;
 * on resume, previously-``ok`` points are replayed from the journal
   bit-identically (Python's ``json`` round-trips floats exactly) and
   only failed/missing points are re-run.
 
-Two entry points coexist:
-
-* :meth:`SweepGuard.run_point` — the original closure-based boundary,
-  strictly serial (the body mutates the enclosing result in place);
-* :meth:`SweepGuard.run_specs` — the
-  :class:`~repro.core.executor.PointSpec` path: points are pure data,
-  execute through the ambient :class:`~repro.core.executor.SweepExecutor`
-  (possibly a process pool), and merge back in submission order, so
-  seeded runs are byte-identical at any ``--jobs`` level.  Journal
-  entries written this way carry a content fingerprint (``"fp"``) and
-  double as a point-level result cache: on resume a point replays only
-  while its parameters and the simulation code are unchanged.
+:meth:`SweepGuard.run_specs` takes the sweep as
+:class:`~repro.core.executor.PointSpec` data: points execute through
+the ambient :class:`~repro.core.executor.SweepExecutor` (possibly a
+process pool) and merge back in submission order, so seeded runs are
+byte-identical at any ``--jobs`` level.  Journal entries carry a
+content fingerprint (``"fp"``) and double as a point-level result
+cache: on resume a point replays only while its parameters and the
+simulation code are unchanged.
 
 Whether a given experiment supports journaling (equivalently ``--jobs``)
 is a derived capability on its registry entry — see
@@ -45,7 +41,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.results import ExperimentResult
 
@@ -183,48 +179,6 @@ class SweepGuard:
         self.replayed: List[str] = []
         self.failed: List[str] = []
 
-    def run_point(self, key: str, body: Callable[[], object]) -> str:
-        """Run one sweep point behind the boundary (serial, in place).
-
-        Returns ``"replayed"`` (journal hit), ``"ok"`` (ran), or
-        ``"failed"`` (recorded in ``result.failures``; series rolled
-        back to their pre-point length).
-        """
-        result = self.result
-        if self.journal is not None and self.journal.resume:
-            entry = self.journal.lookup(result.name, key)
-            if entry is not None and entry["status"] == "ok":
-                self._replay(entry)
-                self.replayed.append(key)
-                return "replayed"
-        snapshot = {k: len(s.x) for k, s in result.series.items()}
-        # Telemetry: journal the per-point metric delta alongside the
-        # series, so a campaign journal doubles as a per-point profile.
-        from repro.obs.context import active_telemetry
-        tele = active_telemetry()
-        registry = tele.registry if tele is not None else None
-        metrics_before = registry.snapshot() if registry is not None \
-            else None
-        try:
-            body()
-        except Exception as err:
-            logger.warning("sweep point %s/%s failed: %s",
-                           result.name, key, err)
-            self._rollback(snapshot)
-            result.record_failure(key, err)
-            self.failed.append(key)
-            if self.journal is not None:
-                self.journal.record(result.name, key, "failed",
-                                    failure=result.failures[key])
-            return "failed"
-        if self.journal is not None:
-            metrics = registry.delta(metrics_before) \
-                if registry is not None else None
-            self.journal.record(result.name, key, "ok",
-                                series=self._delta(snapshot),
-                                metrics=metrics)
-        return "ok"
-
     def run_specs(self, specs) -> Dict[str, str]:
         """Run a whole sweep of :class:`~repro.core.executor.PointSpec`.
 
@@ -271,10 +225,11 @@ class SweepGuard:
             if self.journal is not None and self.journal.resume:
                 entry = self.journal.lookup(result.name, spec.key,
                                             spec.trial)
-                # Entries without a fingerprint predate the cache
-                # (run_point journals); trust them like run_point does.
+                # Replay only a fingerprint match: an entry without
+                # one cannot prove it came from these parameters and
+                # this code, so it re-runs.
                 if entry is not None and entry["status"] == "ok" \
-                        and entry.get("fp", fp) == fp:
+                        and entry.get("fp") == fp:
                     cached = entry
             plan.append((spec, fp, cached))
             n_pending += cached is None
@@ -368,21 +323,6 @@ class SweepGuard:
         return statuses
 
     # -- internals ---------------------------------------------------------
-    def _rollback(self, snapshot: Dict[str, int]) -> None:
-        for k, s in self.result.series.items():
-            n = snapshot.get(k, 0)
-            del s.x[n:], s.median[n:], s.p10[n:], s.p90[n:]
-
-    def _delta(self, snapshot: Dict[str, int]) -> dict:
-        out: dict = {}
-        for k, s in self.result.series.items():
-            n = snapshot.get(k, 0)
-            rows = [[x, m, lo, hi] for x, m, lo, hi
-                    in zip(s.x[n:], s.median[n:], s.p10[n:], s.p90[n:])]
-            if rows:
-                out[k] = rows
-        return out
-
     def _replay(self, entry: dict) -> None:
         for k, rows in entry.get("series", {}).items():
             s = self.result.series.get(k)

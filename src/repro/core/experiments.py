@@ -189,7 +189,7 @@ def _guarded_observations(result: ExperimentResult,
 
 
 @experiment(title="Constant frequencies vs latency",
-            tags=("paper", "frequency"), bench=True,
+            tags=("paper", "frequency"),
             params=("sizes", "reps"),
             fast=dict(sizes=[4, 65536, 67108864], reps=6))
 def fig1a(spec: MachineSpec | str = "henri", **kw) -> ExperimentResult:
@@ -217,7 +217,7 @@ def fig1b(spec: MachineSpec | str = "henri", **kw) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 @experiment(title="Frequency traces: comm only / idle / comm + compute",
-            tags=("paper", "frequency"), bench=True,
+            tags=("paper", "frequency"),
             fast=dict(phase_seconds=0.04))
 def fig2(spec: MachineSpec | str = "henri", n_compute: int = 20,
          phase_seconds: float = 0.12, sample_period: float = 2e-3,
@@ -882,7 +882,7 @@ def _runtime_pingpong(world: CommWorld, comm, size: int, reps: int,
 
 
 @experiment(title="Task-runtime latency overhead (§5.2)",
-            tags=("paper", "runtime"), bench=True, index_key="§5.2",
+            tags=("paper", "runtime"), index_key="§5.2",
             fast=dict(reps=10))
 def runtime_overhead(spec: MachineSpec | str = "henri",
                      reps: int = 20) -> ExperimentResult:
@@ -916,7 +916,7 @@ def runtime_overhead(spec: MachineSpec | str = "henri",
 
 
 @experiment(title="Runtime latency vs data/thread NUMA placement",
-            tags=("paper", "runtime"), bench=True,
+            tags=("paper", "runtime"),
             fast=dict(reps=10))
 def fig8(spec: MachineSpec | str = "henri",
          reps: int = 15) -> ExperimentResult:
@@ -976,7 +976,7 @@ def _fig9_point(params: dict) -> dict:
 
 
 @experiment(title="Runtime latency vs worker-polling backoff",
-            tags=("paper", "runtime"), bench=True,
+            tags=("paper", "runtime"),
             fast=dict(sizes=[4, 1024], reps=8))
 def fig9(spec: MachineSpec | str = "henri",
          sizes: Optional[Sequence[int]] = None,
@@ -1030,7 +1030,7 @@ def _fig10_point(params: dict) -> dict:
 
 
 @experiment(title="CG vs GEMM: sending bandwidth + memory stalls",
-            tags=("paper", "runtime"), bench=True,
+            tags=("paper", "runtime"),
             fast=dict(worker_counts=(1, 8, 16, 24, 34)))
 def fig10(spec: MachineSpec | str = "henri",
           worker_counts: Sequence[int] = (1, 2, 4, 8, 16, 24, 30, 34),

@@ -74,12 +74,7 @@ class CampaignMeasurer:
     def on_point(self, experiment: str, key: str, trial: int,
                  status: str, wall_s: Optional[float],
                  metrics: Optional[dict]) -> None:
-        sweep = self._sweeps.get(experiment)
-        if sweep is None:  # run_point legacy path: no begin_sweep
-            sweep = self._sweeps.setdefault(experiment, {
-                "total": None, "trials": 1, "cached": 0, "jobs": 1,
-                "done": 0, "replayed": 0, "failed": 0,
-                "wall_sum": 0.0, "wall_n": 0})
+        sweep = self._sweeps[experiment]
         if status == "failed":
             sweep["failed"] += 1
         elif status == "replayed":
@@ -100,7 +95,7 @@ class CampaignMeasurer:
     # -- derived views ------------------------------------------------------
     def pending(self, experiment: str) -> Optional[int]:
         sweep = self._sweeps.get(experiment)
-        if sweep is None or sweep["total"] is None:
+        if sweep is None:
             return None
         processed = sweep["done"] + sweep["replayed"] + sweep["failed"]
         return max(0, sweep["total"] - processed)
@@ -112,11 +107,10 @@ class CampaignMeasurer:
         ``None`` until at least one fresh point has landed.
         """
         sweep = self._sweeps.get(experiment)
-        pending = self.pending(experiment)
-        if sweep is None or pending is None or not sweep["wall_n"]:
+        if sweep is None or not sweep["wall_n"]:
             return None
         mean = sweep["wall_sum"] / sweep["wall_n"]
-        return pending * mean / sweep["jobs"]
+        return self.pending(experiment) * mean / sweep["jobs"]
 
     def progress(self) -> dict:
         """JSON-able snapshot, the sidecar document."""
@@ -127,7 +121,7 @@ class CampaignMeasurer:
             eta = self.eta_seconds(name)
             mean = (sweep["wall_sum"] / sweep["wall_n"]
                     if sweep["wall_n"] else None)
-            if pending is None or pending > 0:
+            if pending > 0:
                 all_done = False
             experiments[name] = {
                 "total": sweep["total"], "trials": sweep["trials"],

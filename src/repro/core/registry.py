@@ -7,7 +7,7 @@ subset, and a ``fig5`` special case at every call site).  Now each
 experiment module decorates its entry points with :func:`experiment`
 and self-registers an :class:`ExperimentDef` at import; every consumer
 — CLI dispatch, ``--fast`` profiles, ``--journal``/``--jobs``
-capability checks, bench selection, rendering, the EXPERIMENTS.md
+capability checks, rendering, the EXPERIMENTS.md
 record and the scenario layer (:mod:`repro.core.scenario`) — reads the
 registry instead of maintaining its own table.
 
@@ -35,7 +35,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 
 __all__ = [
     "ExperimentDef", "UnknownExperimentError", "experiment", "register",
-    "load", "get", "names", "all_defs", "bench_names", "run_experiment",
+    "load", "get", "names", "all_defs", "run_experiment",
     "render_listing",
 ]
 
@@ -98,7 +98,6 @@ class ExperimentDef:
     tags: Tuple[str, ...] = ()
     fast_kwargs: Mapping[str, object] = field(default_factory=dict)
     journal_capable: bool = False     # == parallel/resume-capable
-    bench: bool = False               # timed by `repro bench`
     multi_result: bool = False        # returns {key: ExperimentResult}
     plot_capable: bool = True         # --plot can chart the result
     in_all: bool = True               # included in `repro run all`
@@ -152,8 +151,6 @@ class ExperimentDef:
         caps: List[str] = ["fast"] if self.fast_kwargs else []
         if self.journal_capable:
             caps.append("journal")
-        if self.bench:
-            caps.append("bench")
         if self.multi_result:
             caps.append("multi")
         if self.plot_capable:
@@ -211,7 +208,7 @@ def register(defn: ExperimentDef) -> ExperimentDef:
 def experiment(name: Optional[str] = None, *, title: str,
                tags: Sequence[str] = (),
                fast: Optional[Mapping[str, object]] = None,
-               bench: bool = False, multi_result: bool = False,
+               multi_result: bool = False,
                plot: bool = True, in_all: bool = True,
                index_key: Optional[str] = None,
                renderer: Optional[object] = None,
@@ -238,7 +235,7 @@ def experiment(name: Optional[str] = None, *, title: str,
             name=exp_name, runner=func, title=title,
             doc=inspect.getdoc(func) or "", tags=tuple(tags),
             fast_kwargs=dict(fast or {}),
-            journal_capable=journal_capable, bench=bench,
+            journal_capable=journal_capable,
             multi_result=multi_result, plot_capable=plot, in_all=in_all,
             index_key=index_key or exp_name, renderer=renderer,
             scenario_params=tuple(params)))
@@ -286,11 +283,6 @@ def names(tag: Optional[str] = None, *,
             continue
         out.append(defn.name)
     return out
-
-
-def bench_names() -> List[str]:
-    """The `repro bench` subset: one experiment per modelled layer."""
-    return [d.name for d in all_defs() if d.bench]
 
 
 def run_experiment(name: str, spec: str = "henri", fast: bool = False,

@@ -14,7 +14,7 @@ from repro.core.results import ExperimentResult, Series
 
 __all__ = ["render_table", "render_series", "render_experiment",
            "render_table1", "write_experiments_md", "format_si",
-           "collect_harness_failures", "render_failure_table"]
+           "failure_kind", "collect_failures", "render_failure_table"]
 
 
 def format_si(value: float, unit: str = "") -> str:
@@ -82,10 +82,17 @@ def render_experiment(result: ExperimentResult) -> str:
                 value = format_si(value)
             out.write(f"  {key}: {value}\n")
     if result.failures:
-        simulated = {k: v for k, v in result.failures.items()
-                     if not v.get("harness")}
-        harness = {k: v for k, v in result.failures.items()
-                   if v.get("harness")}
+        by_kind: Dict[str, Dict[str, dict]] = {
+            "simulated": {}, "invariant": {}, "harness": {}}
+        for key, info in result.failures.items():
+            by_kind[failure_kind(info)][key] = info
+        simulated, harness = by_kind["simulated"], by_kind["harness"]
+        if by_kind["invariant"]:
+            # A solver self-check fired: the model broke, so these are
+            # neither fault-injection outcomes nor harness losses.
+            out.write("\nInvariant violations (run failed):\n")
+            for key, info in sorted(by_kind["invariant"].items()):
+                out.write(f"  {key}: {info.get('message', '')}\n")
         if simulated:
             out.write("\nFailed points (fault injection):\n")
             for key in sorted(simulated):
@@ -108,14 +115,25 @@ def render_experiment(result: ExperimentResult) -> str:
     return out.getvalue()
 
 
-def collect_harness_failures(results: Dict[str, object]) -> List[dict]:
-    """Flatten harness-level point failures out of ``{name: result}``.
+def failure_kind(info: dict) -> str:
+    """Classify a point failure: ``"harness"`` (worker crash / timeout,
+    retries exhausted), ``"invariant"`` (a solver self-check raised
+    ``InvariantViolation``) or ``"simulated"`` (fault injection)."""
+    if info.get("harness"):
+        return "harness"
+    if info.get("error") == "InvariantViolation":
+        return "invariant"
+    return "simulated"
+
+
+def collect_failures(results: Dict[str, object], kind: str) -> List[dict]:
+    """Flatten point failures of one :func:`failure_kind` out of
+    ``{name: result}``.
 
     Accepts plain :class:`ExperimentResult` values and the
-    ``multi_result`` dict-of-results shape alike.  Only failures marked
-    ``harness`` (worker crash / timeout, retries exhausted) are
-    returned — simulated-fault failures are expected experiment output
-    and do not degrade a campaign.
+    ``multi_result`` dict-of-results shape alike.  Harness failures
+    degrade a campaign and invariant violations fail it;
+    simulated-fault failures are expected experiment output.
     """
     out: List[dict] = []
     for result in results.values():
@@ -124,7 +142,7 @@ def collect_harness_failures(results: Dict[str, object]) -> List[dict]:
             failures = getattr(res, "failures", None) or {}
             for key in sorted(failures):
                 info = failures[key]
-                if not info.get("harness"):
+                if failure_kind(info) != kind:
                     continue
                 out.append({
                     "experiment": getattr(res, "name", "?"),

@@ -60,14 +60,11 @@ CLI flags override scenario values (``--jobs 4`` beats
 cage.  Validation is strict: unknown tables, unknown keys, wrong types,
 unknown experiments and parameters the experiment does not accept all
 fail with a :class:`ScenarioError` naming the offending field.
-
-Python 3.10 has no ``tomllib``; a deliberately small TOML-subset parser
-(tables, ``[[...]]`` arrays of tables, strings, numbers, booleans, flat
-arrays) covers the scenario schema there without adding a dependency.
 """
 
 from __future__ import annotations
 
+import tomllib
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -79,114 +76,14 @@ class ScenarioError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# TOML loading (tomllib on 3.11+, subset parser on 3.10)
+# TOML loading
 # ---------------------------------------------------------------------------
 
 def _parse_toml(text: str, source: str) -> Dict[str, object]:
     try:
-        import tomllib
-    except ModuleNotFoundError:
-        return _parse_mini_toml(text, source)
-    try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as err:
         raise ScenarioError(f"{source}: invalid TOML: {err}") from None
-
-
-def _mini_value(raw: str, source: str, lineno: int) -> object:
-    raw = raw.strip()
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        return [_mini_value(part, source, lineno)
-                for part in _split_array(inner, source, lineno)]
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        cleaned = raw.replace("_", "")
-        return float(cleaned) if any(c in cleaned for c in ".eE") \
-            else int(cleaned, 0)
-    except ValueError:
-        raise ScenarioError(
-            f"{source}:{lineno}: cannot parse value {raw!r} "
-            f"(mini-TOML parser: strings, numbers, booleans and flat "
-            f"arrays only)") from None
-
-
-def _split_array(inner: str, source: str, lineno: int) -> List[str]:
-    parts, depth, quote, cur = [], 0, "", []
-    for ch in inner:
-        if quote:
-            cur.append(ch)
-            if ch == quote:
-                quote = ""
-            continue
-        if ch in "\"'":
-            quote = ch
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        cur.append(ch)
-    if "".join(cur).strip():
-        parts.append("".join(cur))
-    return parts
-
-
-def _parse_mini_toml(text: str, source: str) -> Dict[str, object]:
-    """TOML subset: ``[table]`` headers + ``key = value`` lines."""
-    doc: Dict[str, object] = {}
-    table = doc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("[["):
-            if not stripped.endswith("]]"):
-                raise ScenarioError(
-                    f"{source}:{lineno}: malformed array-of-tables "
-                    f"header {stripped!r}")
-            name = stripped[2:-2].strip()
-            entries = doc.setdefault(name, [])
-            if not isinstance(entries, list):
-                raise ScenarioError(
-                    f"{source}:{lineno}: [[{name}]] conflicts with an "
-                    f"earlier [{name}] table")
-            table = {}
-            entries.append(table)
-            continue
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                raise ScenarioError(
-                    f"{source}:{lineno}: malformed table header "
-                    f"{stripped!r}")
-            name = stripped[1:-1].strip()
-            existing = doc.setdefault(name, {})
-            if not isinstance(existing, dict):
-                raise ScenarioError(
-                    f"{source}:{lineno}: [{name}] conflicts with an "
-                    f"earlier [[{name}]] array of tables")
-            table = existing
-            continue
-        if "=" not in stripped:
-            raise ScenarioError(
-                f"{source}:{lineno}: expected 'key = value', got "
-                f"{stripped!r}")
-        key, _, raw = stripped.partition("=")
-        # Trailing comments only outside strings/arrays (keep it simple:
-        # strip a ' #' tail when no quote follows it).
-        if " #" in raw and "\"" not in raw.split(" #", 1)[1] \
-                and "'" not in raw.split(" #", 1)[1]:
-            raw = raw.split(" #", 1)[0]
-        table[key.strip()] = _mini_value(raw, source, lineno)
-    return doc
 
 
 # ---------------------------------------------------------------------------

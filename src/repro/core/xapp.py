@@ -143,7 +143,7 @@ def _xapp_point(params: dict) -> dict:
 
 @experiment(name="fig_xapp",
             title="Cross-application interference on a shared fabric",
-            tags=("extension", "cluster"), bench=True,
+            tags=("extension", "cluster"),
             params=("topology", "n_nodes", "streams", "size",
                     "aggressor_size", "reps", "topology_params", "apps"),
             fast=dict(n_nodes=16, streams=[0, 1, 3],

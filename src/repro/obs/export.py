@@ -1,33 +1,23 @@
 """Chrome-tracing JSON emission, validation, and summarisation.
 
-Single home for the serialisation format so the legacy
-:class:`~repro.runtime.trace_export.RuntimeTracer` and the new
-:class:`~repro.obs.tracer.SpanTracer` emit structurally identical
-payloads, and so CI can validate any produced trace without loading it
-into Perfetto.
+Single home for the serialisation format of
+:class:`~repro.obs.tracer.SpanTracer` traces, so CI can validate any
+produced trace without loading it into Perfetto.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 __all__ = ["chrome_trace_json", "validate_chrome_trace",
            "summarize_chrome_trace", "render_trace_summary"]
 
 
-def chrome_trace_json(events: List[dict],
-                      indent: Optional[int] = None) -> str:
-    """Serialise *events* in the Chrome tracing envelope.
-
-    ``indent=None`` yields the compact form used for full cross-layer
-    traces; the legacy runtime exporter passes ``indent=1`` to keep its
-    historical byte-for-byte output.
-    """
+def chrome_trace_json(events: List[dict]) -> str:
+    """Serialise *events* in the compact Chrome tracing envelope."""
     payload = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if indent is None:
-        return json.dumps(payload, separators=(",", ":"))
-    return json.dumps(payload, indent=indent)
+    return json.dumps(payload, separators=(",", ":"))
 
 
 _REQUIRED_BY_PHASE = {

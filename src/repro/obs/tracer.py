@@ -13,8 +13,9 @@ wall clock, so identical runs yield byte-identical traces.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.export import chrome_trace_json
 
 __all__ = ["SpanHandle", "SpanTracer"]
 
@@ -130,7 +131,7 @@ class SpanTracer:
 
     def to_json(self) -> str:
         # Compact separators: traces get large and Perfetto doesn't care.
-        return json.dumps(self.to_payload(), separators=(",", ":"))
+        return chrome_trace_json(list(self._events))
 
     def export(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

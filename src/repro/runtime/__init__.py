@@ -22,12 +22,11 @@ from repro.runtime.worker import Worker
 from repro.runtime.runtime import RuntimeSystem, RuntimeSpec, runtime_spec_for
 from repro.runtime.mpi_layer import RuntimeComm, SendStats
 from repro.runtime.autotune import AutotuneConfig, WorkerAutotuner
-from repro.runtime.trace_export import RuntimeTracer
 
 __all__ = [
     "AccessMode", "DataHandle", "Task", "TaskGraph",
     "EagerScheduler", "WorkStealingScheduler", "PollingSpec", "Worker",
     "RuntimeSystem", "RuntimeSpec", "runtime_spec_for",
     "RuntimeComm", "SendStats",
-    "AutotuneConfig", "WorkerAutotuner", "RuntimeTracer",
+    "AutotuneConfig", "WorkerAutotuner",
 ]

@@ -1,9 +1,9 @@
 """Fluid-solver micro-benchmark drivers.
 
-Shared between the pytest-benchmark suite (``benchmarks/
-test_fluid_solver.py``) and ``repro bench`` so the committed
-``BENCH_*.json`` baselines track the solver itself, not only the
-figure sweeps that happen to exercise it.
+Driven by the pytest-benchmark suite (``benchmarks/
+test_fluid_solver.py``), so the solver itself is timed, not only
+through the figure sweeps that happen to exercise it (those are
+``perfbench/``'s workloads).
 
 Four shapes:
 

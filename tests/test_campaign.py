@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.core.campaign import CampaignJournal, SweepGuard
+from repro.core.executor import PointSpec
 from repro.core.experiments import fig1
 from repro.core.results import ExperimentResult
 from repro.faults import FaultPlan, TransportError, fault_context
@@ -27,51 +28,53 @@ def _series_state(result):
 
 # -- SweepGuard unit behaviour --------------------------------------------
 
-def test_guard_rolls_back_partial_appends():
-    result = ExperimentResult(name="exp", title="t")
-    s = result.new_series("a")
-    guard = SweepGuard(result)
-
-    def bad_point():
-        s.add_value(1.0, 2.0)
+def _value_runner(params):
+    """Test point: one row ``[x, v, v, v]``, or a TransportError."""
+    if params.get("fail"):
         raise TransportError("node failed", src=1)
+    v = float(params["v"])
+    return {"a": [[float(params["x"]), v, v, v]]}
 
-    assert guard.run_point("p1", bad_point) == "failed"
-    assert len(s) == 0                       # partial append rolled back
-    assert "p1" in result.failures
-    assert result.failures["p1"]["error"] == "TransportError"
-    assert result.failures["p1"]["reason"] == "node failed"
+
+def _spec(x, v=0.0, fail=False):
+    params = {"x": x, "v": v}
+    if fail:
+        params["fail"] = True
+    return PointSpec(experiment="exp", key=f"x={x}",
+                     runner="tests.test_campaign:_value_runner",
+                     params=params)
+
+
+def test_guard_failed_point_merges_no_rows():
+    result = ExperimentResult(name="exp", title="t")
+    guard = SweepGuard(result)
+    statuses = guard.run_specs([_spec(1, fail=True), _spec(2, v=3.0)])
+    assert statuses == {"x=1": "failed", "x=2": "ok"}
+    assert result.series["a"].x == [2.0]     # no row from the failure
+    assert result.failures["x=1"]["error"] == "TransportError"
+    assert result.failures["x=1"]["reason"] == "node failed"
     assert not result.ok
-
-    assert guard.run_point("p2", lambda: s.add_value(2.0, 3.0)) == "ok"
-    assert s.x == [2.0]
 
 
 def test_journal_records_and_resumes(tmp_path):
     path = tmp_path / "campaign.jsonl"
     result = ExperimentResult(name="exp", title="t")
-    s = result.new_series("a")
     with CampaignJournal(path) as journal:
-        guard = SweepGuard(result, journal)
-        guard.run_point("x=1", lambda: s.add_value(1.0, 10.0))
-        guard.run_point("x=2", lambda: (_ for _ in ()).throw(
-            TransportError("node failed")))
+        SweepGuard(result, journal).run_specs(
+            [_spec(1, v=10.0), _spec(2, fail=True)])
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [l["status"] for l in lines] == ["ok", "failed"]
 
     # Resume: the ok point replays, the failed one re-runs.
     result2 = ExperimentResult(name="exp", title="t")
-    s2 = result2.new_series("a")
-    ran = []
     with CampaignJournal(path, resume=True) as journal:
         guard = SweepGuard(result2, journal)
-        guard.run_point("x=1", lambda: ran.append("x=1"))
-        guard.run_point("x=2", lambda: (ran.append("x=2"),
-                                        s2.add_value(2.0, 20.0)))
-    assert ran == ["x=2"]                    # only the failed point re-ran
+        statuses = guard.run_specs([_spec(1, v=10.0), _spec(2, v=20.0)])
+    # Only the failed point re-ran.
+    assert statuses == {"x=1": "replayed", "x=2": "ok"}
     assert guard.replayed == ["x=1"]
-    assert s2.x == [1.0, 2.0]
-    assert s2.median == [10.0, 20.0]
+    assert result2.series["a"].x == [1.0, 2.0]
+    assert result2.series["a"].median == [10.0, 20.0]
     assert result2.ok
 
 

@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import json
-import os
 
 import pytest
 
@@ -43,7 +42,7 @@ def test_run_fig9_renders(capsys):
 def test_list_long_shows_capabilities(capsys):
     assert main(["list", "--long"]) == 0
     out = capsys.readouterr().out
-    assert "journal" in out and "bench" in out
+    assert "journal" in out
     assert "Constant frequencies vs latency" in out
 
 
@@ -73,57 +72,8 @@ def test_trace_summary_command(capsys, tmp_path):
     assert main(["trace-summary", str(bad)]) == 1
 
 
-def test_bench_command(capsys, tmp_path):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--experiments", "fig9", "--out",
-                 str(out)]) == 0
-    doc = json.loads(out.read_text())
-    # No explicit --tag: derived from the output filename.
-    assert doc["bench"] == "bench"
-    assert doc["host_cpus"] >= 1
-    assert doc["seconds"]["fig9"] > 0
-    assert doc["total_seconds"] >= doc["seconds"]["fig9"]
-
-
-def test_bench_tag_names_output(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--experiments", "fig9", "--tag", "smoke"]) == 0
-    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert doc["bench"] == "smoke"
-
-
-def test_bench_jobs_records_both_laps(capsys, tmp_path):
-    out = tmp_path / "bench.json"
-    assert main(["bench", "--experiments", "fig9", "--jobs", "2",
-                 "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["jobs"] == 2
-    if (os.cpu_count() or 1) <= 1:
-        # A 1-CPU host cannot measure parallel speedup: the lap is
-        # skipped and marked, never silently recorded as a slowdown.
-        assert doc["seconds_parallel"] == "skipped_1cpu"
-    else:
-        assert doc["seconds_parallel"]["fig9"] > 0
-        # Solver microbenches run in the serial lap only (they never
-        # touch the executor pool); figures appear in both laps.
-        assert set(doc["seconds_parallel"]) <= set(doc["seconds"])
-    assert {"fluid_churn", "fluid_churn_wide"} <= set(doc["seconds"])
-
-
 def test_log_level_flag(capsys):
     assert main(["--log-level", "INFO", "list"]) == 0
-
-
-def test_bench_requires_tag_or_out(capsys):
-    assert main(["bench", "--experiments", "fig9"]) == 2
-    assert "--tag" in capsys.readouterr().err
-
-
-def test_bench_out_strips_bench_prefix(capsys, tmp_path):
-    out = tmp_path / "BENCH_ci.json"
-    assert main(["bench", "--experiments", "fig9", "--out",
-                 str(out)]) == 0
-    assert json.loads(out.read_text())["bench"] == "ci"
 
 
 def test_unknown_experiment_message_names_valid(capsys):

@@ -20,6 +20,7 @@ from repro.core.executor import (ExecutionPolicy, PointSpec, SweepExecutor,
                                  point_fingerprint)
 from repro.core.results import ExperimentResult
 from repro.faults.context import derive_point_seed
+from repro.sim.invariants import InvariantViolation
 
 
 def _sha(path) -> str:
@@ -147,8 +148,9 @@ def test_warm_journal_replays_without_resimulating(tmp_path, monkeypatch):
     assert changed.meta["sweep"]["replayed"] == 0
 
 
-def test_journal_entries_without_fp_are_trusted(tmp_path):
-    """run_point-era journals (no fp field) must keep resuming."""
+def test_journal_entries_without_fp_rerun(tmp_path):
+    """An unfingerprinted entry cannot prove which parameters and code
+    produced it, so a resume re-runs it instead of replaying it."""
     from repro.core.experiments import fig1a
 
     path = tmp_path / "j.jsonl"
@@ -162,8 +164,12 @@ def test_journal_entries_without_fp_are_trusted(tmp_path):
         stripped.append(json.dumps(entry))
     path.write_text("\n".join(stripped) + "\n")
     with CampaignJournal(path, resume=True) as journal:
-        warm = fig1a(journal=journal, **kw)
-    assert warm.meta["sweep"]["replayed"] == warm.meta["sweep"]["points"]
+        resumed = fig1a(journal=journal, **kw)
+    assert resumed.meta["sweep"]["replayed"] == 0
+    fresh = fig1a(**kw)
+    assert {k: (s.x, s.median, s.p10, s.p90)
+            for k, s in resumed.series.items()} == \
+        {k: (s.x, s.median, s.p10, s.p90) for k, s in fresh.series.items()}
 
 
 # -- journal crash-safety ---------------------------------------------------
@@ -225,6 +231,62 @@ def test_worker_crash_raises_without_keep_going():
     with executor_context(2, policy):
         with pytest.raises(RuntimeError, match="worker process died"):
             guard.run_specs([spec])
+
+
+def _invariant_runner(params):
+    raise InvariantViolation(f"component {params['size']} broke")
+
+
+def _invariant_sweep(spec="henri", journal=None):
+    result = ExperimentResult(name="inv_sweep", title="t")
+    SweepGuard(result, journal).run_specs([
+        PointSpec(experiment="inv_sweep", key="size=4",
+                  runner="tests.test_executor_parallel:_row_runner",
+                  params={"size": 4}),
+        PointSpec(experiment="inv_sweep", key="size=8",
+                  runner="tests.test_executor_parallel:_invariant_runner",
+                  params={"size": 8}),
+    ])
+    return result
+
+
+def _invariant_plain(spec="henri"):
+    raise InvariantViolation("component 0 broke")
+
+
+def _register(monkeypatch, name, runner, journal_capable):
+    from repro.core import registry
+
+    registry.load()
+    monkeypatch.setitem(registry._REGISTRY, name,  # noqa: SLF001
+                        registry.ExperimentDef(
+                            name=name, runner=runner, title="t",
+                            journal_capable=journal_capable))
+    monkeypatch.setitem(registry._ORDER, name, (99, 0))  # noqa: SLF001
+
+
+def test_invariant_violation_fails_the_run(tmp_path, capsys, monkeypatch):
+    _register(monkeypatch, "inv_sweep", _invariant_sweep, True)
+    md = tmp_path / "r.md"
+    journal = tmp_path / "j.jsonl"
+    assert main(["run", "inv_sweep", "--out", str(md),
+                 "--journal", str(journal)]) == 1
+    err = capsys.readouterr().err
+    assert "InvariantViolation in inv_sweep at point size=8: " \
+        "component 8 broke" in err
+    report = md.read_text()
+    assert "Invariant violations" in report
+    assert "fault injection" not in report
+    statuses = [json.loads(line)["status"]
+                for line in journal.read_text().splitlines()]
+    assert statuses == ["ok", "failed"]
+
+
+def test_invariant_violation_outside_a_sweep_is_named(capsys, monkeypatch):
+    _register(monkeypatch, "inv_plain", _invariant_plain, False)
+    assert main(["run", "inv_plain"]) == 1
+    assert "InvariantViolation in inv_plain: component 0 broke" in \
+        capsys.readouterr().err
 
 
 # -- telemetry merge units --------------------------------------------------

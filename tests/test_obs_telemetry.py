@@ -5,6 +5,7 @@ import dataclasses
 import json
 
 from repro.core.campaign import CampaignJournal, SweepGuard
+from repro.core.executor import PointSpec
 from repro.core.results import ExperimentResult
 from repro.faults import FaultPlan, fault_context
 from repro.faults.plan import DegradedLink
@@ -140,23 +141,87 @@ def test_fault_instants_and_metrics():
     assert applied
 
 
+def _counting_runner(params):
+    """Test point: bumps a counter in the point's telemetry sink."""
+    active_telemetry().registry.counter("point.work").inc(params["work"])
+    return {"y": [[1.0, 2.0, 1.5, 2.5]]}
+
+
 def test_sweep_guard_journals_metric_deltas(tmp_path):
     result = ExperimentResult(name="demo", title="demo")
-    series = result.new_series("y")
+    spec = PointSpec(experiment="demo", key="p0",
+                     runner="tests.test_obs_telemetry:_counting_runner",
+                     params={"work": 4})
     with telemetry_context() as tele:
         with CampaignJournal(tmp_path / "j.jsonl") as journal:
             guard = SweepGuard(result, journal)
-
-            def body():
-                tele.registry.counter("point.work").inc(4)
-                series.x.append(1.0)
-                series.median.append(2.0)
-                series.p10.append(1.5)
-                series.p90.append(2.5)
-
-            assert guard.run_point("p0", body) == "ok"
+            assert guard.run_specs([spec]) == {"p0": "ok"}
+        # The point's delta is folded into the campaign's registry too.
+        assert tele.registry.counter("point.work").value == 4
     entry = json.loads((tmp_path / "j.jsonl").read_text().splitlines()[0])
     assert entry["metrics"]["point.work"]["value"] == 4
+    assert result.series["y"].median == [2.0]
+
+
+# -- runtime lanes: task spans per worker core, one span per message ----------
+
+def _traced_runtime(n_workers=4):
+    """Two-node task runtime built under an active trace sink."""
+    from repro.hardware import HENRI
+    from repro.mpi import CommWorld
+    from repro.runtime import RuntimeComm, RuntimeSystem
+
+    cluster = Cluster(HENRI, 2)
+    world = CommWorld(cluster, comm_placement="far")
+    runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers)
+                for r in (0, 1)}
+    comm = RuntimeComm(world, runtimes)
+    for rt in runtimes.values():
+        rt.start()
+    return cluster, world, runtimes, comm
+
+
+def _cpu_task(name):
+    from repro.kernels.blas import TileCost
+    from repro.runtime import Task
+
+    return Task(name=name, cost=TileCost("cpu", 1e7, 0.0), rank=0)
+
+
+def _spans(tele, cat):
+    return [e for e in tele.tracer.to_payload()["traceEvents"]
+            if e.get("ph") == "X" and e.get("cat") == cat]
+
+
+def test_task_spans_land_on_worker_core_lanes():
+    with telemetry_context() as tele:
+        cluster, _world, runtimes, _comm = _traced_runtime()
+        names = [f"t{i}" for i in range(6)]
+        for name in names:
+            runtimes[0].submit(_cpu_task(name))
+        runtimes[0].wait_all()
+        cluster.sim.run()
+        tasks = _spans(tele, "task")
+        pid = tele.machine_pid(cluster.machine(0))
+    assert sorted(e["name"] for e in tasks) == names
+    assert all(e["pid"] == pid for e in tasks)
+    assert all(e["dur"] > 0 for e in tasks)
+    worker_cores = {w.core_id for w in runtimes[0].workers}
+    assert {e["tid"] for e in tasks} <= worker_cores
+
+
+def test_one_transfer_span_per_runtime_message():
+    with telemetry_context() as tele:
+        cluster, world, _runtimes, comm = _traced_runtime()
+        for tag, (src, dst, size) in enumerate(((0, 1, 4096),
+                                                (1, 0, 1 << 20))):
+            comm.isend(src, dst, world.rank(src).buffer(size), tag=tag)
+            comm.irecv(dst, src, world.rank(dst).buffer(size), tag=tag)
+        cluster.sim.run()
+        transfers = _spans(tele, "transfer")
+    assert sorted((e["args"]["size"], e["args"]["dst"])
+                  for e in transfers) == [(4096, 1), (1 << 20, 0)]
+    assert all(e["dur"] > 0 for e in transfers)
 
 
 def test_discarded_simulation_teardown_is_silent():

@@ -83,12 +83,15 @@ def test_validate_catches_problems():
     assert any("missing" in p for p in validate_chrome_trace(missing))
 
 
-def test_chrome_trace_json_indent_matches_legacy_format():
+def test_chrome_trace_json_is_compact():
     events = [{"name": "e", "ph": "X", "ts": 0.0, "dur": 1.0,
                "pid": 0, "tid": 0}]
-    legacy = json.dumps({"traceEvents": events, "displayTimeUnit": "ms"},
-                        indent=1)
-    assert chrome_trace_json(events, indent=1) == legacy
+    compact = json.dumps({"traceEvents": events, "displayTimeUnit": "ms"},
+                         separators=(",", ":"))
+    assert chrome_trace_json(events) == compact
+    tr = SpanTracer()
+    tr.complete(0, 0, "e", "task", 0.0, 1e-6)
+    assert tr.to_json() == chrome_trace_json(tr.to_payload()["traceEvents"])
 
 
 def test_summary_counts_and_render():

@@ -60,12 +60,6 @@ def test_journal_capability_matches_signature():
                 f"{defn.name} claims journal support but takes no journal"
 
 
-def test_bench_subset_is_registered():
-    bench = registry.bench_names()
-    assert "fig1a" in bench and "fig10" in bench
-    assert set(bench) <= set(registry.names())
-
-
 def test_ablations_are_registered_but_not_in_all():
     ablations = registry.names(tag="ablation")
     assert len(ablations) == 5

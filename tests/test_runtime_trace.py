@@ -1,4 +1,5 @@
-"""Tests for the Chrome-tracing export of runtime executions."""
+"""Tests for the Chrome-tracing export of runtime executions, taken from the
+telemetry trace (``telemetry_context`` / ``export_trace``)."""
 
 import json
 
@@ -7,91 +8,55 @@ import pytest
 from repro.hardware import Cluster, HENRI
 from repro.kernels.blas import TileCost
 from repro.mpi import CommWorld
+from repro.obs import telemetry_context, validate_chrome_trace
 from repro.runtime import RuntimeComm, RuntimeSystem, Task
-from repro.runtime.trace_export import RuntimeTracer
 
 
 def make_traced(n_workers=4):
+    """Two-node task runtime; call under an active ``telemetry_context``."""
     cluster = Cluster(HENRI, 2)
     world = CommWorld(cluster, comm_placement="far")
     runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers)
                 for r in (0, 1)}
-    comm = RuntimeComm(world, runtimes)
-    tracer = RuntimeTracer()
-    for rt in runtimes.values():
-        tracer.attach(rt)
-    tracer.attach_comm(comm)
+    RuntimeComm(world, runtimes)
     for rt in runtimes.values():
         rt.start()
-    return cluster, world, runtimes, comm, tracer
+    return cluster, runtimes
 
 
 def cpu_task(name="t"):
     return Task(name=name, cost=TileCost("cpu", 1e7, 0.0), rank=0)
 
 
-def test_task_events_recorded():
-    cluster, world, runtimes, comm, tracer = make_traced()
-    for i in range(6):
-        runtimes[0].submit(cpu_task(f"t{i}"))
-    runtimes[0].wait_all()
-    cluster.sim.run()
-    tasks = tracer.events_by_category("task")
-    assert len(tasks) == 6
-    assert all(e.pid == 0 for e in tasks)
-    assert all(e.duration > 0 for e in tasks)
-    # Events land on worker-core lanes.
-    worker_cores = {w.core_id for w in runtimes[0].workers}
-    assert {e.tid for e in tasks} <= worker_cores
-
-
-def test_message_events_recorded():
-    cluster, world, runtimes, comm, tracer = make_traced()
-    comm.isend(0, 1, world.rank(0).buffer(4096), tag=1)
-    comm.irecv(1, 0, world.rank(1).buffer(4096), tag=1)
-    cluster.sim.run()
-    msgs = tracer.events_by_category("message")
-    assert len(msgs) == 1
-    assert msgs[0].tid == -1
-    assert msgs[0].args["size"] == 4096
-    assert msgs[0].args["dst"] == 1
-
-
 def test_chrome_json_valid(tmp_path):
-    cluster, world, runtimes, comm, tracer = make_traced()
-    runtimes[0].submit(cpu_task())
-    runtimes[0].wait_all()
-    cluster.sim.run()
     path = tmp_path / "trace.json"
-    count = tracer.export(str(path))
-    assert count == len(tracer.events) >= 1
+    with telemetry_context() as tele:
+        cluster, runtimes = make_traced()
+        runtimes[0].submit(cpu_task())
+        runtimes[0].wait_all()
+        cluster.sim.run()
+        tele.export_trace(path)
     payload = json.loads(path.read_text())
-    event = payload["traceEvents"][0]
+    assert validate_chrome_trace(payload) == []
+    tasks = [e for e in payload["traceEvents"] if e.get("cat") == "task"]
+    assert len(tasks) == 1
+    event = tasks[0]
     assert event["ph"] == "X"
     assert event["ts"] >= 0 and event["dur"] > 0
     assert {"name", "pid", "tid", "cat"} <= set(event)
 
 
-def test_chrome_json_matches_legacy_format():
-    # to_chrome_json now delegates to repro.obs.export; the bytes must
-    # stay identical to the original inline json.dumps rendering.
-    cluster, world, runtimes, comm, tracer = make_traced()
-    runtimes[0].submit(cpu_task())
-    runtimes[0].wait_all()
-    cluster.sim.run()
-    legacy = json.dumps(
-        {"traceEvents": [e.to_chrome() for e in tracer.events],
-         "displayTimeUnit": "ms"}, indent=1)
-    assert tracer.to_chrome_json() == legacy
-
-
-def test_busy_time_accounting():
-    cluster, world, runtimes, comm, tracer = make_traced(n_workers=1)
-    for i in range(3):
-        runtimes[0].submit(cpu_task(f"t{i}"))
-    runtimes[0].wait_all()
-    cluster.sim.run()
-    core = runtimes[0].workers[0].core_id
-    traced = tracer.busy_time(0, core)
-    actual = runtimes[0].workers[0].busy_time
-    assert traced == pytest.approx(actual, rel=0.05)
+def test_busy_time_accounting(tmp_path):
+    path = tmp_path / "trace.json"
+    with telemetry_context() as tele:
+        cluster, runtimes = make_traced(n_workers=1)
+        for i in range(3):
+            runtimes[0].submit(cpu_task(f"t{i}"))
+        runtimes[0].wait_all()
+        cluster.sim.run()
+        tele.export_trace(path)
+    worker = runtimes[0].workers[0]
+    payload = json.loads(path.read_text())
+    traced_us = sum(e["dur"] for e in payload["traceEvents"]
+                    if e.get("cat") == "task" and e["tid"] == worker.core_id)
+    assert traced_us * 1e-6 == pytest.approx(worker.busy_time, rel=0.05)

@@ -6,8 +6,8 @@ import pathlib
 import pytest
 
 from repro.cli import main
-from repro.core.scenario import (Scenario, ScenarioError, _parse_mini_toml,
-                                 load_scenario, parse_scenario)
+from repro.core.scenario import (Scenario, ScenarioError, load_scenario,
+                                 parse_scenario)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 EXAMPLES = sorted((ROOT / "examples").glob("scenario_*.toml"))
@@ -181,33 +181,6 @@ def test_example_scenarios_validate(path):
     # a topology/co-scheduling configuration).
     assert (scen.fault_specs or (scen.trials or 1) > 1
             or "topology" in scen.params or "apps" in scen.params)
-
-
-def test_mini_toml_parser_matches_schema_subset():
-    """The 3.10 fallback parser handles everything the examples use."""
-    doc = _parse_mini_toml(VALID, "<test>")
-    assert doc["scenario"]["experiment"] == "fig4a"
-    assert doc["scenario"]["fast"] is True
-    assert doc["params"]["core_counts"] == [0, 12, 35]
-    assert doc["faults"]["timeout"] == pytest.approx(0.0002)
-    assert doc["execution"]["jobs"] == 2
-    # And the examples themselves.
-    for path in EXAMPLES:
-        parsed = _parse_mini_toml(path.read_text(), path.name)
-        assert parsed["scenario"]["experiment"]
-
-
-def test_mini_toml_parser_rejects_garbage():
-    with pytest.raises(ScenarioError, match="key = value"):
-        _parse_mini_toml("[scenario]\nnot a kv line\n", "<t>")
-    with pytest.raises(ScenarioError, match="cannot parse"):
-        _parse_mini_toml("[scenario]\nx = {a = 1}\n", "<t>")
-    # [[name]] arrays of tables parse, but clash with a plain [name].
-    doc = _parse_mini_toml("[[apps]]\nname = 'a'\n[[apps]]\nname = 'b'\n",
-                           "<t>")
-    assert [t["name"] for t in doc["apps"]] == ["a", "b"]
-    with pytest.raises(ScenarioError, match="conflicts"):
-        _parse_mini_toml("[apps]\nx = 1\n[[apps]]\ny = 2\n", "<t>")
 
 
 def test_scenario_runs_end_to_end(tmp_path, monkeypatch, capsys):
