@@ -14,7 +14,9 @@ as records land, and the measurer
   mean observed point duration → a pending-work ETA);
 * mirrors that state into an atomically-replaced JSON *sidecar* next to
   the journal (``<journal>.progress.json``), which ``repro status``
-  reads without touching the journal's ``flock``.
+  reads without touching the journal's ``flock``.  The sidecar is
+  rewritten when a sweep begins, when its last point lands, and in
+  between at most once per :data:`SIDECAR_INTERVAL_S` of wall time.
 
 ``repro status`` itself (:func:`read_status` / :func:`render_status`)
 works on the journal alone too — the sidecar only adds pending/ETA
@@ -29,13 +31,19 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.analysis.stats import read_journal_entries
 
 __all__ = ["CampaignMeasurer", "sidecar_path", "read_status",
-           "render_status"]
+           "render_status", "SIDECAR_INTERVAL_S"]
+
+#: Least wall time between two mid-sweep sidecar rewrites.  Replacing
+#: an existing file can block for tens of milliseconds on some file
+#: systems, far longer than a fast point takes to run.
+SIDECAR_INTERVAL_S = 1.0
 
 
 def sidecar_path(journal_path) -> Path:
@@ -53,6 +61,8 @@ class CampaignMeasurer:
         self.registry = MetricsRegistry()
         # experiment -> running tallies (insertion order = sweep order)
         self._sweeps: Dict[str, dict] = {}
+        # time.monotonic() of the last sidecar write
+        self._sidecar_written = 0.0
 
     @classmethod
     def attach(cls, journal, sidecar: bool = True) -> "CampaignMeasurer":
@@ -90,7 +100,11 @@ class CampaignMeasurer:
             sweep["wall_n"] += 1
         if metrics:
             self.registry.merge_delta(metrics)
-        self._write_sidecar()
+        if self.sidecar is not None and (
+                self.pending(experiment) == 0
+                or time.monotonic() - self._sidecar_written
+                >= SIDECAR_INTERVAL_S):
+            self._write_sidecar()
 
     # -- derived views ------------------------------------------------------
     def pending(self, experiment: str) -> Optional[int]:
@@ -150,6 +164,7 @@ class CampaignMeasurer:
             os.replace(tmp, self.sidecar)
         except OSError:  # pragma: no cover - read-only dir etc.
             pass
+        self._sidecar_written = time.monotonic()
 
 
 # ---------------------------------------------------------------------------

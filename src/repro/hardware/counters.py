@@ -12,12 +12,12 @@ and subtract (:meth:`CycleCounters.snapshot` / :meth:`CycleCounters.delta`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, NamedTuple, Optional
 
 from repro.sim.trace import EpochSource
 
-__all__ = ["CoreCounterState", "CycleCounters"]
+__all__ = ["CoreCounterState", "CounterTotals", "CycleCounters"]
 
 
 @dataclass
@@ -39,6 +39,18 @@ class CoreCounterState:
                                 self.contention_stall)
 
 
+class CounterTotals(NamedTuple):
+    """Immutable machine-wide aggregate returned by
+    :meth:`CycleCounters.totals` (same fields as
+    :class:`CoreCounterState`)."""
+
+    busy: float
+    mem_stall: float
+    flops: float
+    bytes_moved: float
+    contention_stall: float
+
+
 class CycleCounters(EpochSource):
     """Per-core counter bank for one machine.
 
@@ -51,6 +63,8 @@ class CycleCounters(EpochSource):
     def __init__(self, core_ids: Iterable[int]):
         self._state: Dict[int, CoreCounterState] = {
             c: CoreCounterState() for c in core_ids}
+        # totals() cache; record() clears it.
+        self._totals: Optional[CounterTotals] = None
 
     def record(self, core_id: int, busy: float, mem_stall: float = 0.0,
                flops: float = 0.0, bytes_moved: float = 0.0,
@@ -68,25 +82,39 @@ class CycleCounters(EpochSource):
         st.flops += flops
         st.bytes_moved += bytes_moved
         st.contention_stall += min(contention_stall, mem_stall)
+        # Cleared after the update, not keyed on the epoch: a listener
+        # of the bump above may read totals() before the state changes.
+        self._totals = None
 
     def state(self, core_id: int) -> CoreCounterState:
+        """Live per-core counters: read them, change them only through
+        :meth:`record` (which keeps the :meth:`totals` cache valid)."""
         return self._state[core_id]
 
-    def totals(self) -> CoreCounterState:
+    def totals(self) -> CounterTotals:
         """Machine-wide aggregate of all cores, without copying the bank.
 
-        Cheap enough to call around every message — the telemetry layer
-        samples it before/after a transfer to attribute the memory-stall
-        cycles that overlapped it (the Fig-10 correlation substrate).
+        The telemetry layer samples it before and after every transfer
+        to attribute the memory-stall cycles that overlapped it (the
+        Fig-10 correlation substrate), so it is called far more often
+        than :meth:`record`.  The O(cores) sum is therefore cached until
+        the next :meth:`record`; a cache hit is O(1).  The sum runs in
+        bank order either way, so a cached value is bitwise the one a
+        fresh sum would give, and it is an immutable tuple that no
+        caller can corrupt.
         """
-        total = CoreCounterState()
-        for st in self._state.values():
-            total.busy += st.busy
-            total.mem_stall += st.mem_stall
-            total.flops += st.flops
-            total.bytes_moved += st.bytes_moved
-            total.contention_stall += st.contention_stall
-        return total
+        totals = self._totals
+        if totals is None:
+            busy = mem_stall = flops = bytes_moved = contention = 0.0
+            for st in self._state.values():
+                busy += st.busy
+                mem_stall += st.mem_stall
+                flops += st.flops
+                bytes_moved += st.bytes_moved
+                contention += st.contention_stall
+            totals = self._totals = CounterTotals(
+                busy, mem_stall, flops, bytes_moved, contention)
+        return totals
 
     def snapshot(self) -> Dict[int, CoreCounterState]:
         """Copy of all counters, for later :meth:`delta`."""
@@ -109,7 +137,7 @@ class CycleCounters(EpochSource):
         return total
 
     @staticmethod
-    def stall_fraction(agg: CoreCounterState) -> float:
+    def stall_fraction(agg: "CoreCounterState | CounterTotals") -> float:
         """Fraction of busy time stalled on memory (the paper's metric)."""
         if agg.busy <= 0:
             return 0.0

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import bisect
 import json
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "metric_key", "parse_metric_key", "bucket_quantiles"]
+           "metric_key", "parse_metric_key", "bucket_quantiles",
+           "iter_indented_json"]
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -48,6 +50,82 @@ def parse_metric_key(key: str) -> Tuple[str, LabelItems]:
         k, _, v = part.partition("=")
         items.append((k, v))
     return name, tuple(items)
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+def iter_indented_json(obj, indent: int = 1) -> Iterator[str]:
+    """Chunks of ``json.dumps(obj, indent=indent, sort_keys=True)``.
+
+    The joined chunks equal that call byte for byte, errors included,
+    but most of the work runs in ``json``'s C encoder.  ``indent`` makes
+    ``json.dumps`` use its pure-Python encoder, which is slow on the
+    large exports telemetry writes (tens of thousands of transfer
+    samples).  The C encoder takes no indent, but a container holding
+    only scalars has a single level of items, so C encoding it with the
+    item separator ``"," + newline + indentation`` gives exactly the
+    indented items.  Only containers that hold other containers are
+    walked here.
+    """
+    pad = " " * indent
+    encoders: Dict[int, object] = {}
+
+    def flat(value, depth: int) -> str:
+        # *value* is a scalar or holds only scalars (items at *depth*).
+        encode = encoders.get(depth)
+        if encode is None:
+            encode = encoders[depth] = json.JSONEncoder(
+                sort_keys=True, check_circular=False,
+                separators=(",\n" + pad * depth, ": ")).encode
+        return encode(value)
+
+    def walk(value, depth: int) -> Iterator[str]:
+        if isinstance(value, dict):
+            values = value.values()
+        elif isinstance(value, (list, tuple)):
+            values = value
+        else:
+            yield flat(value, depth)
+            return
+        if not value:
+            yield "{}" if isinstance(value, dict) else "[]"
+            return
+        inner = "\n" + pad * (depth + 1)
+        close = "\n" + pad * depth
+        if not any(isinstance(v, _CONTAINERS) for v in values):
+            text = flat(value, depth + 1)
+            yield text[0] + inner
+            yield text[1:-1]
+            yield close + text[-1]
+            return
+        sep = inner
+        if isinstance(value, dict):
+            yield "{"
+            for key, item in sorted(value.items()):
+                yield sep + _json_key(key) + ": "
+                sep = "," + inner
+                yield from walk(item, depth + 1)
+            yield close + "}"
+        else:
+            yield "["
+            for item in value:
+                yield sep
+                sep = "," + inner
+                yield from walk(item, depth + 1)
+            yield close + "]"
+
+    return walk(obj, 0)
+
+
+def _json_key(key) -> str:
+    """An encoded object key, converted the way ``json`` converts keys."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
 
 
 class Counter:
@@ -302,13 +380,18 @@ class MetricsRegistry:
     def to_json(self, extra: Optional[Mapping[str, object]] = None,
                 indent: int = 1) -> str:
         """Deterministic JSON export (sorted keys, no wall-clock)."""
-        doc: Dict[str, object] = {"metrics": self.snapshot()}
-        if extra:
-            doc.update(extra)
-        return json.dumps(doc, indent=indent, sort_keys=True)
+        return "".join(self._iter_json(extra, indent))
 
     def export(self, path, extra: Optional[Mapping[str, object]] = None
                ) -> None:
+        """Stream :meth:`to_json` and a final newline to *path*."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json(extra=extra))
+            fh.writelines(self._iter_json(extra, 1))
             fh.write("\n")
+
+    def _iter_json(self, extra: Optional[Mapping[str, object]],
+                   indent: int) -> Iterator[str]:
+        doc: Dict[str, object] = {"metrics": self.snapshot()}
+        if extra:
+            doc.update(extra)
+        return iter_indented_json(doc, indent)

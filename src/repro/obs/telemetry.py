@@ -86,6 +86,8 @@ class Telemetry:
         # Cached hot-path counter (None when metrics are off).
         self._sim_events = (self.registry.counter("sim.events")
                             if self.registry is not None else None)
+        # (protocol, app) -> on_transfer's three instruments.
+        self._transfer_instruments: Dict[tuple, tuple] = {}
         # Engine hot-loop counters are opt-in (REPRO_ENGINE_COUNTERS=1,
         # set by `repro profile`): materializing them by default would
         # add keys to every metrics export and break byte-identity
@@ -261,13 +263,20 @@ class Telemetry:
         """
         registry = self.registry
         if registry is not None:
-            labels = {"protocol": record.protocol}
-            if app is not None:
-                labels["app"] = app
-            registry.counter("net.transfers", **labels).inc()
-            registry.counter("net.bytes", **labels).inc(record.size)
-            registry.histogram("net.transfer_seconds",
-                               **labels).observe(record.duration)
+            key = (record.protocol, app)
+            instruments = self._transfer_instruments.get(key)
+            if instruments is None:
+                labels = {"protocol": record.protocol}
+                if app is not None:
+                    labels["app"] = app
+                instruments = self._transfer_instruments[key] = (
+                    registry.counter("net.transfers", **labels),
+                    registry.counter("net.bytes", **labels),
+                    registry.histogram("net.transfer_seconds", **labels))
+            transfers, nbytes, seconds = instruments
+            transfers.inc()
+            nbytes.inc(record.size)
+            seconds.observe(record.duration)
             if record.retries:
                 registry.counter("net.retransmits").inc(record.retries)
         sample = TransferSample(

@@ -55,6 +55,31 @@ def test_sidecar_written_atomically(tmp_path):
     assert json.loads(side.read_text())["state"] == "complete"
 
 
+def test_sidecar_rewrites_are_throttled_mid_sweep(tmp_path, monkeypatch):
+    """Mid-sweep the sidecar is rewritten at most once per
+    SIDECAR_INTERVAL_S; the sweep's last point always lands in it."""
+    from repro.core import measurer as measurer_mod
+    side = sidecar_path(tmp_path / "c.jsonl")
+
+    def pending():
+        return json.loads(side.read_text())["experiments"]["fig1"]["pending"]
+
+    monkeypatch.setattr(measurer_mod, "SIDECAR_INTERVAL_S", 3600.0)
+    m = _measurer(tmp_path)
+    m.begin_sweep("fig1", total=3, trials=1, cached=0, jobs=1)
+    m.on_point("fig1", "k1", 0, "ok", 1.0, None)
+    m.on_point("fig1", "k2", 0, "ok", 1.0, None)
+    assert pending() == 3                  # throttled: still the start
+    m.on_point("fig1", "k3", 0, "ok", 1.0, None)
+    assert pending() == 0
+    assert json.loads(side.read_text())["state"] == "complete"
+
+    monkeypatch.setattr(measurer_mod, "SIDECAR_INTERVAL_S", 0.0)
+    m.begin_sweep("fig1", total=2, trials=1, cached=0, jobs=1)
+    m.on_point("fig1", "k1", 0, "ok", 1.0, None)
+    assert pending() == 1                  # interval elapsed: rewritten
+
+
 def test_measurer_without_sidecar_writes_nothing(tmp_path):
     m = _measurer(tmp_path, sidecar=False)
     m.begin_sweep("fig1", total=1, trials=1, cached=0, jobs=1)

@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               metric_key)
+                               iter_indented_json, metric_key)
 
 
 def test_metric_key_rendering():
@@ -204,3 +206,89 @@ def test_healthy_histogram_export_has_no_clamp_keys():
     q = h.to_state()["quantiles"]
     assert set(q) == {"p50", "p95", "p99"}
     assert "clamped" not in reg.to_json()
+
+
+# -- the indented export encoder ---------------------------------------------
+
+def _both(doc, indent=1):
+    """(stdlib result, iter_indented_json result); an exception counts
+    as its type and message."""
+    out = []
+    for encode in (lambda: json.dumps(doc, indent=indent, sort_keys=True),
+                   lambda: "".join(iter_indented_json(doc, indent))):
+        try:
+            out.append(encode())
+        except (TypeError, ValueError) as err:
+            out.append((type(err), str(err)))
+    return out
+
+
+_scalars = (st.none() | st.booleans()
+            | st.integers(-2 ** 70, 2 ** 70)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text())
+# Keys of one JSON-legal kind per dict, so that sort_keys can order
+# them: text (non-ASCII and escapes included), numbers (bool, int and
+# float mixed, NaN and +-inf included), or the lone None.
+_keys = st.one_of(
+    st.dictionaries(st.text(), st.just(0)),
+    st.dictionaries(st.booleans() | st.integers(-50, 50)
+                    | st.floats(allow_nan=True, allow_infinity=True),
+                    st.just(0)),
+    st.just({None: 0}),
+).map(list)
+
+
+def _dicts(values):
+    return st.tuples(_keys, st.lists(values, min_size=12, max_size=12)) \
+        .map(lambda kv: dict(zip(kv[0], kv[1])))
+
+
+_docs = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | _dicts(inner)),
+    max_leaves=40)
+
+
+@given(_docs, st.sampled_from([0, 1, 2]))
+def test_indented_encoder_matches_stdlib_bytewise(doc, indent):
+    stdlib, ours = _both(doc, indent)
+    assert ours == stdlib
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], {"a": {}, "b": [], "c": [{}, [], [[]]]},
+    {"x": [1.5, float("nan"), float("inf"), -float("inf"), None, True]},
+    {2.5: [1], True: [2], -1: {"\u00e9\n\"": "\x00"}},
+    {None: [{}]}, {float("nan"): {"k": [1]}, float("-inf"): [0]},
+    "caf\u00e9 \ud83d\ude00", 7, -0.0, None,
+])
+def test_indented_encoder_edge_cases(doc):
+    stdlib, ours = _both(doc)
+    assert ours == stdlib
+
+
+@pytest.mark.parametrize("doc", [
+    {(1, 2): [1]},                 # non-str key in a nested container
+    {(1, 2): 1},                   # ... and in a scalar-only one
+    {"a": [{1: 0, "b": [0]}]},     # keys sort_keys cannot order
+    {"a": [object()]},             # value json cannot encode
+])
+def test_indented_encoder_rejects_what_stdlib_rejects(doc):
+    stdlib, ours = _both(doc)
+    assert isinstance(stdlib, tuple)
+    assert ours == stdlib
+
+
+def test_real_metrics_export_is_stdlib_json(tmp_path):
+    """A real `repro run --metrics` file is exactly what stdlib json
+    writes for the same document."""
+    from repro.cli import main
+    path = tmp_path / "m.json"
+    assert main(["run", "fig1a", "--fast", "--metrics", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert doc["transfer_samples"]
+    assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
