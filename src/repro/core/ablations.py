@@ -19,253 +19,150 @@ of the paper's effect that mechanism carries:
 * ``no_scheduler_locality`` — locality-blind eager list → GEMM's memory
   stalls inflate (every other access crosses a socket).
 
-Each function returns ``(baseline, ablated)`` result pairs so callers
-(benchmarks, the CLI) can report the delta.
+A mechanism is switched off as plain data: the §4 ablations run the
+Figure 4 sweep on a :class:`~repro.hardware.presets.MachineSpec` with
+one field overridden, the §6 ones hand
+:func:`~repro.core.experiments._fig10_point` a ``runtime`` dict of
+:class:`~repro.runtime.runtime.RuntimeSpec` overrides.  Each variant is
+an ordinary point sweep journaled as ``<ablation>_baseline`` /
+``<ablation>_ablated``, so ablations get ``--jobs``, ``--resume``,
+``--trials`` and the point cache like any figure.  The experiments
+carry the ``ablation`` tag and stay out of ``repro run all``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core import experiments as E
+from repro.core.campaign import CampaignJournal
+from repro.core.placement import Placement
 from repro.core.registry import experiment
-from repro.core.results import ExperimentResult
-from repro.hardware.presets import ContentionSpec, MachineSpec, get_preset
+from repro.core.results import ExperimentResult, Series
+from repro.hardware.presets import ContentionSpec, MachineSpec
+from repro.mpi.pingpong import LATENCY_SIZE
 
 __all__ = [
-    "ablate_pio_colocation", "ablate_dma_derating", "ablate_dma_priority",
-    "ablate_stack_stall", "ablate_scheduler_locality", "ALL_ABLATIONS",
+    "no_pio_colocation_experiment", "no_dma_derating_experiment",
+    "no_dma_priority_experiment", "no_stack_stall_experiment",
+    "no_scheduler_locality_experiment",
 ]
 
 _CORES = [0, 3, 5, 12, 20, 26, 31, 35]
+_FAST = dict(core_counts=[0, 12, 20, 35], reps=3)
 
 
-def _spec(spec: MachineSpec | str) -> MachineSpec:
-    return get_preset(spec) if isinstance(spec, str) else spec
+def _append(dst: Series, src: Series, x: Optional[float] = None) -> None:
+    """Append *src*'s points (relabelled at *x* if given) to *dst*."""
+    xs = src.x if x is None else [float(x)] * len(src.x)
+    dst.x.extend(xs)
+    dst.median.extend(src.median)
+    dst.p10.extend(src.p10)
+    dst.p90.extend(src.p90)
 
 
-def ablate_pio_colocation(spec: MachineSpec | str = "henri",
-                          core_counts: Optional[Sequence[int]] = None,
-                          reps: int = 6
-                          ) -> Tuple[ExperimentResult, ExperimentResult]:
-    """Figure 4a with and without the PIO co-location penalty."""
-    base_spec = _spec(spec)
-    counts = list(core_counts) if core_counts is not None else _CORES
-    baseline = E.fig4a(spec=base_spec, core_counts=counts, reps=reps)
-    no_penalty = base_spec.with_overrides(
-        contention=ContentionSpec(mc_coef=0.0, link_coef=0.0))
-    ablated = E.fig4a(spec=no_penalty, core_counts=counts, reps=reps)
-    ablated.name = "fig4a_no_pio_colocation"
-    return baseline, ablated
-
-
-def ablate_dma_derating(spec: MachineSpec | str = "henri",
-                        core_counts: Optional[Sequence[int]] = None,
-                        reps: int = 4
-                        ) -> Tuple[ExperimentResult, ExperimentResult]:
-    """Figure 4b with and without the DMA latency-sensitivity de-rating."""
-    base_spec = _spec(spec)
-    counts = list(core_counts) if core_counts is not None else _CORES
-    baseline = E.fig4b(spec=base_spec, core_counts=counts, reps=reps)
-    no_derate = base_spec.with_overrides(
-        nic=dataclasses.replace(base_spec.nic, dma_eff_gamma=0.0))
-    ablated = E.fig4b(spec=no_derate, core_counts=counts, reps=reps)
-    ablated.name = "fig4b_no_dma_derating"
-    return baseline, ablated
-
-
-def ablate_dma_priority(spec: MachineSpec | str = "henri",
-                        core_counts: Optional[Sequence[int]] = None,
-                        reps: int = 4
-                        ) -> Tuple[ExperimentResult, ExperimentResult]:
-    """Figure 4b with the NIC arbitrating like just another core."""
-    base_spec = _spec(spec)
-    counts = list(core_counts) if core_counts is not None else _CORES
-    baseline = E.fig4b(spec=base_spec, core_counts=counts, reps=reps)
-    plain = base_spec.with_overrides(
-        nic=dataclasses.replace(base_spec.nic, dma_weight=1.0))
-    ablated = E.fig4b(spec=plain, core_counts=counts, reps=reps)
-    ablated.name = "fig4b_no_dma_priority"
-    return baseline, ablated
-
-
-def ablate_stack_stall(worker_counts: Sequence[int] = (1, 16, 34),
-                       cg_kwargs: Optional[dict] = None) -> Dict[str, dict]:
-    """§6 CG sending-bandwidth loss with and without stack stalling."""
-    from repro.runtime.apps import run_cg
-    from repro.runtime.runtime import RuntimeSpec, runtime_spec_for
-    from repro.hardware.presets import HENRI
-
-    cg_kwargs = dict(cg_kwargs or {})
-    base_rt = runtime_spec_for(HENRI)
-    no_stall = dataclasses.replace(base_rt, stack_stall_k=0.0)
-
-    out: Dict[str, dict] = {"baseline": {}, "ablated": {}}
-    for nw in worker_counts:
-        out["baseline"][nw] = run_cg(n_workers=nw, **cg_kwargs)
-        # Patch the spec via a custom runtime build: run_cg constructs
-        # RuntimeSystems internally, so go through a spec override.
-        out["ablated"][nw] = _run_cg_with_spec(no_stall, nw, cg_kwargs)
-    return out
-
-
-def _run_cg_with_spec(rt_spec, n_workers, cg_kwargs):
-    """run_cg with an explicit RuntimeSpec (helper for the ablation)."""
-    from repro.hardware.topology import Cluster
-    from repro.mpi.comm import CommWorld
-    from repro.runtime.apps import cg as cg_mod
-    from repro.runtime.mpi_layer import RuntimeComm
-    from repro.runtime.runtime import RuntimeSystem
-    import numpy as np
-
-    n = cg_kwargs.get("n", 120_000)
-    iterations = cg_kwargs.get("iterations", 3)
-    machine_spec = get_preset("henri")
-    tile_rows = cg_kwargs.get(
-        "tile_rows") or max(200, (n // 2) // (2 * machine_spec.n_cores))
-    cluster = Cluster(machine_spec, n_nodes=2, seed=0)
-    world = CommWorld(cluster, comm_placement="far")
-    runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers,
-                                 spec=rt_spec) for r in (0, 1)}
-    comm = RuntimeComm(world, runtimes)
-    for rt in runtimes.values():
-        rt.start()
-    data = {r: cg_mod._build_rank_data(cluster.machine(r), r, n, tile_rows)
-            for r in (0, 1)}
-    t0 = cluster.sim.now
-    drivers = [cluster.sim.process(
-        cg_mod._driver(r, 1 - r, runtimes[r], comm, data[r], n, tile_rows,
-                       iterations)) for r in (0, 1)]
-    cluster.sim.run()
-    for d in drivers:
-        if not d.ok:  # pragma: no cover
-            _ = d.value
-    duration = cluster.sim.now - t0
-    for rt in runtimes.values():
-        rt.shutdown()
-    cluster.sim.run()
-    return cg_mod.CGResult(
-        n=n, iterations=iterations, n_workers=n_workers,
-        duration=duration, sending_bandwidth=comm.sending_bandwidth(),
-        stall_fraction=0.0, bytes_sent=0.0, messages=0)
-
-
-def ablate_scheduler_locality(n_workers: int = 34,
-                              gemm_kwargs: Optional[dict] = None
-                              ) -> Dict[str, object]:
-    """GEMM stalls with the locality-aware vs locality-blind scheduler."""
-    import repro.runtime.scheduler as sched_mod
-    from repro.runtime.apps import run_gemm
-
-    gemm_kwargs = dict(gemm_kwargs or {})
-    baseline = run_gemm(n_workers=n_workers, **gemm_kwargs)
-
-    original = sched_mod.EagerScheduler.__init__
-
-    def blind_init(self, polling=None, machine=None, locality=True,
-                   locality_window=16):
-        original(self, polling=polling, machine=machine, locality=False,
-                 locality_window=locality_window)
-
-    sched_mod.EagerScheduler.__init__ = blind_init
-    try:
-        ablated = run_gemm(n_workers=n_workers, **gemm_kwargs)
-    finally:
-        sched_mod.EagerScheduler.__init__ = original
-    return {"baseline": baseline, "ablated": ablated}
-
-
-ALL_ABLATIONS = {
-    "no_pio_colocation": ablate_pio_colocation,
-    "no_dma_derating": ablate_dma_derating,
-    "no_dma_priority": ablate_dma_priority,
-    "no_stack_stall": ablate_stack_stall,
-    "no_scheduler_locality": ablate_scheduler_locality,
-}
-
-
-# ---------------------------------------------------------------------------
-# Registered wrapper experiments
-# ---------------------------------------------------------------------------
-# Each ablation above returns raw pairs/dicts; the wrappers below fold
-# them into a single ExperimentResult (baseline_* / ablated_* series plus
-# delta observations) so ablations run, render and scenario-compose like
-# any other experiment.  They carry the ``ablation`` tag and stay out of
-# ``repro run all``.
-
-def _combined(name: str, title: str, baseline: ExperimentResult,
-              ablated: ExperimentResult) -> ExperimentResult:
-    """Merge a (baseline, ablated) result pair into one comparable result."""
+def _combined(name: str, title: str,
+              parts: Dict[str, ExperimentResult]) -> ExperimentResult:
+    """Merge per-variant results into one comparable result: series and
+    observations are prefixed ``baseline_`` / ``ablated_``."""
     result = ExperimentResult(name=name, title=title)
-    for variant, res in (("baseline", baseline), ("ablated", ablated)):
+    for variant, res in parts.items():
         for key, s in res.series.items():
-            dst = result.new_series(f"{variant}_{key}",
-                                    xlabel=s.xlabel, ylabel=s.ylabel)
-            dst.x = list(s.x)
-            dst.median = list(s.median)
-            dst.p10 = list(s.p10)
-            dst.p90 = list(s.p90)
+            _append(result.new_series(f"{variant}_{key}", xlabel=s.xlabel,
+                                      ylabel=s.ylabel), s)
         for key, value in res.observations.items():
             result.observe(f"{variant}_{key}", value)
-        result.failures.update(res.failures)
+    E._fold_sweeps(result, parts)
     return result
 
 
-def _require_henri(name: str, spec: MachineSpec | str) -> None:
-    """The runtime ablations drive run_cg/run_gemm on henri only."""
-    if not (spec == "henri" or
-            (isinstance(spec, MachineSpec) and spec.name == "henri")):
-        raise ValueError(f"ablation {name!r} only models the henri "
-                         f"machine (got spec={spec!r})")
+def _fig4_ablation(name: str, title: str, sweep: Callable,
+                   ablate: Callable[[MachineSpec], MachineSpec],
+                   spec: MachineSpec | str,
+                   core_counts: Optional[Sequence[int]], reps: int,
+                   journal: Optional[CampaignJournal]) -> ExperimentResult:
+    """A Figure 4 *sweep* on *spec* and on ``ablate(spec)``."""
+    counts = list(core_counts) if core_counts is not None else _CORES
+    variants = {"baseline": spec, "ablated": ablate(E._spec(spec))}
+    return _combined(name, title, {
+        variant: sweep(f"{name}_{variant}", title, vspec,
+                       core_counts=counts, reps=reps, journal=journal)
+        for variant, vspec in variants.items()})
+
+
+def _fig4a_sweep(name: str, title: str, spec: MachineSpec | str,
+                 **kw) -> ExperimentResult:
+    return E._contention_sweep(name, title, LATENCY_SIZE,
+                               Placement("near", "far"), spec, **kw)
 
 
 @experiment(name="no_pio_colocation",
             title="Ablation: PIO co-location penalty off (Figure 4a)",
             tags=("ablation", "contention"), in_all=False, plot=False,
-            fast=dict(core_counts=[0, 12, 20, 35], reps=3))
+            fast=_FAST)
 def no_pio_colocation_experiment(spec: MachineSpec | str = "henri",
                                  core_counts: Optional[Sequence[int]] = None,
-                                 reps: int = 6) -> ExperimentResult:
+                                 reps: int = 6,
+                                 journal: Optional[CampaignJournal] = None
+                                 ) -> ExperimentResult:
     """Figure 4a's latency doubling with the PIO penalty zeroed."""
-    baseline, ablated = ablate_pio_colocation(spec=spec,
-                                              core_counts=core_counts,
-                                              reps=reps)
-    return _combined("no_pio_colocation",
-                     "Ablation: PIO co-location penalty off (Figure 4a)",
-                     baseline, ablated)
+    return _fig4_ablation(
+        "no_pio_colocation",
+        "Ablation: PIO co-location penalty off (Figure 4a)", _fig4a_sweep,
+        lambda s: s.with_overrides(
+            contention=ContentionSpec(mc_coef=0.0, link_coef=0.0)),
+        spec, core_counts, reps, journal)
 
 
 @experiment(name="no_dma_derating",
             title="Ablation: DMA latency de-rating off (Figure 4b)",
             tags=("ablation", "contention"), in_all=False, plot=False,
-            fast=dict(core_counts=[0, 12, 20, 35], reps=3))
+            fast=_FAST)
 def no_dma_derating_experiment(spec: MachineSpec | str = "henri",
                                core_counts: Optional[Sequence[int]] = None,
-                               reps: int = 4) -> ExperimentResult:
+                               reps: int = 4,
+                               journal: Optional[CampaignJournal] = None
+                               ) -> ExperimentResult:
     """Figure 4b's early bandwidth onset with DMA de-rating disabled."""
-    baseline, ablated = ablate_dma_derating(spec=spec,
-                                            core_counts=core_counts,
-                                            reps=reps)
-    return _combined("no_dma_derating",
-                     "Ablation: DMA latency de-rating off (Figure 4b)",
-                     baseline, ablated)
+    return _fig4_ablation(
+        "no_dma_derating",
+        "Ablation: DMA latency de-rating off (Figure 4b)", E._fig4b_sweep,
+        lambda s: s.with_overrides(
+            nic=dataclasses.replace(s.nic, dma_eff_gamma=0.0)),
+        spec, core_counts, reps, journal)
 
 
 @experiment(name="no_dma_priority",
             title="Ablation: NIC DMA priority off (Figure 4b)",
             tags=("ablation", "contention"), in_all=False, plot=False,
-            fast=dict(core_counts=[0, 12, 20, 35], reps=3))
+            fast=_FAST)
 def no_dma_priority_experiment(spec: MachineSpec | str = "henri",
                                core_counts: Optional[Sequence[int]] = None,
-                               reps: int = 4) -> ExperimentResult:
+                               reps: int = 4,
+                               journal: Optional[CampaignJournal] = None
+                               ) -> ExperimentResult:
     """Figure 4b's asymptote with the NIC arbitrating like a core."""
-    baseline, ablated = ablate_dma_priority(spec=spec,
-                                            core_counts=core_counts,
-                                            reps=reps)
-    return _combined("no_dma_priority",
-                     "Ablation: NIC DMA priority off (Figure 4b)",
-                     baseline, ablated)
+    return _fig4_ablation(
+        "no_dma_priority",
+        "Ablation: NIC DMA priority off (Figure 4b)", E._fig4b_sweep,
+        lambda s: s.with_overrides(
+            nic=dataclasses.replace(s.nic, dma_weight=1.0)),
+        spec, core_counts, reps, journal)
+
+
+def _runtime_ablation(name: str, spec: MachineSpec | str,
+                      worker_counts: Sequence[int], off: dict,
+                      journal: Optional[CampaignJournal], **params
+                      ) -> Dict[str, ExperimentResult]:
+    """The fig10 point runner with and without the *off* runtime
+    overrides, one sweep per variant."""
+    parts = {}
+    for variant, extra in (("baseline", {}), ("ablated", {"runtime": off})):
+        part = ExperimentResult(name=f"{name}_{variant}", title=name)
+        E._fig10_sweep(part, spec, worker_counts, journal, **params, **extra)
+        parts[variant] = part
+    return parts
 
 
 @experiment(name="no_stack_stall",
@@ -275,23 +172,28 @@ def no_dma_priority_experiment(spec: MachineSpec | str = "henri",
 def no_stack_stall_experiment(spec: MachineSpec | str = "henri",
                               worker_counts: Sequence[int] = (1, 16, 34),
                               n: int = 120_000,
-                              iterations: int = 3) -> ExperimentResult:
+                              iterations: int = 3,
+                              journal: Optional[CampaignJournal] = None
+                              ) -> ExperimentResult:
     """CG's sending-bandwidth collapse with stack stalling disabled."""
-    _require_henri("no_stack_stall", spec)
-    out = ablate_stack_stall(worker_counts=worker_counts,
-                             cg_kwargs=dict(n=n, iterations=iterations))
+    parts = _runtime_ablation(
+        "no_stack_stall", spec, worker_counts, {"stack_stall_k": 0.0},
+        journal, cg_kwargs=dict(n=n, iterations=iterations))
     result = ExperimentResult(
         name="no_stack_stall",
         title="Ablation: runtime stack stalling off (CG, §6)")
-    for variant in ("baseline", "ablated"):
+    E._fold_sweeps(result, parts)
+    for variant, part in parts.items():
         bw = result.new_series(f"{variant}_sending_bw", xlabel="workers",
                                ylabel="bytes/s")
-        for nw, cg in out[variant].items():
-            bw.add_value(nw, cg.sending_bandwidth)
-    base = result["baseline_sending_bw"]
-    abl = result["ablated_sending_bw"]
-    result.observe("baseline_bw_retained", min(base.median) / max(base.median))
-    result.observe("ablated_bw_retained", min(abl.median) / max(abl.median))
+        if "cg_sending_bw" in part.series:
+            _append(bw, part["cg_sending_bw"])
+
+    def observations():
+        for variant in parts:
+            bw = result[f"{variant}_sending_bw"].median
+            result.observe(f"{variant}_bw_retained", min(bw) / max(bw))
+    E._guarded_observations(result, observations)
     return result
 
 
@@ -302,24 +204,31 @@ def no_stack_stall_experiment(spec: MachineSpec | str = "henri",
 def no_scheduler_locality_experiment(spec: MachineSpec | str = "henri",
                                      n_workers: int = 34,
                                      n: int = 4096,
-                                     tile: int = 128) -> ExperimentResult:
+                                     tile: int = 128,
+                                     journal: Optional[CampaignJournal] = None
+                                     ) -> ExperimentResult:
     """GEMM memory stalls with the locality-aware scheduler blinded."""
-    _require_henri("no_scheduler_locality", spec)
-    out = ablate_scheduler_locality(n_workers=n_workers,
-                                    gemm_kwargs=dict(n=n, tile=tile))
+    parts = _runtime_ablation(
+        "no_scheduler_locality", spec, [n_workers],
+        {"scheduler_locality": False}, journal,
+        gemm_kwargs=dict(n=n, tile=tile),
+        fields=("stall_fraction", "duration"))
     result = ExperimentResult(
         name="no_scheduler_locality",
         title="Ablation: locality-blind task scheduler (GEMM, §6)")
+    E._fold_sweeps(result, parts)
     stalls = result.new_series("stall_fraction", xlabel="variant",
                                ylabel="fraction")
     duration = result.new_series("duration", xlabel="variant", ylabel="s")
-    for i, variant in enumerate(("baseline", "ablated")):
-        gemm = out[variant]
-        stalls.add_value(i, gemm.stall_fraction)
-        duration.add_value(i, gemm.duration)
-        result.observe(f"{variant}_stall_fraction", gemm.stall_fraction)
-        result.observe(f"{variant}_duration", gemm.duration)
-    if out["baseline"].duration > 0:
-        result.observe("slowdown",
-                       out["ablated"].duration / out["baseline"].duration)
+
+    def observations():
+        for i, (variant, part) in enumerate(parts.items()):
+            _append(stalls, part["gemm_stall_fraction"], x=i)
+            _append(duration, part["gemm_duration"], x=i)
+            result.observe(f"{variant}_stall_fraction", stalls.median[i])
+            result.observe(f"{variant}_duration", duration.median[i])
+        base, blind = duration.median
+        if base > 0:
+            result.observe("slowdown", blind / base)
+    E._guarded_observations(result, observations)
     return result

@@ -24,9 +24,9 @@ content fingerprint (``"fp"``) and double as a point-level result
 cache: on resume a point replays only while its parameters and the
 simulation code are unchanged.
 
-Whether a given experiment supports journaling (equivalently ``--jobs``)
-is a derived capability on its registry entry — see
-``ExperimentDef.journal_capable`` in :mod:`repro.core.registry`.
+Every registered experiment journals this way except the few that are
+one continuous simulation — see ``ExperimentDef.journal_capable`` in
+:mod:`repro.core.registry`.
 
 The journal is optional: with ``journal=None`` the guard still provides
 the error boundary, it just cannot resume.  Journal writes are

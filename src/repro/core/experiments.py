@@ -31,7 +31,8 @@ source of truth for names, ``--fast`` profiles, and capabilities.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Callable, Dict, Generator, Iterable, List, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -188,6 +189,20 @@ def _guarded_observations(result: ExperimentResult,
         body()
 
 
+def _fold_sweeps(result: ExperimentResult,
+                 parts: Dict[str, ExperimentResult]) -> None:
+    """Fold sub-sweep results into *result*: their point failures (keyed
+    ``part/point``) and their summed ``meta["sweep"]`` tallies."""
+    tallies: dict = {}
+    for label, part in parts.items():
+        for key, info in part.failures.items():
+            result.failures[f"{label}/{key}"] = info
+        for key, value in part.meta.get("sweep", {}).items():
+            tallies[key] = value if key == "trials" \
+                else tallies.get(key, 0) + value
+    result.meta["sweep"] = tallies
+
+
 @experiment(title="Constant frequencies vs latency",
             tags=("paper", "frequency"),
             params=("sizes", "reps"),
@@ -216,8 +231,24 @@ def fig1b(spec: MachineSpec | str = "henri", **kw) -> ExperimentResult:
 # §3.2  Figure 2 — frequency traces with CPU-bound computation
 # ---------------------------------------------------------------------------
 
+def _pingpong_while(pingpong: PingPong, running: Callable[[], bool],
+                    out: List[float]) -> Generator:
+    """Latency ping-pongs while ``running()`` holds, appending one-way
+    latencies to *out* (the fig2/fig3bc trace phases)."""
+    world = pingpong.world
+    buf_a, buf_b = pingpong._buffers(LATENCY_SIZE)  # noqa: SLF001
+    a, b = pingpong.rank_a, pingpong.rank_b
+    while running():
+        for src, sbuf, dst, dbuf in ((a, buf_a, b, buf_b),
+                                     (b, buf_b, a, buf_a)):
+            rec = yield world.sim.process(world.engine.half_transfer(
+                src.node_id, src.comm_core, sbuf, dst.node_id,
+                dst.comm_core, dbuf, LATENCY_SIZE))
+            out.append(rec.duration)
+
+
 @experiment(title="Frequency traces: comm only / idle / comm + compute",
-            tags=("paper", "frequency"),
+            tags=("paper", "frequency"), journal=False,
             fast=dict(phase_seconds=0.04))
 def fig2(spec: MachineSpec | str = "henri", n_compute: int = 20,
          phase_seconds: float = 0.12, sample_period: float = 2e-3,
@@ -244,20 +275,8 @@ def fig2(spec: MachineSpec | str = "henri", n_compute: int = 20,
     lat_c: List[float] = []
 
     # Phase A: communications only.
-    def phase_a():
-        engine = world.engine
-        buf_a, buf_b = pingpong._buffers(LATENCY_SIZE)  # noqa: SLF001
-        a, b = pingpong.rank_a, pingpong.rank_b
-        while sim.now < phase_seconds:
-            rec = yield sim.process(engine.half_transfer(
-                a.node_id, a.comm_core, buf_a, b.node_id, b.comm_core,
-                buf_b, LATENCY_SIZE))
-            rec2 = yield sim.process(engine.half_transfer(
-                b.node_id, b.comm_core, buf_b, a.node_id, a.comm_core,
-                buf_a, LATENCY_SIZE))
-            lat_a.extend((rec.duration, rec2.duration))
-
-    proc = sim.process(phase_a())
+    proc = sim.process(_pingpong_while(
+        pingpong, lambda: sim.now < phase_seconds, lat_a))
     sim.run(until=phase_seconds)
     while not proc.triggered:
         sim.step()
@@ -283,20 +302,8 @@ def fig2(spec: MachineSpec | str = "henri", n_compute: int = 20,
             runs.append(run_kernel(machine, core, prime_kernel(),
                                    data_numa=0, sweeps=None))
 
-    def phase_c():
-        engine = world.engine
-        buf_a, buf_b = pingpong._buffers(LATENCY_SIZE)  # noqa: SLF001
-        a, b = pingpong.rank_a, pingpong.rank_b
-        while sim.now < t_c0 + phase_seconds:
-            rec = yield sim.process(engine.half_transfer(
-                a.node_id, a.comm_core, buf_a, b.node_id, b.comm_core,
-                buf_b, LATENCY_SIZE))
-            rec2 = yield sim.process(engine.half_transfer(
-                b.node_id, b.comm_core, buf_b, a.node_id, a.comm_core,
-                buf_a, LATENCY_SIZE))
-            lat_c.extend((rec.duration, rec2.duration))
-
-    proc_c = sim.process(phase_c())
+    proc_c = sim.process(_pingpong_while(
+        pingpong, lambda: sim.now < t_c0 + phase_seconds, lat_c))
     sim.run(until=t_c0 + phase_seconds)
     while not proc_c.triggered:
         sim.step()
@@ -386,7 +393,7 @@ def fig3a(spec: MachineSpec | str = "henri",
 
 
 @experiment(title="Frequency traces under AVX load",
-            tags=("paper", "frequency"), index_key="fig3b/c",
+            tags=("paper", "frequency"), index_key="fig3b/c", journal=False,
             fast=dict(phase_seconds=0.05))
 def fig3bc(spec: MachineSpec | str = "henri", n_compute: int = 4,
            phase_seconds: float = 0.2,
@@ -412,24 +419,10 @@ def fig3bc(spec: MachineSpec | str = "henri", n_compute: int = 4,
             runs.append(run_kernel(machine, core, avx_kernel(),
                                    data_numa=0, sweeps=1))
 
-    pingpong = PingPong(world)
     lats: List[float] = []
-
-    def pp_loop():
-        engine = world.engine
-        buf_a, buf_b = pingpong._buffers(LATENCY_SIZE)  # noqa: SLF001
-        a, b = pingpong.rank_a, pingpong.rank_b
-        while any(not r.process.triggered for r in runs):
-            rec = yield sim.process(engine.half_transfer(
-                a.node_id, a.comm_core, buf_a, b.node_id, b.comm_core,
-                buf_b, LATENCY_SIZE))
-            lats.append(rec.duration)
-            rec2 = yield sim.process(engine.half_transfer(
-                b.node_id, b.comm_core, buf_b, a.node_id, a.comm_core,
-                buf_a, LATENCY_SIZE))
-            lats.append(rec2.duration)
-
-    sim.process(pp_loop())
+    sim.process(_pingpong_while(
+        PingPong(world), lambda: any(not r.process.triggered for r in runs),
+        lats))
     while any(not r.process.triggered for r in runs):
         sim.step()
     trace = sampler.stop()
@@ -537,11 +530,13 @@ def fig4a(spec: MachineSpec | str = "henri", **kw) -> ExperimentResult:
             fast=dict(core_counts=[0, 3, 5, 12, 20, 26, 31, 35], reps=4))
 def fig4b(spec: MachineSpec | str = "henri", **kw) -> ExperimentResult:
     """Bandwidth under STREAM contention (data near NIC, thread far)."""
-    res = _contention_sweep(
-        "fig4b", "Memory-bound computations vs network bandwidth",
-        BANDWIDTH_SIZE, Placement("near", "far"), spec, **kw)
-    # Bandwidth view of the same series.
-    size = res.meta["message_size"]
+    return _fig4b_sweep("fig4b",
+                        "Memory-bound computations vs network bandwidth",
+                        spec, **kw)
+
+
+def _bandwidth_views(res: ExperimentResult, size: int) -> None:
+    """Add ``*_bw`` bandwidth views of the comm latency series."""
     for key in ("comm_alone", "comm_together"):
         lat = res.series[key]
         bw = res.new_series(key + "_bw", xlabel=lat.xlabel,
@@ -551,6 +546,15 @@ def fig4b(spec: MachineSpec | str = "henri", **kw) -> ExperimentResult:
             bw.median.append(size / med)
             bw.p10.append(size / p90)
             bw.p90.append(size / p10)
+
+
+def _fig4b_sweep(name: str, title: str, spec: MachineSpec | str = "henri",
+                 **kw) -> ExperimentResult:
+    """Figure 4b's sweep and bandwidth observations, journaled as
+    *name* (the ablations run it on overridden machine specs)."""
+    res = _contention_sweep(name, title, BANDWIDTH_SIZE,
+                            Placement("near", "far"), spec, **kw)
+    _bandwidth_views(res, BANDWIDTH_SIZE)
     base_bw = res["comm_alone_bw"].median[0]
     res.observe("bandwidth_baseline", base_bw)
     res.observe("bandwidth_min_ratio",
@@ -599,37 +603,50 @@ def fig5(spec: MachineSpec | str = "henri",
             fast=dict(core_counts=[0, 5, 20, 35], reps=4))
 def table1(spec: MachineSpec | str = "henri",
            core_counts: Optional[Sequence[int]] = None,
-           reps: int = 8) -> ExperimentResult:
-    """Qualitative summary of placement impact (paper Table 1)."""
+           reps: int = 8,
+           journal: Optional[CampaignJournal] = None) -> ExperimentResult:
+    """Qualitative summary of placement impact (paper Table 1).
+
+    Each placement × metric sweep is journaled under its own name
+    (``table1_<placement>_<metric>``), so sweeps neither overwrite each
+    other's records nor share fault seeds.
+    """
     if core_counts is None:
         core_counts = default_core_counts(spec)
     result = ExperimentResult(name="table1",
                               title="Impact of data and communication "
                               "thread placement (summary)")
-    rows = []
+    parts: Dict[str, ExperimentResult] = {}
     for placement in ALL_PLACEMENTS:
-        lat = _contention_sweep(
-            "tmp", "tmp", LATENCY_SIZE, placement, spec,
-            core_counts=core_counts, reps=reps)
-        bw = _contention_sweep(
-            "tmp", "tmp", BANDWIDTH_SIZE, placement, spec,
-            core_counts=core_counts, reps=reps)
-        base_lat = lat["comm_alone"].median[0]
-        lat_from = crossover_index(lat["comm_together"].x,
-                                   lat["comm_together"].median,
-                                   base_lat, 0.15, "above")
-        lat_ratio = max(lat["comm_together"].median) / base_lat
-        bw_lat = bw["comm_together"]
-        base_bw_lat = bw["comm_alone"].median[0]
-        bw_ratio = base_bw_lat / max(bw_lat.median)  # min bandwidth ratio
-        rows.append({
-            "data": placement.data,
-            "comm_thread": placement.comm_thread,
-            "latency_impact_from_cores": lat_from,
-            "latency_max_ratio": lat_ratio,
-            "bandwidth_min_ratio": bw_ratio,
-        })
-    result.meta["rows"] = rows
+        for metric, size in (("latency", LATENCY_SIZE),
+                             ("bandwidth", BANDWIDTH_SIZE)):
+            key = f"{placement.key}_{metric}"
+            parts[key] = _contention_sweep(
+                f"table1_{key}", key, size, placement, spec,
+                core_counts=core_counts, reps=reps, journal=journal)
+    _fold_sweeps(result, parts)
+    rows = result.meta["rows"] = []
+
+    def observations():
+        for placement in ALL_PLACEMENTS:
+            lat = parts[f"{placement.key}_latency"]
+            bw = parts[f"{placement.key}_bandwidth"]
+            base_lat = lat["comm_alone"].median[0]
+            lat_from = crossover_index(lat["comm_together"].x,
+                                       lat["comm_together"].median,
+                                       base_lat, 0.15, "above")
+            lat_ratio = max(lat["comm_together"].median) / base_lat
+            bw_lat = bw["comm_together"]
+            base_bw_lat = bw["comm_alone"].median[0]
+            bw_ratio = base_bw_lat / max(bw_lat.median)  # min bw ratio
+            rows.append({
+                "data": placement.data,
+                "comm_thread": placement.comm_thread,
+                "latency_impact_from_cores": lat_from,
+                "latency_max_ratio": lat_ratio,
+                "bandwidth_min_ratio": bw_ratio,
+            })
+    _guarded_observations(result, observations)
     return result
 
 
@@ -835,16 +852,7 @@ def fig7b(spec: MachineSpec | str = "henri", **kw) -> ExperimentResult:
     kw.setdefault("elems", 4_000_000)
     res = _intensity_experiment("fig7b", BANDWIDTH_SIZE, spec, **kw)
     res.title += " - bandwidth"
-    size = BANDWIDTH_SIZE
-    for key in ("comm_alone", "comm_together"):
-        lat = res.series[key]
-        bw = res.new_series(key + "_bw", xlabel=lat.xlabel,
-                            ylabel="bytes/s")
-        for x, p10, med, p90 in zip(lat.x, lat.p10, lat.median, lat.p90):
-            bw.x.append(x)
-            bw.median.append(size / med)
-            bw.p10.append(size / p90)
-            bw.p90.append(size / p10)
+    _bandwidth_views(res, BANDWIDTH_SIZE)
     return res
 
 
@@ -881,37 +889,73 @@ def _runtime_pingpong(world: CommWorld, comm, size: int, reps: int,
     return np.asarray(lats)
 
 
+def _runtime_latency_point(params: dict) -> dict:
+    """One §5.2/§5.3 latency ping-pong on a fresh two-node cluster.
+
+    The comm thread sits ``thread`` (near/far) from the NIC.  With
+    ``runtime`` the ping-pong crosses the task runtime's comm layer (no
+    workers polling: the paused baseline) on buffers ``data`` from the
+    NIC; without it, plain MPI.
+    """
+    from repro.runtime.mpi_layer import RuntimeComm
+    from repro.runtime.runtime import RuntimeSystem
+
+    s = _spec(params["spec"])
+    reps = params["reps"]
+    cluster = Cluster(s, n_nodes=2)
+    world = CommWorld(cluster, comm_cores={
+        m.node_id: comm_core_for(m, params["thread"])
+        for m in cluster.machines})
+    if params["runtime"]:
+        runtimes = {r: RuntimeSystem(world, r, n_workers=0) for r in (0, 1)}
+        comm = RuntimeComm(world, runtimes)
+        numa_a, numa_b = (data_numa_for(m, params["data"])
+                          for m in cluster.machines)
+        lats = _runtime_pingpong(world, comm, LATENCY_SIZE, reps,
+                                 numa_a, numa_b)
+    else:
+        lats = PingPong(world).run(LATENCY_SIZE, reps=reps).latencies
+    return {params["series"]: [stat_row(0, lats)]}
+
+
+def _runtime_latency_sweep(result: ExperimentResult, points,
+                           spec: MachineSpec | str, reps: int,
+                           journal: Optional[CampaignJournal]) -> None:
+    """Run ``(series, runtime, thread, data)`` latency points into
+    *result*, observing each series' median as ``<series>_latency_s``."""
+    for series, _runtime, _thread, _data in points:
+        result.new_series(series, ylabel="latency (s)")
+    SweepGuard(result, journal).run_specs([
+        PointSpec(experiment=result.name, key=series,
+                  runner="repro.core.experiments:_runtime_latency_point",
+                  params=dict(spec=spec, reps=reps, series=series,
+                              runtime=runtime, thread=thread, data=data))
+        for series, runtime, thread, data in points])
+
+    def observations():
+        for series, _runtime, _thread, _data in points:
+            result.observe(f"{series}_latency_s", result[series].median[0])
+    _guarded_observations(result, observations)
+
+
 @experiment(title="Task-runtime latency overhead (§5.2)",
             tags=("paper", "runtime"), index_key="§5.2",
             fast=dict(reps=10))
 def runtime_overhead(spec: MachineSpec | str = "henri",
-                     reps: int = 20) -> ExperimentResult:
+                     reps: int = 20,
+                     journal: Optional[CampaignJournal] = None
+                     ) -> ExperimentResult:
     """§5.2: latency of a runtime-level ping-pong vs plain MPI."""
-    from repro.runtime.mpi_layer import RuntimeComm
-    from repro.runtime.runtime import RuntimeSystem
-
-    s = _spec(spec)
-    # Plain MPI reference.
-    cluster = Cluster(s, n_nodes=2)
-    world = CommWorld(cluster, comm_placement="far")
-    plain = PingPong(world).run(LATENCY_SIZE, reps=reps)
-
-    # Runtime-level ping-pong (no workers polling: paused baseline).
-    cluster = Cluster(s, n_nodes=2)
-    world = CommWorld(cluster, comm_placement="far")
-    runtimes = {r: RuntimeSystem(world, r, n_workers=0) for r in (0, 1)}
-    comm = RuntimeComm(world, runtimes)
-    numa = cluster.machine(0).nic_numa.id
-    lats = _runtime_pingpong(world, comm, LATENCY_SIZE, reps, numa, numa)
-
     result = ExperimentResult(name="runtime_overhead",
                               title="Task-runtime latency overhead (§5.2)")
-    result.new_series("plain").add(0, plain.latencies)
-    result.new_series("runtime").add(0, lats)
-    overhead = float(np.median(lats)) - plain.median_latency
-    result.observe("plain_latency_s", plain.median_latency)
-    result.observe("runtime_latency_s", float(np.median(lats)))
-    result.observe("overhead_s", overhead)
+    _runtime_latency_sweep(result, [("plain", False, "far", "near"),
+                                    ("runtime", True, "far", "near")],
+                           spec, reps, journal)
+    def overhead():
+        obs = result.observations
+        result.observe("overhead_s",
+                       obs["runtime_latency_s"] - obs["plain_latency_s"])
+    _guarded_observations(result, overhead)
     return result
 
 
@@ -919,31 +963,16 @@ def runtime_overhead(spec: MachineSpec | str = "henri",
             tags=("paper", "runtime"),
             fast=dict(reps=10))
 def fig8(spec: MachineSpec | str = "henri",
-         reps: int = 15) -> ExperimentResult:
+         reps: int = 15,
+         journal: Optional[CampaignJournal] = None) -> ExperimentResult:
     """§5.3: runtime latency vs data locality × comm-thread placement."""
-    from repro.runtime.mpi_layer import RuntimeComm
-    from repro.runtime.runtime import RuntimeSystem
-
-    s = _spec(spec)
     result = ExperimentResult(
         name="fig8", title="Data locality and thread placement with the "
         "runtime (close/far from the NIC)")
-    for thread_place in ("near", "far"):
-        for data_place in ("near", "far"):
-            cluster = Cluster(s, n_nodes=2)
-            comm_cores = {m.node_id: comm_core_for(m, thread_place)
-                          for m in cluster.machines}
-            world = CommWorld(cluster, comm_cores=comm_cores)
-            runtimes = {r: RuntimeSystem(world, r, n_workers=0)
-                        for r in (0, 1)}
-            comm = RuntimeComm(world, runtimes)
-            numa_a = data_numa_for(cluster.machine(0), data_place)
-            numa_b = data_numa_for(cluster.machine(1), data_place)
-            lats = _runtime_pingpong(world, comm, LATENCY_SIZE, reps,
-                                     numa_a, numa_b)
-            key = f"data_{data_place}_thread_{thread_place}"
-            result.new_series(key, ylabel="latency (s)").add(0, lats)
-            result.observe(key + "_latency_s", float(np.median(lats)))
+    _runtime_latency_sweep(
+        result, [(f"data_{data}_thread_{thread}", True, thread, data)
+                 for thread in ("near", "far") for data in ("near", "far")],
+        spec, reps, journal)
     return result
 
 
@@ -1014,19 +1043,50 @@ def fig9(spec: MachineSpec | str = "henri",
 # ---------------------------------------------------------------------------
 
 def _fig10_point(params: dict) -> dict:
-    """One worker-count point: CG and GEMM at ``nw`` workers."""
+    """One worker-count point: CG and GEMM at ``nw`` workers.
+
+    An app runs when its ``cg_kwargs``/``gemm_kwargs`` entry is present.
+    Optional ``runtime`` overrides :class:`~repro.runtime.runtime.RuntimeSpec`
+    fields (how an ablation switches a runtime mechanism off) and
+    ``fields`` names the reported result attributes (default: sending
+    bandwidth and stall fraction); rows are keyed ``<app>_<field>``,
+    with ``sending_bandwidth`` shortened to ``sending_bw``.
+    """
     from repro.runtime.apps import run_cg, run_gemm
 
     spec = params["spec"]
     nw = params["nw"]
-    cg = run_cg(spec=spec, n_workers=nw, **params["cg_kwargs"])
-    gm = run_gemm(spec=spec, n_workers=nw, **params["gemm_kwargs"])
-    return {
-        "cg_sending_bw": [value_row(nw, cg.sending_bandwidth)],
-        "cg_stall_fraction": [value_row(nw, cg.stall_fraction)],
-        "gemm_sending_bw": [value_row(nw, gm.sending_bandwidth)],
-        "gemm_stall_fraction": [value_row(nw, gm.stall_fraction)],
-    }
+    runtime = params.get("runtime")
+    if runtime is not None:
+        from dataclasses import replace
+
+        from repro.runtime.runtime import runtime_spec_for
+        runtime = replace(runtime_spec_for(_spec(spec)), **runtime)
+    fields = params.get("fields", ("sending_bandwidth", "stall_fraction"))
+    rows = {}
+    for app, run in (("cg", run_cg), ("gemm", run_gemm)):
+        kwargs = params.get(f"{app}_kwargs")
+        if kwargs is None:
+            continue
+        res = run(spec=spec, n_workers=nw, runtime=runtime, **kwargs)
+        for name in fields:
+            key = "sending_bw" if name == "sending_bandwidth" else name
+            rows[f"{app}_{key}"] = [value_row(nw, getattr(res, name))]
+    return rows
+
+
+def _fig10_sweep(result: ExperimentResult, spec: MachineSpec | str,
+                 worker_counts: Sequence[int],
+                 journal: Optional[CampaignJournal], **params) -> None:
+    """Run :func:`_fig10_point` over *worker_counts* (capped at the
+    machine's worker cores) into *result*; *params* extend each point's."""
+    max_workers = _spec(spec).n_cores - 2
+    SweepGuard(result, journal).run_specs([
+        PointSpec(experiment=result.name, key=f"workers={nw}",
+                  runner="repro.core.experiments:_fig10_point",
+                  params=dict(spec=spec, nw=nw, **params))
+        for nw in dict.fromkeys(min(n, max_workers)
+                                for n in worker_counts)])
 
 
 @experiment(title="CG vs GEMM: sending bandwidth + memory stalls",
@@ -1043,7 +1103,6 @@ def fig10(spec: MachineSpec | str = "henri",
     result = ExperimentResult(
         name="fig10",
         title="Network performance and memory stalls of CG and GEMM")
-    guard = SweepGuard(result, journal)
     cg_stall = result.new_series("cg_stall_fraction", xlabel="workers",
                                  ylabel="fraction")
     gm_stall = result.new_series("gemm_stall_fraction", xlabel="workers",
@@ -1051,15 +1110,8 @@ def fig10(spec: MachineSpec | str = "henri",
     result.new_series("cg_sending_bw", xlabel="workers", ylabel="bytes/s")
     result.new_series("gemm_sending_bw", xlabel="workers",
                       ylabel="bytes/s")
-    s = _spec(spec)
-    max_workers = s.n_cores - 2
-    guard.run_specs([
-        PointSpec(experiment="fig10", key=f"workers={nw}",
-                  runner="repro.core.experiments:_fig10_point",
-                  params=dict(spec=spec, nw=nw, cg_kwargs=cg_kwargs,
-                              gemm_kwargs=gemm_kwargs))
-        for nw in dict.fromkeys(min(n, max_workers)
-                                for n in worker_counts)])
+    _fig10_sweep(result, spec, worker_counts, journal,
+                 cg_kwargs=cg_kwargs, gemm_kwargs=gemm_kwargs)
 
     # Normalized views + headline numbers.
     def observations():

@@ -19,6 +19,9 @@ from typing import Generator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.campaign import CampaignJournal, SweepGuard
+from repro.core.executor import PointSpec, stat_row
+from repro.core.experiments import _guarded_observations
 from repro.core.placement import compute_core_ids
 from repro.core.registry import experiment
 from repro.core.results import ExperimentResult
@@ -43,7 +46,7 @@ def _memcpy_loop(gpu: GPU, nbytes: int, out: List[float],
 
 
 @experiment(title="Host<->GPU transfers vs network performance",
-            tags=("extension", "gpu"),
+            tags=("extension", "gpu"), journal=False,
             fast=dict(reps=6, chunk=8 << 20))
 def gpu_vs_network(spec: MachineSpec | str = "henri",
                    gpu_spec: GPUSpec = V100,
@@ -106,6 +109,30 @@ def gpu_vs_network(spec: MachineSpec | str = "henri",
     return result
 
 
+def _gpu_stream_point(params: dict) -> dict:
+    """H2D copy bandwidths beside ``n`` STREAM cores on one node."""
+    n = params["n"]
+    cluster = Cluster(params["spec"], n_nodes=1)
+    machine = cluster.machine(0)
+    gpu = attach_gpu(machine, params["gpu_spec"])
+    runs = [run_kernel(machine, core, triad_kernel(), data_numa=0,
+                       sweeps=None)
+            for core in compute_core_ids(machine, n, comm_core=-1)]
+    bws: List[float] = []
+
+    def copies() -> Generator:
+        for _ in range(params["copies_per_point"]):
+            bw = yield from gpu.memcpy_process(params["chunk"], host_numa=0)
+            bws.append(bw)
+
+    proc = cluster.sim.process(copies())
+    while not proc.triggered:
+        cluster.sim.step()
+    for r in runs:
+        r.request_stop()
+    return {"memcpy_bw": [stat_row(n, bws)]}
+
+
 @experiment(title="Host->GPU copy bandwidth under memory contention",
             tags=("extension", "gpu"),
             fast=dict(core_counts=[0, 4, 12], copies_per_point=4))
@@ -113,9 +140,10 @@ def gpu_vs_stream(spec: MachineSpec | str = "henri",
                   gpu_spec: GPUSpec = V100,
                   core_counts: Optional[Sequence[int]] = None,
                   chunk: int = 16 << 20,
-                  copies_per_point: int = 8) -> ExperimentResult:
+                  copies_per_point: int = 8,
+                  journal: Optional[CampaignJournal] = None
+                  ) -> ExperimentResult:
     """Achieved H2D bandwidth vs the number of STREAM cores."""
-    s = get_preset(spec) if isinstance(spec, str) else spec
     if core_counts is None:
         core_counts = [0, 2, 4, 8, 12, 17]
     result = ExperimentResult(
@@ -123,27 +151,17 @@ def gpu_vs_stream(spec: MachineSpec | str = "henri",
         title="Host->GPU copy bandwidth under memory contention")
     series = result.new_series("memcpy_bw", xlabel="computing cores",
                                ylabel="bytes/s")
-    for n in core_counts:
-        cluster = Cluster(s, n_nodes=1)
-        machine = cluster.machine(0)
-        gpu = attach_gpu(machine, gpu_spec)
-        runs = [run_kernel(machine, core, triad_kernel(), data_numa=0,
-                           sweeps=None)
-                for core in compute_core_ids(machine, n, comm_core=-1)]
-        bws: List[float] = []
+    SweepGuard(result, journal).run_specs([
+        PointSpec(experiment="gpu_vs_stream", key=f"n={n}",
+                  runner="repro.core.gpu_experiments:_gpu_stream_point",
+                  params=dict(spec=spec, gpu_spec=gpu_spec, n=n,
+                              chunk=chunk,
+                              copies_per_point=copies_per_point))
+        for n in core_counts])
 
-        def copies() -> Generator:
-            for _ in range(copies_per_point):
-                bw = yield from gpu.memcpy_process(chunk, host_numa=0)
-                bws.append(bw)
-
-        proc = cluster.sim.process(copies())
-        while not proc.triggered:
-            cluster.sim.step()
-        for r in runs:
-            r.request_stop()
-        series.add(n, bws)
-    base = series.median[0]
-    result.observe("memcpy_bw_alone", base)
-    result.observe("memcpy_bw_min_ratio", min(series.median) / base)
+    def observations():
+        base = series.median[0]
+        result.observe("memcpy_bw_alone", base)
+        result.observe("memcpy_bw_min_ratio", min(series.median) / base)
+    _guarded_observations(result, observations)
     return result

@@ -24,6 +24,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.campaign import CampaignJournal, SweepGuard
+from repro.core.executor import PointSpec, value_row
+from repro.core.experiments import _guarded_observations
 from repro.core.registry import experiment
 from repro.core.results import ExperimentResult
 from repro.hardware.presets import MachineSpec, get_preset
@@ -99,6 +102,15 @@ def run_multipair(n_pairs: int, size: int, reps: int = 10,
         per_pair_latencies=[np.asarray(l) for l in latencies])
 
 
+def _multipair_point(params: dict) -> dict:
+    """One (message size, pair count) point."""
+    k, size = params["pairs"], params["size"]
+    res = run_multipair(k, size, reps=params["reps"], spec=params["spec"])
+    return {f"per_pair_bw_{size}": [value_row(k, res.per_pair_bandwidth)],
+            f"aggregate_bw_{size}": [value_row(k, res.aggregate_bandwidth)],
+            f"latency_{size}": [value_row(k, res.median_latency)]}
+
+
 @experiment(name="multipair",
             title="Multiple communicating thread pairs per node",
             tags=("extension", "network"),
@@ -106,7 +118,8 @@ def run_multipair(n_pairs: int, size: int, reps: int = 10,
 def multipair_experiment(pair_counts: Optional[Sequence[int]] = None,
                          sizes: Optional[Sequence[int]] = None,
                          reps: int = 8,
-                         spec: MachineSpec | str = "henri"
+                         spec: MachineSpec | str = "henri",
+                         journal: Optional[CampaignJournal] = None
                          ) -> ExperimentResult:
     """Per-pair and aggregate performance vs the number of pairs."""
     if pair_counts is None:
@@ -117,19 +130,20 @@ def multipair_experiment(pair_counts: Optional[Sequence[int]] = None,
         name="multipair",
         title="Multiple communicating threads per node (Gropp et al.)")
     for size in sizes:
-        per_pair = result.new_series(f"per_pair_bw_{size}",
-                                     xlabel="pairs", ylabel="bytes/s")
-        agg = result.new_series(f"aggregate_bw_{size}",
-                                xlabel="pairs", ylabel="bytes/s")
-        lat = result.new_series(f"latency_{size}",
-                                xlabel="pairs", ylabel="s")
-        for k in pair_counts:
-            res = run_multipair(k, size, reps=reps, spec=spec)
-            per_pair.add_value(k, res.per_pair_bandwidth)
-            agg.add_value(k, res.aggregate_bandwidth)
-            lat.add_value(k, res.median_latency)
-    big = max(sizes)
-    agg = result[f"aggregate_bw_{big}"]
-    result.observe("aggregate_bw_retained",
-                   min(agg.median) / max(agg.median))
+        result.new_series(f"per_pair_bw_{size}", xlabel="pairs",
+                          ylabel="bytes/s")
+        result.new_series(f"aggregate_bw_{size}", xlabel="pairs",
+                          ylabel="bytes/s")
+        result.new_series(f"latency_{size}", xlabel="pairs", ylabel="s")
+    SweepGuard(result, journal).run_specs([
+        PointSpec(experiment="multipair", key=f"size={size}/pairs={k}",
+                  runner="repro.core.multipair:_multipair_point",
+                  params=dict(spec=spec, size=size, pairs=k, reps=reps))
+        for size in sizes for k in pair_counts])
+
+    def observations():
+        agg = result[f"aggregate_bw_{max(sizes)}"]
+        result.observe("aggregate_bw_retained",
+                       min(agg.median) / max(agg.median))
+    _guarded_observations(result, observations)
     return result

@@ -11,11 +11,11 @@ capability checks, rendering, the EXPERIMENTS.md
 record and the scenario layer (:mod:`repro.core.scenario`) — reads the
 registry instead of maintaining its own table.
 
-Capability flags are *derived* where possible: an experiment is
-journal-capable (equivalently ``--jobs``-parallelisable — both ride on
-:class:`~repro.core.executor.PointSpec` sweeps) exactly when its entry
-point accepts a ``journal`` keyword, so the flag cannot drift from the
-implementation.
+Every experiment is journal-capable (equivalently ``--jobs``-,
+``--resume``- and ``--trials``-capable — all ride on
+:class:`~repro.core.executor.PointSpec` sweeps) unless it declares
+``journal=False``: fig2, fig3bc and gpu_vs_network are each one
+continuous simulation with no point boundary to journal at.
 
 Experiment modules are imported lazily on first registry access
 (:func:`load`), keeping ``import repro`` light.  Listing order is
@@ -97,7 +97,7 @@ class ExperimentDef:
     doc: str = ""
     tags: Tuple[str, ...] = ()
     fast_kwargs: Mapping[str, object] = field(default_factory=dict)
-    journal_capable: bool = False     # == parallel/resume-capable
+    journal_capable: bool = True      # == parallel/resume-capable
     multi_result: bool = False        # returns {key: ExperimentResult}
     plot_capable: bool = True         # --plot can chart the result
     in_all: bool = True               # included in `repro run all`
@@ -212,30 +212,21 @@ def experiment(name: Optional[str] = None, *, title: str,
                plot: bool = True, in_all: bool = True,
                index_key: Optional[str] = None,
                renderer: Optional[object] = None,
-               journal: Optional[bool] = None,
+               journal: bool = True,
                params: Sequence[str] = ()) -> Callable:
     """Decorator: register the function as a named experiment.
 
-    The journal/parallel capability is detected from the signature (a
-    ``journal`` keyword, or ``**kwargs`` forwarding to a driver that
-    takes one) rather than declared, so it cannot drift; pass
-    ``journal=False`` for a ``**kwargs`` entry point whose driver is
-    not sweep-based.
+    The entry point takes a ``journal`` keyword (directly or through
+    ``**kwargs``) and runs its points as a sweep; pass ``journal=False``
+    for an experiment that is one continuous simulation.
     """
     def wrap(func: Callable) -> Callable:
         exp_name = name or func.__name__
-        if journal is not None:
-            journal_capable = journal
-        else:
-            sig_params = inspect.signature(func).parameters
-            journal_capable = "journal" in sig_params or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in sig_params.values())
         register(ExperimentDef(
             name=exp_name, runner=func, title=title,
             doc=inspect.getdoc(func) or "", tags=tuple(tags),
             fast_kwargs=dict(fast or {}),
-            journal_capable=journal_capable,
+            journal_capable=journal,
             multi_result=multi_result, plot_capable=plot, in_all=in_all,
             index_key=index_key or exp_name, renderer=renderer,
             scenario_params=tuple(params)))

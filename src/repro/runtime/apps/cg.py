@@ -32,7 +32,7 @@ from repro.hardware.topology import Cluster
 from repro.kernels.blas import DOUBLE, axpy_cost, dot_cost, gemv_tile_cost
 from repro.mpi.comm import CommWorld
 from repro.runtime.mpi_layer import RuntimeComm
-from repro.runtime.runtime import RuntimeSystem, make_scheduler as _make_scheduler
+from repro.runtime.runtime import RuntimeSpec, RuntimeSystem
 from repro.runtime.scheduler import PollingSpec
 from repro.runtime.task import AccessMode, DataHandle, Task
 
@@ -156,7 +156,8 @@ def run_cg(spec: MachineSpec | str = "henri", n: int = 120_000,
            scheduler: str = "eager",
            seed: int = 0,
            cluster: Optional[Cluster] = None,
-           nodes: Sequence[int] = (0, 1)) -> CGResult:
+           nodes: Sequence[int] = (0, 1),
+           runtime: Optional[RuntimeSpec] = None) -> CGResult:
     """Run distributed CG on two simulated nodes; returns §6's metrics.
 
     ``tile_rows`` defaults to a partition fine enough to feed every
@@ -166,6 +167,8 @@ def run_cg(spec: MachineSpec | str = "henri", n: int = 120_000,
     controls each node's active worker count (the paper's §8 proposal).
     Pass an existing *cluster* (and a two-node *nodes* placement) to run
     on a shared fabric next to other applications (see repro.core.apps).
+    *runtime* replaces the machine's calibrated
+    :class:`~repro.runtime.runtime.RuntimeSpec` (mechanism ablations).
     """
     if n % 2:
         raise ValueError("n must be even (block-row distribution)")
@@ -180,11 +183,9 @@ def run_cg(spec: MachineSpec | str = "henri", n: int = 120_000,
     if tile_rows is None:
         tile_rows = max(200, (n // 2) // (2 * machine_spec.n_cores))
     world = CommWorld(cluster, comm_placement="far", nodes=nodes)
-    runtimes = {}
-    for r in (0, 1):
-        sched = _make_scheduler(scheduler, polling, world.rank(r).machine)
-        runtimes[r] = RuntimeSystem(world, r, n_workers=n_workers,
-                                    polling=polling, scheduler=sched)
+    runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers,
+                                 polling=polling, spec=runtime,
+                                 scheduler=scheduler) for r in (0, 1)}
     comm = RuntimeComm(world, runtimes)
     for rt in runtimes.values():
         rt.start()

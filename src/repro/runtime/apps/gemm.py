@@ -24,7 +24,7 @@ from repro.hardware.topology import Cluster
 from repro.kernels.blas import DOUBLE, gemm_tile_cost
 from repro.mpi.comm import CommWorld
 from repro.runtime.mpi_layer import RuntimeComm
-from repro.runtime.runtime import RuntimeSystem, make_scheduler as _make_scheduler
+from repro.runtime.runtime import RuntimeSpec, RuntimeSystem
 from repro.runtime.scheduler import PollingSpec
 from repro.runtime.task import AccessMode, DataHandle, Task
 
@@ -123,12 +123,15 @@ def run_gemm(spec: MachineSpec | str = "henri", n: int = 4096,
              scheduler: str = "eager",
              seed: int = 0,
              cluster: Optional[Cluster] = None,
-             nodes: Sequence[int] = (0, 1)) -> GEMMResult:
+             nodes: Sequence[int] = (0, 1),
+             runtime: Optional[RuntimeSpec] = None) -> GEMMResult:
     """Run distributed GEMM on two simulated nodes; returns §6 metrics.
 
     Pass an existing *cluster* (and a two-node *nodes* placement) to run
     on a shared fabric — e.g. one rank pair of a larger topology, next
-    to other applications (see repro.core.apps).
+    to other applications (see repro.core.apps).  *runtime* replaces the
+    machine's calibrated :class:`~repro.runtime.runtime.RuntimeSpec`
+    (mechanism ablations).
     """
     if n % 2 or n % tile:
         raise ValueError("n must be even and a multiple of the tile size")
@@ -139,11 +142,9 @@ def run_gemm(spec: MachineSpec | str = "henri", n: int = 4096,
         machine_spec = get_preset(spec) if isinstance(spec, str) else spec
         cluster = Cluster(machine_spec, n_nodes=max(nodes) + 1, seed=seed)
     world = CommWorld(cluster, comm_placement="far", nodes=nodes)
-    runtimes = {}
-    for r in (0, 1):
-        sched = _make_scheduler(scheduler, polling, world.rank(r).machine)
-        runtimes[r] = RuntimeSystem(world, r, n_workers=n_workers,
-                                    polling=polling, scheduler=sched)
+    runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers,
+                                 polling=polling, spec=runtime,
+                                 scheduler=scheduler) for r in (0, 1)}
     comm = RuntimeComm(world, runtimes)
     for rt in runtimes.values():
         rt.start()

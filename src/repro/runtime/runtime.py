@@ -46,6 +46,9 @@ class RuntimeSpec:
     # memory system stays well below saturation — only loses ~20 %).
     stack_stall_k: float = 14.0      # inflation factor - 1 at saturation
     stack_stall_power: float = 4.0   # convexity of the inflation curve
+    # Schedulers prefer ready tasks whose data sits on the popping
+    # worker's socket; False gives the locality-blind eager list.
+    scheduler_locality: bool = True
 
     @property
     def message_overhead_s(self) -> float:
@@ -72,14 +75,15 @@ def runtime_spec_for(spec: MachineSpec) -> RuntimeSpec:
 
 
 def make_scheduler(name: str, polling: Optional[PollingSpec],
-                   machine) -> object:
+                   machine, locality: bool = True) -> object:
     """Build a scheduler by name: ``"eager"`` (central list, StarPU's
     default) or ``"lws"`` (locality work stealing)."""
     if name == "eager":
-        return EagerScheduler(polling, machine=machine)
+        return EagerScheduler(polling, machine=machine, locality=locality)
     if name == "lws":
         from repro.runtime.stealing import WorkStealingScheduler
-        return WorkStealingScheduler(polling, machine=machine)
+        return WorkStealingScheduler(polling, machine=machine,
+                                     locality=locality)
     raise ValueError(f"unknown scheduler {name!r}; pick 'eager' or 'lws'")
 
 
@@ -90,12 +94,13 @@ class RuntimeSystem:
                  n_workers: Optional[int] = None,
                  polling: Optional[PollingSpec] = None,
                  spec: Optional[RuntimeSpec] = None,
-                 scheduler: Optional[object] = None):
+                 scheduler: object = "eager"):
         """
-        ``scheduler`` may be any object implementing the
+        ``scheduler`` is a :func:`make_scheduler` name (by default the
+        StarPU-like central eager list, with the spec's
+        ``scheduler_locality``) or any object implementing the
         :class:`~repro.runtime.scheduler.EagerScheduler` interface, e.g.
-        a :class:`~repro.runtime.stealing.WorkStealingScheduler`; by
-        default the StarPU-like central eager list is used.
+        a :class:`~repro.runtime.stealing.WorkStealingScheduler`.
         """
         self.world = world
         self.rank_id = rank
@@ -104,8 +109,10 @@ class RuntimeSystem:
         self.sim = world.sim
         self.spec = spec if spec is not None \
             else runtime_spec_for(self.machine.spec)
-        self.scheduler = scheduler if scheduler is not None \
-            else EagerScheduler(polling, machine=self.machine)
+        self.scheduler = make_scheduler(
+            scheduler, polling, self.machine,
+            locality=self.spec.scheduler_locality) \
+            if isinstance(scheduler, str) else scheduler
 
         # Core reservation (§5.1): comm core already taken by the world;
         # the next-to-last available core hosts the main thread.

@@ -1,36 +1,45 @@
-"""Tests for the mechanism ablations and their registered wrappers."""
+"""Tests for the mechanism ablations and the spec fields behind them."""
+
+import json
 
 import pytest
 
+from repro.cli import main
 from repro.core import registry
-from repro.core.ablations import (ALL_ABLATIONS, ablate_dma_priority,
-                                  ablate_pio_colocation)
+from repro.core.placement import ALL_PLACEMENTS
+from repro.hardware import HENRI
+from repro.hardware.topology import Cluster
+from repro.mpi.comm import CommWorld
+from repro.runtime.apps import run_cg, run_gemm
+from repro.runtime.runtime import RuntimeSpec, RuntimeSystem, make_scheduler
 
+ABLATIONS = {"no_pio_colocation", "no_dma_derating", "no_dma_priority",
+             "no_stack_stall", "no_scheduler_locality"}
 FAST_COUNTS = [0, 20, 35]
 
 
+def _fig4_ablation(name):
+    return registry.run_experiment(
+        name, overrides=dict(core_counts=FAST_COUNTS, reps=3))
+
+
 def test_all_ablations_table_is_complete():
-    assert set(ALL_ABLATIONS) == {
-        "no_pio_colocation", "no_dma_derating", "no_dma_priority",
-        "no_stack_stall", "no_scheduler_locality"}
-    for name, func in ALL_ABLATIONS.items():
-        assert callable(func), name
+    assert set(registry.names(tag="ablation")) == ABLATIONS
 
 
 def test_all_ablations_have_registry_wrappers():
-    for name in ALL_ABLATIONS:
+    for name in ABLATIONS:
         defn = registry.get(name)
         assert "ablation" in defn.tags
         assert not defn.in_all
         assert defn.fast_kwargs
+        assert defn.journal_capable
 
 
 def test_pio_colocation_ablation_removes_latency_doubling():
-    baseline, ablated = ablate_pio_colocation(core_counts=FAST_COUNTS,
-                                              reps=3)
-    assert ablated.name == "fig4a_no_pio_colocation"
-    base_ratio = baseline.observations["latency_max_ratio"]
-    abl_ratio = ablated.observations["latency_max_ratio"]
+    result = _fig4_ablation("no_pio_colocation")
+    base_ratio = result.observations["baseline_latency_max_ratio"]
+    abl_ratio = result.observations["ablated_latency_max_ratio"]
     # The mechanism carries fig4a's doubling: without it the latency
     # inflation mostly disappears.
     assert base_ratio > 1.5
@@ -38,12 +47,10 @@ def test_pio_colocation_ablation_removes_latency_doubling():
 
 
 def test_dma_priority_ablation_collapses_bandwidth():
-    baseline, ablated = ablate_dma_priority(core_counts=FAST_COUNTS,
-                                            reps=3)
-    assert ablated.name == "fig4b_no_dma_priority"
+    result = _fig4_ablation("no_dma_priority")
     # An unweighted NIC keeps less of its bandwidth under contention.
-    assert ablated.observations["bandwidth_min_ratio"] \
-        < baseline.observations["bandwidth_min_ratio"]
+    assert result.observations["ablated_bandwidth_min_ratio"] \
+        < result.observations["baseline_bandwidth_min_ratio"]
 
 
 def test_registered_wrapper_builds_comparable_result():
@@ -61,12 +68,78 @@ def test_registered_wrapper_builds_comparable_result():
     assert "no_pio_colocation" in text
 
 
-def test_runtime_ablations_reject_other_specs():
-    with pytest.raises(ValueError, match="henri"):
-        registry.run_experiment("no_stack_stall", spec="bora", fast=True)
-    with pytest.raises(ValueError, match="henri"):
-        registry.run_experiment("no_scheduler_locality", spec="bora",
-                                fast=True)
+def test_runtime_ablations_honour_spec():
+    """The runtime ablations run on the requested machine: the baseline
+    is exactly ``run_cg`` on that spec."""
+    result = registry.run_experiment("no_stack_stall", spec="billy",
+                                     fast=True)
+    kw = registry.get("no_stack_stall").fast_kwargs
+    base = result["baseline_sending_bw"]
+    assert base.x == [float(nw) for nw in kw["worker_counts"]]
+    for nw, bw in zip(kw["worker_counts"], base.median):
+        cg = run_cg(spec="billy", n_workers=nw, n=kw["n"],
+                    iterations=kw["iterations"])
+        assert bw == cg.sending_bandwidth
+
+
+def test_runtime_spec_switches_scheduler_locality():
+    cluster = Cluster(HENRI, n_nodes=2)
+    world = CommWorld(cluster)
+    default = RuntimeSystem(world, 0, n_workers=1)
+    blind = RuntimeSystem(world, 1, n_workers=1,
+                          spec=RuntimeSpec(scheduler_locality=False))
+    assert default.scheduler.locality
+    assert not blind.scheduler.locality
+    machine = cluster.machine(0)
+    for name in ("eager", "lws"):
+        assert make_scheduler(name, None, machine).locality
+        assert not make_scheduler(name, None, machine,
+                                  locality=False).locality
+
+
+def test_ablations_leave_no_global_state_behind():
+    kw = dict(n_workers=8, n=1024)
+    before = run_gemm(**kw)
+    registry.run_experiment("no_scheduler_locality", fast=True)
+    assert run_gemm(**kw) == before
+
+
+def _run(tmp_path, name, tag, *extra):
+    d = tmp_path / tag
+    d.mkdir(exist_ok=True)
+    argv = ["run", name, "--fast", "--journal", str(d / "j.jsonl"),
+            "--out", str(d / "r.md"), *extra]
+    assert main(argv) == 0
+    return (d / "r.md").read_bytes(), (d / "j.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["no_pio_colocation", "fig8"])
+def test_ported_sweeps_identical_at_any_jobs_and_on_resume(tmp_path,
+                                                           capsys, name):
+    serial = _run(tmp_path, name, "serial")
+    assert "not journal-capable" not in capsys.readouterr().err
+    assert _run(tmp_path, name, "pooled", "--jobs", "2") == serial
+    from repro.core.campaign import CampaignJournal
+    with CampaignJournal(tmp_path / "serial" / "j.jsonl",
+                         resume=True) as journal:
+        warm = registry.run_experiment(name, fast=True, journal=journal)
+    sweep = warm.meta["sweep"]
+    assert sweep["replayed"] == sweep["points"] > 0
+    assert registry.get(name).render(warm).rstrip().encode() in serial[0]
+
+
+def test_table1_sweeps_journal_under_distinct_names(tmp_path, capsys):
+    """One sweep per placement × metric, each under its own name: no
+    record overwrites another and no two sweeps share fault seeds."""
+    _, journal = _run(tmp_path, "table1", "t1")
+    records = [json.loads(line) for line in journal.splitlines()]
+    points = len(ALL_PLACEMENTS) * 2 \
+        * len(registry.get("table1").fast_kwargs["core_counts"])
+    assert len(records) == points == 32
+    assert len({(r["experiment"], r["key"]) for r in records}) == points
+    assert {r["experiment"] for r in records} == {
+        f"table1_{p.key}_{metric}" for p in ALL_PLACEMENTS
+        for metric in ("latency", "bandwidth")}
 
 
 @pytest.mark.slow

@@ -60,6 +60,13 @@ def test_journal_capability_matches_signature():
                 f"{defn.name} claims journal support but takes no journal"
 
 
+def test_only_continuous_simulations_are_not_journal_capable():
+    """Every experiment runs as a point sweep except the three that are
+    one continuous simulation each."""
+    assert {d.name for d in ALL_DEFS if not d.journal_capable} \
+        == {"fig2", "fig3bc", "gpu_vs_network"}
+
+
 def test_ablations_are_registered_but_not_in_all():
     ablations = registry.names(tag="ablation")
     assert len(ablations) == 5
