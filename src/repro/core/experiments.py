@@ -278,8 +278,7 @@ def fig2(spec: MachineSpec | str = "henri", n_compute: int = 20,
     proc = sim.process(_pingpong_while(
         pingpong, lambda: sim.now < phase_seconds, lat_a))
     sim.run(until=phase_seconds)
-    while not proc.triggered:
-        sim.step()
+    sim.run(until=proc)
 
     # Phase B: everything idle (the comm threads sleep too).
     from repro.hardware.frequency import CoreActivity
@@ -305,8 +304,7 @@ def fig2(spec: MachineSpec | str = "henri", n_compute: int = 20,
     proc_c = sim.process(_pingpong_while(
         pingpong, lambda: sim.now < t_c0 + phase_seconds, lat_c))
     sim.run(until=t_c0 + phase_seconds)
-    while not proc_c.triggered:
-        sim.step()
+    sim.run(until=proc_c)
     for run in runs:
         run.request_stop()
     trace = sampler.stop()
@@ -423,8 +421,8 @@ def fig3bc(spec: MachineSpec | str = "henri", n_compute: int = 4,
     sim.process(_pingpong_while(
         PingPong(world), lambda: any(not r.process.triggered for r in runs),
         lats))
-    while any(not r.process.triggered for r in runs):
-        sim.step()
+    for r in runs:
+        sim.run(until=r.process)
     trace = sampler.stop()
     sim.run()
     duration = max(r.stats.duration for r in runs)

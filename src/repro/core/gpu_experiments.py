@@ -93,8 +93,7 @@ def gpu_vs_network(spec: MachineSpec | str = "henri",
             lats: List[float] = []
             proc = cluster.sim.process(pingpong.process(
                 message_size, reps, out=lats))
-            while not proc.triggered:
-                cluster.sim.step()
+            cluster.sim.run(until=proc)
             stop["stop"] = True
             for r in runs:
                 r.request_stop()
@@ -126,8 +125,7 @@ def _gpu_stream_point(params: dict) -> dict:
             bws.append(bw)
 
     proc = cluster.sim.process(copies())
-    while not proc.triggered:
-        cluster.sim.step()
+    cluster.sim.run(until=proc)
     for r in runs:
         r.request_stop()
     return {"memcpy_bw": [stat_row(n, bws)]}

@@ -210,8 +210,7 @@ def run_throughput_protocol(config: SideBySideConfig) -> ThroughputOutcome:
                 it += 1
 
         proc = cluster.sim.process(pp_loop())
-        while not proc.triggered:
-            cluster.sim.step()
+        cluster.sim.run(until=proc)
         window = cluster.sim.now - t0
         compute_together = _window_bandwidths(machine_runs, snaps, window)
         for run in runs:

@@ -206,6 +206,5 @@ class CollectiveContext:
         """
         gen = getattr(self, op)(**kwargs)
         proc = self.world.sim.process(gen)
-        while not proc.triggered:
-            self.world.sim.step()
+        self.world.sim.run(until=proc)
         return proc.value

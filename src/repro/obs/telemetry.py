@@ -83,7 +83,7 @@ class Telemetry:
         self.run_label = ""
         self._bindings: Dict[int, _Binding] = {}   # id(FluidNetwork) -> _Binding
         self._n_clusters = 0
-        # Cached hot-path counter (None when metrics are off).
+        # Created eagerly, so it exports even before any run().
         self._sim_events = (self.registry.counter("sim.events")
                             if self.registry is not None else None)
         # (protocol, app) -> on_transfer's three instruments.
@@ -139,22 +139,20 @@ class Telemetry:
         return self._binding_for_net(machine.net).base + machine.node_id
 
     # -- sim engine ---------------------------------------------------------
-    def on_sim_event(self) -> None:
-        """One event-loop dispatch (hottest hook: a bare increment)."""
-        counter = self._sim_events
-        if counter is not None:
-            counter.value += 1.0
-
     def on_engine_stats(self, dispatched: int, stale_skips: int,
                         heap_compactions: int) -> None:
-        """Engine hot-loop deltas for one ``run()`` invocation.
+        """Engine deltas for one ``run()`` invocation.
 
-        Gated on ``REPRO_ENGINE_COUNTERS=1`` and materialized only when
-        nonzero (the ``executor.*`` discipline): default exports carry
-        no new keys and stay byte-identical.
+        ``sim.events`` books the dispatched callbacks.  The hot-loop
+        counters are gated on ``REPRO_ENGINE_COUNTERS=1`` and
+        materialized only when nonzero (the ``executor.*`` discipline):
+        default exports carry no new keys and stay byte-identical.
         """
         registry = self.registry
-        if registry is None or not self._engine_counters:
+        if registry is None:
+            return
+        self._sim_events.value += dispatched
+        if not self._engine_counters:
             return
         if dispatched:
             registry.counter("engine.events_dispatched").inc(dispatched)

@@ -206,8 +206,8 @@ def run_cg(spec: MachineSpec | str = "henri", n: int = 120_000,
     if tuners:
         # The tuners' control loops keep the event queue alive; drive
         # until the application itself is done.
-        while not all(d.triggered for d in drivers):
-            cluster.sim.step()
+        for d in drivers:
+            cluster.sim.run(until=d)
     else:
         cluster.sim.run()
     for d in drivers:

@@ -42,32 +42,40 @@ dispatch order is the total order on ``(time, seq)`` and ``heapify``
 preserves it — so seeded artifacts are byte-identical with or without
 compaction.
 
-What *is* observable is the event count: every dispatched callback
-increments the ambient telemetry's ``sim.events`` counter, which lands
-in metrics exports and journal deltas.  Stale entries are skipped
-without dispatching (and were already skipped pre-compaction), so
-removing them early is identity-safe; changing the number of real
-dispatches is not.  Any optimisation here must preserve the exact
-sequence of dispatched ``(time, seq)`` pairs and the exact number of
-``schedule``/``reschedule`` calls (each consumes one sequence number).
+What *is* observable is the event count: each ``run()`` books the
+callbacks it dispatched into the ambient telemetry's ``sim.events``
+counter once, on the way out, and that count lands in metrics exports
+and journal deltas.  Stale entries are skipped without dispatching (and
+were already skipped pre-compaction), so removing them early is
+identity-safe; changing the number of real dispatches is not.  Any
+optimisation here must preserve the exact sequence of dispatched
+``(time, seq)`` pairs and the exact number of ``schedule``/``reschedule``
+calls (each consumes one sequence number).
 
-Telemetry and invariant toggles are sampled when ``run()`` (or
-``step()``) is entered; installing a telemetry sink or enabling
-invariant checks from *inside* a callback takes effect on the next
-``run()``/``step()`` call, not mid-loop.  All call sites in this
-repository install/enable before running.
+There is one dispatch loop, :meth:`Simulator.run`, and three kinds of
+horizon: none (drain the foreground), a time, or an :class:`Event` (run
+until it has triggered -- the way to drive a simulation whose daemon
+samplers or looping kernels never let the queue drain).  Telemetry and
+invariant toggles are sampled when ``run()`` is entered; installing a
+telemetry sink or enabling invariant checks from *inside* a callback
+takes effect on the next ``run()`` call, not mid-loop.  All call sites
+in this repository install/enable before running.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple, Union
 
 from repro.obs import context as _obs_context
 from repro.sim import invariants as _inv
 from repro.sim.events import Event, Interrupt, Timeout
 
 __all__ = ["Simulator", "Process", "ScheduledHandle", "SimulationError"]
+
+_INF = float("inf")
+#: The ``stop`` event of a ``run()`` without an event horizon.
+_NEVER = Event()
 
 
 class SimulationError(RuntimeError):
@@ -266,16 +274,21 @@ class Simulator:
         return Process(self, generator, daemon=daemon)
 
     # -- running -------------------------------------------------------------
-    def run(self, until: Optional[float] = None) -> None:
+    def run(self, until: Union[None, float, Event] = None) -> None:
         """Run the event loop.
 
         Parameters
         ----------
         until:
-            Absolute time horizon.  If given, execution stops once the
-            next event would be strictly after *until*, and ``now`` is
-            advanced to *until*.  If omitted, runs until no *foreground*
-            events remain (daemon entries alone never sustain the loop).
+            * ``None`` -- run until no *foreground* events remain (daemon
+              entries alone never sustain the loop).
+            * a time -- stop once the next event would be strictly after
+              *until*, then advance ``now`` to *until*.
+            * an :class:`Event` -- dispatch until it has triggered,
+              checked before every pop.  Daemon entries keep dispatching
+              and ``now`` stays at the last dispatched event; an event
+              that never triggers raises :class:`SimulationError` once
+              the queue drains.
 
         Telemetry/invariant switches are sampled on entry (see module
         docstring); same-instant event bursts dispatch back-to-back
@@ -285,71 +298,51 @@ class Simulator:
         pop = heapq.heappop
         inv_on = _inv.ENABLED
         telemetry = _obs_context._ACTIVE
-        on_sim_event = (None if telemetry is None
-                        else telemetry.on_sim_event)
         hook = self.dispatch_hook
+        drain = until is None
+        stop = until if isinstance(until, Event) else _NEVER
+        horizon = _INF if drain or stop is not _NEVER else until
         dispatched = 0
         stale0 = self.stale_skips
         compact0 = self.heap_compactions
         try:
-            if until is None:
-                while queue:
+            while queue:
+                if drain:
                     if not self._foreground:
                         return
-                    time, seq, handle, gen, callback, args = pop(queue)
-                    if handle.cancelled or gen != handle.generation:
-                        self._n_stale -= 1
-                        self.stale_skips += 1
-                        continue
-                    if not handle.daemon:
-                        self._foreground -= 1
-                    handle.fired = True
-                    if inv_on and time < self._now:
-                        raise _inv.InvariantViolation(
-                            f"event time moved backwards: popped {time!r} "
-                            f"with now={self._now!r} (heap corrupted)")
-                    self._now = time
-                    dispatched += 1
-                    if on_sim_event is not None:
-                        on_sim_event()
-                    if hook is not None:
-                        hook(time, seq, callback, args)
-                    callback(*args)
-            else:
-                while queue:
-                    entry = queue[0]
-                    time = entry[0]
-                    if time > until:
-                        self._now = until
-                        return
-                    pop(queue)
-                    handle = entry[2]
-                    if handle.cancelled or entry[3] != handle.generation:
-                        self._n_stale -= 1
-                        self.stale_skips += 1
-                        continue
-                    if not handle.daemon:
-                        self._foreground -= 1
-                    handle.fired = True
-                    if inv_on and time < self._now:
-                        raise _inv.InvariantViolation(
-                            f"event time moved backwards: popped {time!r} "
-                            f"with now={self._now!r} (heap corrupted)")
-                    self._now = time
-                    dispatched += 1
-                    if on_sim_event is not None:
-                        on_sim_event()
-                    if hook is not None:
-                        hook(time, entry[1], entry[4], entry[5])
-                    entry[4](*entry[5])
-                if until > self._now:
-                    self._now = until
+                elif stop._triggered:
+                    return
+                entry = queue[0]
+                time = entry[0]
+                if time > horizon:
+                    break
+                pop(queue)
+                handle = entry[2]
+                if handle.cancelled or entry[3] != handle.generation:
+                    self._n_stale -= 1
+                    self.stale_skips += 1
+                    continue
+                if not handle.daemon:
+                    self._foreground -= 1
+                handle.fired = True
+                if inv_on and time < self._now:
+                    raise _inv.InvariantViolation(
+                        f"event time moved backwards: popped {time!r} "
+                        f"with now={self._now!r} (heap corrupted)")
+                self._now = time
+                dispatched += 1
+                if hook is not None:
+                    hook(time, entry[1], entry[4], entry[5])
+                entry[4](*entry[5])
+            if stop is not _NEVER:
+                if not stop._triggered:
+                    raise SimulationError(
+                        f"event queue drained before {until!r} triggered")
+            elif not drain and until > self._now:
+                self._now = until
         finally:
             self.events_dispatched += dispatched
             if telemetry is not None:
-                # Opt-in engine counters (REPRO_ENGINE_COUNTERS=1): the
-                # sink materializes only nonzero deltas, so default
-                # metrics exports stay byte-identical.
                 telemetry.on_engine_stats(
                     dispatched,
                     self.stale_skips - stale0,
@@ -366,35 +359,25 @@ class Simulator:
             heapq.heappop(queue)
             self._n_stale -= 1
             self.stale_skips += 1
-        return queue[0][0] if queue else float("inf")
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
-        """Execute exactly the next pending callback."""
-        while self._queue:
-            time, seq, handle, gen, callback, args = \
-                heapq.heappop(self._queue)
-            if handle.cancelled or gen != handle.generation:
-                self._n_stale -= 1
-                self.stale_skips += 1
-                continue
-            if not handle.daemon:
-                self._foreground -= 1
-            handle.fired = True
-            if _inv.ENABLED and time < self._now:
-                raise _inv.InvariantViolation(
-                    f"event time moved backwards: popped {time!r} with "
-                    f"now={self._now!r} (heap corrupted)")
-            self._now = time
-            self.events_dispatched += 1
-            telemetry = _obs_context._ACTIVE
-            if telemetry is not None:
-                telemetry.on_sim_event()
-            hook = self.dispatch_hook
+        """Dispatch exactly the next pending callback: ``run()`` until
+        one dispatch (``perfbench/test_perfbench.py`` still calls it)."""
+        if self.peek() == _INF:
+            raise SimulationError("step() on an empty event queue")
+        done, hook = Event(), self.dispatch_hook
+
+        def mark(*entry):
+            done._triggered = True
             if hook is not None:
-                hook(time, seq, callback, args)
-            callback(*args)
-            return
-        raise SimulationError("step() on an empty event queue")
+                hook(*entry)
+
+        self.dispatch_hook = mark
+        try:
+            self.run(until=done)
+        finally:
+            self.dispatch_hook = hook
 
     def engine_stats(self) -> dict:
         """Lifetime engine counters (``repro profile`` / opt-in metrics)."""

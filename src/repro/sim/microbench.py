@@ -98,8 +98,7 @@ def sampler_dense(period: float = 1e-4, wiggles: int = 2000,
     ``henri`` machine at *period* while a driver toggles core activity
     (the Figure-2 pattern).  With no telemetry sink installed the
     sampler runs epoch-batched — this case pins the cost of the batch
-    emission path (and, under ``REPRO_SAMPLER_TICKS=1``, of the legacy
-    tick path it replaced).
+    emission path.
     """
     from repro.hardware.frequency import CoreActivity, FrequencyModel
     from repro.hardware.presets import get_preset

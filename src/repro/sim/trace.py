@@ -20,11 +20,10 @@ registered listeners.  A :class:`PeriodicSampler` given
 ``epoch_sources`` then runs in one of two modes:
 
 * **tick mode** (the legacy behaviour, forced whenever a telemetry
-  sink is active or ``REPRO_SAMPLER_TICKS=1`` is set): one daemon
-  event per period.  The epoch generation still lets it skip the
-  probe calls when nothing changed since the previous tick — the
-  cached values are bit-identical by construction, so traces (and the
-  artifacts rendered from them) do not change.
+  sink is active): one daemon event per period.  The epoch generation
+  still lets it skip the probe calls when nothing changed since the
+  previous tick — the cached values are bit-identical by construction,
+  so traces (and the artifacts rendered from them) do not change.
 * **batch mode** (no telemetry sink): no heap events at all.  The
   sampler registers as an epoch listener; right before a source
   mutates, it emits every pending tick of the closing epoch as one
@@ -47,7 +46,6 @@ exactly as before PR 9.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -210,8 +208,7 @@ class PeriodicSampler:
         if self._running:
             raise RuntimeError("sampler already running")
         self._running = True
-        force_ticks = os.environ.get("REPRO_SAMPLER_TICKS", "") not in ("", "0")
-        self._batch = bool(self.epoch_sources) and not force_ticks \
+        self._batch = bool(self.epoch_sources) \
             and _obs_context._ACTIVE is None
         if self._batch:
             self._next_time = self.sim.now

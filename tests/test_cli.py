@@ -59,6 +59,19 @@ def test_run_with_trace_and_metrics(capsys, tmp_path):
     assert "attribution" in doc
 
 
+def test_engine_counters_count_every_dispatch(capsys, tmp_path,
+                                             monkeypatch):
+    """fig3bc runs until its kernels finish; every dispatch on the way
+    is booked both as ``sim.events`` and as the opt-in engine count."""
+    monkeypatch.setenv("REPRO_ENGINE_COUNTERS", "1")
+    metrics = tmp_path / "m.json"
+    assert main(["run", "fig3bc", "--fast", "--metrics", str(metrics)]) == 0
+    doc = json.loads(metrics.read_text())["metrics"]
+    assert doc["sim.events"]["value"] > 0
+    assert doc["engine.events_dispatched"]["value"] == \
+        doc["sim.events"]["value"]
+
+
 def test_trace_summary_command(capsys, tmp_path):
     trace = tmp_path / "t.json"
     assert main(["run", "fig9", "--fast", "--trace", str(trace)]) == 0

@@ -54,8 +54,7 @@ def test_memcpy_contends_with_stream(machine):
     runs = [run_kernel(machine, i, triad_kernel(), data_numa=0,
                        sweeps=None) for i in range(12)]
     proc = machine.sim.process(gpu.memcpy_process(64 << 20))
-    while not proc.triggered:
-        machine.sim.step()
+    machine.sim.run(until=proc)
     for r in runs:
         r.request_stop()
     assert proc.value < 0.6 * V100.pcie_bw

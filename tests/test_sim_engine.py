@@ -67,6 +67,50 @@ def test_run_until_advances_time_when_queue_empty():
     assert sim.now == 42.0
 
 
+def test_run_until_event():
+    sim = Simulator()
+    out = []
+    done = sim.event()
+    done.succeed("already")
+    sim.run()
+    sim.schedule(1.0, out.append, "a")
+    # An already-triggered event returns without dispatching.
+    sim.run(until=done)
+    assert out == [] and sim.peek() == 1.0
+
+    # The run stops right after the triggering dispatch: later entries
+    # (even at the same instant) stay queued and `now` is the trigger's.
+    ev = sim.event()
+    sim.schedule(2.0, ev.succeed)
+    sim.schedule(2.0, out.append, "b")
+    sim.schedule(5.0, out.append, "c")
+    sim.run(until=ev)
+    assert ev.triggered and out == ["a"] and sim.now == 2.0
+    assert sim.peek() == 2.0
+
+    # Daemon entries alone keep an event-horizon run going.
+    sim.run()
+    assert out == ["a", "b", "c"]
+    ticks = []
+
+    def ticker():
+        while True:
+            yield 1.0
+            ticks.append(sim.now)
+
+    sim.process(ticker(), daemon=True)
+    late = sim.timeout(3.5, daemon=True)
+    sim.run(until=late)
+    assert ticks == [6.0, 7.0, 8.0] and sim.now == 8.5
+
+    # A queue that drains first raises, naming the event.
+    bare = Simulator()
+    bare.schedule(1.0, out.append, "d")
+    with pytest.raises(SimulationError, match="drained before"):
+        bare.run(until=bare.event())
+    assert out[-1] == "d" and bare.now == 1.0
+
+
 def test_peek_and_step():
     sim = Simulator()
     out = []

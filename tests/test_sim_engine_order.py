@@ -92,6 +92,7 @@ _OPS = st.lists(
         st.tuples(st.just("spawn"), st.integers(1, 20)),
         st.tuples(st.just("interrupt"), st.integers(0, 63)),
         st.tuples(st.just("run"), st.integers(0, 30)),
+        st.tuples(st.just("until_proc"), st.integers(0, 63)),
     ),
     min_size=1, max_size=60)
 
@@ -131,6 +132,9 @@ def _drive(ops, compact_min):
                 procs[op[1] % len(procs)].interrupt("churn")
         elif kind == "run":
             sim.run(until=sim.now + op[1] * 0.1)
+        elif kind == "until_proc":
+            if procs:
+                sim.run(until=procs[op[1] % len(procs)])
     sim.run()
     return log, sim.heap_compactions
 
