@@ -94,6 +94,12 @@ class FrequencyModel(EpochSource):
                 * ((hz - uspec.min_hz) / (uspec.max_hz - uspec.min_hz))
                 for hz in self._uncore_hz_table)
         self._uncore_ramp = ramp
+        # core_hz per core.  Cleared by each mutator *after* its state
+        # change, not keyed on ``epoch_generation``: the generation
+        # advances before the state moves, and a batch-mode sampler
+        # reading core_hz from its epoch listener would otherwise cache
+        # the closing epoch's frequency under the new generation.
+        self._core_hz_memo: Dict[int, float] = {}
 
     # -- governor controls --------------------------------------------------
     def set_userspace(self, hz: Optional[float]) -> None:
@@ -106,6 +112,7 @@ class FrequencyModel(EpochSource):
                     f"[{lo/1e9:.2f}, {hi/1e9:.2f}] GHz")
         self._bump_epoch()
         self._userspace_hz = hz
+        self._core_hz_memo.clear()
 
     def set_uncore(self, hz: Optional[float]) -> None:
         """Pin the uncore frequency (None restores dynamic behaviour)."""
@@ -132,6 +139,7 @@ class FrequencyModel(EpochSource):
                 raise ValueError("frequency cap must be > 0")
             self._bump_epoch()
             self._core_caps[core_id] = float(hz)
+        self._core_hz_memo.clear()
 
     def core_cap(self, core_id: int) -> Optional[float]:
         """Current fail-slow cap of *core_id*, or ``None``."""
@@ -160,6 +168,7 @@ class FrequencyModel(EpochSource):
         if old_mem != uncore_active:
             self._uncore_count[socket] += 1 if uncore_active else -1
         self._uncore_active[core_id] = uncore_active
+        self._core_hz_memo.clear()
 
     def activity(self, core_id: int) -> CoreActivity:
         return self._activity[core_id]
@@ -174,7 +183,15 @@ class FrequencyModel(EpochSource):
 
     # -- frequency queries --------------------------------------------------
     def core_hz(self, core_id: int) -> float:
-        """Instantaneous frequency of *core_id* in Hz."""
+        """Instantaneous frequency of *core_id* in Hz (memoized until
+        the next mutator call)."""
+        hz = self._core_hz_memo.get(core_id)
+        if hz is None:
+            hz = self._core_hz_memo[core_id] = self._compute_core_hz(core_id)
+        return hz
+
+    def _compute_core_hz(self, core_id: int) -> float:
+        """:meth:`core_hz` computed afresh."""
         if self._userspace_hz is not None:
             hz = self._userspace_hz
         else:

@@ -118,6 +118,9 @@ class Machine:
         # controller, so CPU-bound kernels contribute ~0 and saturating
         # streams contribute 1.
         self._streaming: Dict[int, float] = {}
+        # pio_delay per core: a pure function of ``_streaming`` and the
+        # spec, so set_streaming (its only mutator) clears it.
+        self._pio_delay_memo: Dict[int, float] = {}
 
     # -- construction ---------------------------------------------------------
     def _build_topology(self) -> None:
@@ -245,6 +248,7 @@ class Machine:
             self._streaming.pop(core_id, None)
         else:
             self._streaming[core_id] = min(1.0, weight)
+        self._pio_delay_memo.clear()
 
     def streaming_cores_on_socket(self, socket_id: int) -> float:
         """Sum of streaming weights of the socket's cores."""
@@ -256,8 +260,17 @@ class Machine:
 
         Driven by memory-streaming cores co-located on *core_id*'s socket
         (ring/uncore contention), amplified by inter-socket hops; see
-        :class:`~repro.hardware.presets.ContentionSpec`.
+        :class:`~repro.hardware.presets.ContentionSpec`.  Memoized per
+        core until the next :meth:`set_streaming`.
         """
+        delay = self._pio_delay_memo.get(core_id)
+        if delay is None:
+            delay = self._pio_delay_memo[core_id] = \
+                self._compute_pio_delay(core_id)
+        return delay
+
+    def _compute_pio_delay(self, core_id: int) -> float:
+        """:meth:`pio_delay` computed afresh."""
         socket = self.cores[core_id].socket_id
         streaming = self.streaming_cores_on_socket(socket)
         per_socket = self.spec.numa_per_socket * self.spec.cores_per_numa

@@ -140,13 +140,16 @@ class Telemetry:
 
     # -- sim engine ---------------------------------------------------------
     def on_engine_stats(self, dispatched: int, stale_skips: int,
-                        heap_compactions: int) -> None:
+                        heap_compactions: int,
+                        direct_dispatches: int) -> None:
         """Engine deltas for one ``run()`` invocation.
 
         ``sim.events`` books the dispatched callbacks.  The hot-loop
         counters are gated on ``REPRO_ENGINE_COUNTERS=1`` and
         materialized only when nonzero (the ``executor.*`` discipline):
         default exports carry no new keys and stay byte-identical.
+        ``direct_dispatches`` counts the dispatches that took the
+        engine's parked-sleep fast path instead of the heap.
         """
         registry = self.registry
         if registry is None:
@@ -160,6 +163,9 @@ class Telemetry:
             registry.counter("engine.stale_skips").inc(stale_skips)
         if heap_compactions:
             registry.counter("engine.heap_compactions").inc(heap_compactions)
+        if direct_dispatches:
+            registry.counter("engine.direct_dispatches").inc(
+                direct_dispatches)
 
     # -- fluid network -------------------------------------------------------
     def on_flow_start(self, net, flow) -> None:

@@ -49,8 +49,19 @@ and journal deltas.  Stale entries are skipped without dispatching (and
 were already skipped pre-compaction), so removing them early is
 identity-safe; changing the number of real dispatches is not.  Any
 optimisation here must preserve the exact sequence of dispatched
-``(time, seq)`` pairs and the exact number of ``schedule``/``reschedule``
-calls (each consumes one sequence number).
+``(time, seq)`` pairs and the exact number of sequence numbers consumed
+(one per ``schedule``/``reschedule`` call or plain sleep).
+
+Plain sleeps (numeric yields) skip the heap when they can.  A sleep
+takes its sequence number when it is yielded but parks its entry in the
+one-slot ``_tail``; ``run()`` dispatches the slot directly when it sorts
+below the heap head by ``(time, seq)``, after the same stop/drain,
+horizon and stale checks a popped entry meets, and otherwise moves it
+into the heap as the head comes out.  A second parked sleep pushes the
+first into the heap; ``peek()`` and compaction fold the slot in, and
+the compaction threshold counts it.  The slot is thus one more place a
+pending entry sits, and dispatch order, sequence numbers and counters
+are exactly those of the heap alone.
 
 There is one dispatch loop, :meth:`Simulator.run`, and three kinds of
 horizon: none (drain the foreground), a time, or an :class:`Event` (run
@@ -141,11 +152,19 @@ class Simulator:
         self._processing_events: List[Event] = []
         self._foreground = 0  # live (dispatchable) non-daemon entries
         self._n_stale = 0     # stale entries still sitting in the heap
+        #: One parked plain-sleep entry, not yet in the heap (see the
+        #: module docstring); part of the queue for every count.
+        self._tail: Optional[
+            Tuple[float, int, ScheduledHandle, int, Callable, tuple]] = None
         # Lifetime counters (cheap ints; surfaced by ``repro profile``
         # and, behind an explicit opt-in, the metrics registry).
         self.stale_skips = 0
         self.heap_compactions = 0
         self.events_dispatched = 0
+        #: Entries dispatched straight from ``_tail``, past the heap
+        #: (kept out of :meth:`engine_stats`: an implementation count,
+        #: booked as ``engine.direct_dispatches`` only on opt-in).
+        self.direct_dispatches = 0
         #: Optional ``hook(time, seq, callback, args)`` invoked for every
         #: *dispatched* event (tests: golden event-order pinning).
         self.dispatch_hook: Optional[Callable] = None
@@ -160,8 +179,9 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable, *args: Any,
                  daemon: bool = False) -> ScheduledHandle:
         """Schedule ``callback(*args)`` to run after *delay* seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
+        if not delay >= 0:  # also rejects NaN
+            raise SimulationError(
+                f"cannot schedule with delay={delay!r}: must be >= 0")
         time = self._now + delay
         handle = ScheduledHandle(time, daemon, self)
         self._seq += 1
@@ -177,9 +197,9 @@ class Simulator:
 
         Daemon entries do not keep a horizon-less ``run()`` alive.
         """
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at {time!r} < now={self._now!r}")
+                f"cannot schedule at {time!r}: before now={self._now!r}")
         handle = ScheduledHandle(time, daemon, self)
         self._seq += 1
         heapq.heappush(self._queue,
@@ -197,9 +217,9 @@ class Simulator:
         still queued) becomes stale and is dropped when popped.  The
         handle's ``daemon`` flag is retained.
         """
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule at {time!r} < now={self._now!r}")
+                f"cannot schedule at {time!r}: before now={self._now!r}")
         # A still-pending entry becomes stale; its foreground slot (if
         # any) transfers to the new entry.  A fired or cancelled handle
         # has no live entry, so the new one claims a fresh slot.
@@ -215,7 +235,7 @@ class Simulator:
         if superseded:
             self._n_stale += 1
             if self._n_stale >= self.compact_min and \
-                    self._n_stale * 2 >= len(self._queue):
+                    self._n_stale * 2 >= self._queued():
                 self._compact()
         elif not handle.daemon:
             self._foreground += 1
@@ -227,8 +247,19 @@ class Simulator:
         if not daemon:
             self._foreground -= 1
         if self._n_stale >= self.compact_min and \
-                self._n_stale * 2 >= len(self._queue):
+                self._n_stale * 2 >= self._queued():
             self._compact()
+
+    def _queued(self) -> int:
+        """Entries pending in the heap and the parked ``_tail`` slot."""
+        return len(self._queue) + (self._tail is not None)
+
+    def _flush_tail(self) -> None:
+        """Move the parked sleep, if any, into the heap."""
+        tail = self._tail
+        if tail is not None:
+            self._tail = None
+            heapq.heappush(self._queue, tail)
 
     def _compact(self) -> None:
         """Drop stale entries and re-heapify, in place.
@@ -236,8 +267,11 @@ class Simulator:
         In place matters: ``run()`` holds a local reference to the queue
         list, so the rebuild must mutate that same object.  Dispatch
         order is unchanged — it is the total order on ``(time, seq)``,
-        which any heap over the surviving entries reproduces.
+        which any heap over the surviving entries reproduces.  The
+        parked ``_tail`` joins the heap first, so a stale one is dropped
+        here exactly as it would have been from the heap.
         """
+        self._flush_tail()
         queue = self._queue
         queue[:] = [entry for entry in queue
                     if not (entry[2].cancelled
@@ -296,27 +330,49 @@ class Simulator:
         """
         queue = self._queue
         pop = heapq.heappop
+        replace = heapq.heapreplace
         inv_on = _inv.ENABLED
         telemetry = _obs_context._ACTIVE
         hook = self.dispatch_hook
         drain = until is None
         stop = until if isinstance(until, Event) else _NEVER
         horizon = _INF if drain or stop is not _NEVER else until
-        dispatched = 0
+        dispatched = direct = 0
         stale0 = self.stale_skips
         compact0 = self.heap_compactions
         try:
-            while queue:
+            while True:
                 if drain:
                     if not self._foreground:
                         return
                 elif stop._triggered:
                     return
-                entry = queue[0]
-                time = entry[0]
-                if time > horizon:
+                entry = self._tail
+                if entry is not None:
+                    if not queue or entry < queue[0]:
+                        # The parked sleep is the next entry: dispatch
+                        # it without a heap round-trip.
+                        time = entry[0]
+                        if time > horizon:
+                            break
+                        self._tail = None
+                        direct += 1
+                    else:
+                        head = queue[0]
+                        time = head[0]
+                        if time > horizon:
+                            break
+                        self._tail = None
+                        replace(queue, entry)
+                        entry = head
+                elif queue:
+                    entry = queue[0]
+                    time = entry[0]
+                    if time > horizon:
+                        break
+                    pop(queue)
+                else:
                     break
-                pop(queue)
                 handle = entry[2]
                 if handle.cancelled or entry[3] != handle.generation:
                     self._n_stale -= 1
@@ -342,14 +398,17 @@ class Simulator:
                 self._now = until
         finally:
             self.events_dispatched += dispatched
+            self.direct_dispatches += direct
             if telemetry is not None:
                 telemetry.on_engine_stats(
                     dispatched,
                     self.stale_skips - stale0,
-                    self.heap_compactions - compact0)
+                    self.heap_compactions - compact0,
+                    direct)
 
     def peek(self) -> float:
         """Time of the next pending event, or ``inf`` if none."""
+        self._flush_tail()
         queue = self._queue
         while queue:
             head = queue[0]
@@ -423,7 +482,7 @@ class Process(Event):
                 waiting.callbacks.remove(self._on_event)
             except ValueError:
                 pass
-        # Detach a pending plain sleep.  The heap entry is *not*
+        # Detach a pending plain sleep.  The queue entry is *not*
         # cancelled: it fires later as a no-op dispatch, exactly like a
         # detached Timeout's empty callback list did, so event counts
         # (and with them metrics exports) are unchanged.
@@ -463,30 +522,43 @@ class Process(Event):
         if isinstance(target, (int, float)):
             # Numeric yields (plain sleeps) are by far the most common
             # wait, so they skip the Timeout/Event allocation and the
-            # callback indirection entirely: one heap entry resuming the
-            # generator directly.  Exactly one schedule() call either
-            # way, so heap sequence numbers — and with them the order of
-            # same-instant events — are identical to the Timeout path.
-            if target < 0:
+            # callback indirection entirely: one queue entry resuming
+            # the generator directly.  Exactly one sequence number either
+            # way, so the order of same-instant events is identical to
+            # the Timeout path.
+            if not target >= 0:  # also rejects NaN
                 # Same contract as Timeout: reject before scheduling.
-                raise ValueError(f"negative timeout delay: {target!r}")
-            self._sleep_gen += 1
+                raise ValueError(f"invalid timeout delay: {target!r}")
+            gen = self._sleep_gen = self._sleep_gen + 1
             # Re-arm the previous sleep handle when its entry has
-            # already fired: reschedule() consumes one sequence number,
-            # exactly like schedule(), but skips the handle allocation.
-            # An interrupted sleep leaves its entry pending (fired is
-            # False), so a fresh handle is used and the orphan entry
-            # still dispatches as a counted no-op.
+            # already fired, as reschedule() would, instead of
+            # allocating one.  An interrupted sleep leaves its entry
+            # pending (fired is False), so a fresh handle is used and
+            # the orphan entry still dispatches as a counted no-op.
             sim = self.sim
-            reuse = self._sleep_reuse
-            if reuse is not None and reuse.fired:
-                self._sleep_handle = sim.reschedule(
-                    reuse, sim._now + target,  # noqa: SLF001
-                    self._sleep_fired, self._sleep_gen)
+            time = sim._now + target
+            handle = self._sleep_reuse
+            if handle is not None and handle.fired:
+                handle.time = time
+                handle.fired = False
+                handle.generation += 1
             else:
-                self._sleep_handle = self._sleep_reuse = sim.schedule(
-                    target, self._sleep_fired, self._sleep_gen,
-                    daemon=self.daemon)
+                handle = self._sleep_reuse = ScheduledHandle(
+                    time, self.daemon, sim)
+            if not handle.daemon:
+                sim._foreground += 1
+            # Consume the sequence number now, exactly as schedule()
+            # would, but park the entry in the simulator's one-slot
+            # tail (a sleep already parked moves to the heap): run()
+            # dispatches it without touching the heap when it is still
+            # the earliest entry (see the module docstring).
+            sim._seq += 1
+            tail = sim._tail
+            if tail is not None:
+                heapq.heappush(sim._queue, tail)
+            sim._tail = (time, sim._seq, handle, handle.generation,
+                         self._sleep_fired, (gen,))
+            self._sleep_handle = handle
             return
         if not isinstance(target, Event):
             self._resume(

@@ -125,8 +125,8 @@ class Timeout(Event):
 
     def __init__(self, sim, delay: float, value: Any = None,
                  daemon: bool = False):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"invalid timeout delay: {delay!r}")
         super().__init__(sim)
         self.delay = float(delay)
         sim.schedule(delay, self._fire, value, daemon=daemon)

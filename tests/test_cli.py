@@ -62,7 +62,8 @@ def test_run_with_trace_and_metrics(capsys, tmp_path):
 def test_engine_counters_count_every_dispatch(capsys, tmp_path,
                                              monkeypatch):
     """fig3bc runs until its kernels finish; every dispatch on the way
-    is booked both as ``sim.events`` and as the opt-in engine count."""
+    is booked both as ``sim.events`` and as the opt-in engine count,
+    and the sleeps dispatched past the heap are counted too."""
     monkeypatch.setenv("REPRO_ENGINE_COUNTERS", "1")
     metrics = tmp_path / "m.json"
     assert main(["run", "fig3bc", "--fast", "--metrics", str(metrics)]) == 0
@@ -70,6 +71,8 @@ def test_engine_counters_count_every_dispatch(capsys, tmp_path,
     assert doc["sim.events"]["value"] > 0
     assert doc["engine.events_dispatched"]["value"] == \
         doc["sim.events"]["value"]
+    assert 0 < doc["engine.direct_dispatches"]["value"] < \
+        doc["engine.events_dispatched"]["value"]
 
 
 def test_trace_summary_command(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Tests for the DVFS / turbo / AVX / uncore frequency model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import Cluster, CoreActivity, HENRI
 
@@ -137,3 +139,47 @@ def test_uncore_capacity_factor_range(machine):
                                       uncore_active=True)
         factor = machine.freq.uncore_capacity_factor(0)
         assert HENRI.memory.uncore_floor <= factor <= 1.0
+
+
+_CORE = st.integers(0, HENRI.n_cores - 1)
+_LO, _HI = HENRI.freq.allowed_range
+_MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.just("streaming"), _CORE,
+              st.sampled_from([0.0, 0.25, 1.0, 2.0, True, False])),
+    st.tuples(st.just("activity"), _CORE, st.sampled_from(CoreActivity),
+              st.sampled_from([None, True, False])),
+    st.tuples(st.just("userspace"),
+              st.sampled_from([None, _LO, (_LO + _HI) / 2, _HI])),
+    st.tuples(st.just("uncore"),
+              st.sampled_from([None, HENRI.uncore.min_hz,
+                               HENRI.uncore.max_hz])),
+    st.tuples(st.just("cap"), _CORE,
+              st.sampled_from([None, 1.0e9, 2.2e9, 5.0e9])),
+), min_size=1, max_size=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutations=_MUTATIONS)
+def test_memoized_pio_delay_and_core_hz_match_fresh_values(mutations):
+    machine = Cluster(HENRI, n_nodes=1).machine(0)
+    freq = machine.freq
+    cores = range(len(machine.cores))
+    # Like a batch-mode sampler: read every core's frequency from the
+    # epoch listener, which runs before the mutator changes state.
+    freq.add_epoch_listener(lambda: [freq.core_hz(c) for c in cores])
+    for op in mutations:
+        kind = op[0]
+        if kind == "streaming":
+            machine.set_streaming(op[1], op[2])
+        elif kind == "activity":
+            machine.set_core_activity(op[1], op[2], op[3])
+        elif kind == "userspace":
+            freq.set_userspace(op[1])
+        elif kind == "uncore":
+            machine.set_uncore(op[1])
+        else:
+            freq.set_core_cap(op[1], op[2])
+        for c in cores:
+            assert machine.pio_delay(c).hex() == \
+                machine._compute_pio_delay(c).hex()
+            assert freq.core_hz(c).hex() == freq._compute_core_hz(c).hex()

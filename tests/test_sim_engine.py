@@ -319,6 +319,31 @@ def test_timeout_negative_rejected():
         sim.timeout(-0.5)
 
 
+def test_nan_delays_rejected():
+    # Regression: NaN passed every `< 0` / `< now` guard, so `yield nan`
+    # set `now` to NaN and the next event moved the clock back.
+    nan = float("nan")
+    sim = Simulator()
+    handle = sim.schedule(1.0, lambda: None)
+    for call in (lambda: sim.schedule(nan, print),
+                 lambda: sim.schedule_at(nan, print),
+                 lambda: sim.reschedule(handle, nan, print)):
+        with pytest.raises(SimulationError, match="nan"):
+            call()
+    with pytest.raises(ValueError, match="nan"):
+        sim.timeout(nan)
+
+    def sleeper():
+        yield nan
+
+    sim.process(sleeper())
+    with pytest.raises(ValueError, match="nan"):
+        sim.run()
+    assert sim.now == 0.0
+    sim.run()
+    assert sim.now == 1.0
+
+
 def test_many_processes_determinism():
     def run_once():
         sim = Simulator()
@@ -407,3 +432,116 @@ def test_daemon_only_queue_leaves_clock_untouched():
     sim.schedule(5.0, lambda: None, daemon=True)
     sim.run()
     assert sim.now == 0.0
+
+
+# -- direct dispatch of the earliest sleep ----------------------------------
+# A plain sleep parks in the simulator's one-slot tail and is dispatched
+# without a heap round-trip when it is the earliest entry; these pin
+# the checks that path shares with the heap path.
+
+def test_parked_sleep_stays_queued_past_a_horizon():
+    sim = Simulator()
+    out = []
+
+    def sleeper():
+        yield 1.0
+        out.append(sim.now)
+        yield 5.0
+        out.append(sim.now)
+
+    sim.process(sleeper())
+    sim.run(until=3.0)
+    assert out == [1.0] and sim.now == 3.0
+    assert sim.direct_dispatches == 1
+    assert sim.peek() == 6.0
+    sim.run()
+    assert out == [1.0, 6.0] and sim.now == 6.0
+
+
+def test_stop_event_triggered_in_callback_prevents_direct_dispatch():
+    sim = Simulator()
+    stop = Event()  # bare: triggers without queueing a callback entry
+    out = []
+
+    def sleeper():
+        yield 1.0
+        stop.succeed()
+        yield 0.0
+        out.append(sim.now)
+
+    sim.process(sleeper())
+    sim.run(until=stop)
+    assert out == [] and sim.now == 1.0
+    assert sim.peek() == 1.0
+    sim.run()
+    assert out == [1.0]
+
+
+def test_parked_daemon_sleep_does_not_sustain_drain():
+    sim = Simulator()
+    ticks = []
+
+    def sampler():
+        for _ in range(10):
+            ticks.append(sim.now)
+            yield 1.0
+
+    sim.process(sampler(), daemon=True)
+    sim.schedule(2.5, lambda: None)
+    sim.run()
+    assert ticks == [0.0, 1.0, 2.0] and sim.now == 2.5
+    assert sim.direct_dispatches == 2
+    assert sim.peek() == 3.0
+
+
+def test_raising_callback_leaves_parked_sleep_for_next_run():
+    sim = Simulator()
+    gate = sim.event()
+    out = []
+
+    def waiter():
+        yield gate
+        yield 2.0
+        out.append(sim.now)
+
+    def boom(event):
+        raise RuntimeError("boom")
+
+    sim.process(waiter())
+    sim.run()
+    gate.add_callback(boom)  # runs right after the waiter parks its sleep
+    gate.succeed()
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert sim.now == 0.0 and out == []
+    sim.run()
+    assert out == [2.0] and sim.direct_dispatches == 1
+
+
+def test_interrupted_sleep_orphan_dispatches_as_counted_noop():
+    sim = Simulator()
+    out = []
+    log = []
+    sim.dispatch_hook = lambda t, seq, cb, args: log.append(
+        (t, cb.__qualname__))
+
+    def sleeper():
+        try:
+            yield 5.0
+        except Interrupt:
+            out.append(("interrupted", sim.now))
+        yield 1.0
+        out.append(("woke", sim.now))
+
+    p = sim.process(sleeper())
+    sim.schedule(2.0, p.interrupt, "x")
+    sim.run()
+    assert out == [("interrupted", 2.0), ("woke", 3.0)]
+    # The 1.0 sleep beats the orphan 5.0 entry and goes direct; the
+    # orphan still dispatches, as a no-op, and is counted.
+    assert log == [(0.0, "Process._resume"), (2.0, "Process.interrupt"),
+                   (2.0, "Process._resume"), (3.0, "Process._sleep_fired"),
+                   (3.0, "Event._run_callbacks"),
+                   (5.0, "Process._sleep_fired")]
+    assert sim.events_dispatched == 6 and sim.direct_dispatches == 1
+    assert sim.now == 5.0

@@ -12,18 +12,24 @@ on it for byte-identical artifacts.  Two guards:
   in that test's docstring after an *intentional* ordering change);
 * a **property** test drives randomized schedule/reschedule/cancel/
   interrupt churn through two engines — compaction effectively disabled
-  vs. aggressively enabled — and asserts identical dispatch sequences.
+  vs. aggressively enabled — and asserts identical dispatch sequences;
+* a second property drives churn with sleeping processes through the
+  engine and through :class:`HeapOnlySimulator`, whose sleeps go
+  straight to the heap, and asserts the direct dispatch of the earliest
+  sleep moves no event, counter or sequence number.
 """
 
 import hashlib
+import heapq
 import json
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.registry import run_experiment
-from repro.sim.engine import Simulator
+from repro.sim import Interrupt
+from repro.sim.engine import SimulationError, Simulator
 
 GOLDEN = Path(__file__).parent / "data" / "golden_fig1a_events.json"
 
@@ -146,3 +152,138 @@ def test_compaction_preserves_dispatch_order(ops):
     compacted, n_compacted = _drive(ops, compact_min=1)
     assert n_plain == 0
     assert plain == compacted
+
+
+# ---------------------------------------------------------------------------
+# Property: dispatching the earliest sleep past the heap moves nothing.
+# ---------------------------------------------------------------------------
+
+class HeapOnlySimulator(Simulator):
+    """The engine with its direct path off: a parked sleep goes straight
+    into the heap, so ``run()`` never finds one in the slot."""
+
+    @property
+    def _tail(self):
+        return None
+
+    @_tail.setter
+    def _tail(self, entry):
+        if entry is not None:
+            heapq.heappush(self._queue, entry)
+
+
+_SLEEPS = st.lists(st.integers(0, 6), min_size=1, max_size=8)
+
+# Each op may be preceded by a spawn, so most runs see sleeps that are
+# the earliest entry when they park.
+_SLEEP_OPS = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.tuples(st.just("spawn"), _SLEEPS,
+                                       st.booleans(), st.booleans())),
+        st.one_of(
+            st.tuples(st.just("schedule"), st.integers(0, 20)),
+            st.tuples(st.just("daemon"), st.integers(0, 20)),
+            st.tuples(st.just("cancel"), st.integers(0, 63)),
+            st.tuples(st.just("resched"), st.integers(0, 63),
+                      st.integers(0, 20)),
+            st.tuples(st.just("interrupt"), st.integers(0, 63)),
+            st.tuples(st.just("release"), st.integers(0, 10)),
+            # Churn from inside a callback, while a sleep may be parked.
+            st.tuples(st.just("gate_cancel"), st.integers(0, 63)),
+            st.tuples(st.just("gate_resched"), st.integers(0, 63),
+                      st.integers(0, 20)),
+            st.tuples(st.just("gate_cancel_sleep"), st.integers(0, 63)),
+            st.tuples(st.just("run"), st.integers(0, 30)),
+            st.tuples(st.just("until_proc"), st.integers(0, 63)),
+            st.tuples(st.just("until_event"), st.integers(0, 30)),
+        )),
+    min_size=1, max_size=40).map(
+        lambda pairs: [op for pair in pairs for op in pair if op])
+
+
+def _drive_sleepers(sim, ops):
+    """Apply *ops* to *sim*; return the dispatch log and engine state."""
+    log = []
+    sim.dispatch_hook = lambda t, seq, cb, args: log.append(
+        (t, seq, getattr(cb, "__qualname__", repr(cb))))
+    handles = []
+    procs = []
+    gate = [sim.event()]
+
+    def sleeper(steps, side):
+        # Zero and positive sleeps; with *side*, a callback is queued
+        # right before each sleep parks, and the sleeper first waits
+        # for the shared gate, so several sleepers resume (and park)
+        # from one callback.
+        if side:
+            yield gate[0]
+        for step in steps:
+            if side:
+                sim.schedule(step * 0.05, lambda: None)
+            try:
+                yield step * 0.1
+            except Interrupt:
+                pass  # sleep again: the orphan entry stays queued
+
+    for op in ops:
+        kind = op[0]
+        if kind == "schedule" or kind == "daemon":
+            handles.append(sim.schedule(op[1] * 0.1, lambda: None,
+                                        daemon=kind == "daemon"))
+        elif kind == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+        elif kind == "resched":
+            if handles:
+                sim.reschedule(handles[op[1] % len(handles)],
+                               sim.now + op[2] * 0.1, lambda: None)
+        elif kind == "spawn":
+            procs.append(sim.process(sleeper(op[1], op[3]), daemon=op[2]))
+        elif kind == "interrupt":
+            if procs:
+                procs[op[1] % len(procs)].interrupt("churn")
+        elif kind == "gate_cancel" and handles:
+            gate[0].add_callback(
+                lambda ev, h=handles[op[1] % len(handles)]: h.cancel())
+        elif kind == "gate_resched" and handles:
+            gate[0].add_callback(
+                lambda ev, h=handles[op[1] % len(handles)], d=op[2]:
+                sim.reschedule(h, sim.now + d * 0.1, lambda: None))
+        elif kind == "gate_cancel_sleep" and procs:
+            def cancel_sleep(ev, proc=procs[op[1] % len(procs)]):
+                if proc._sleep_handle is not None:
+                    proc._sleep_handle.cancel()
+            gate[0].add_callback(cancel_sleep)
+        elif kind == "release":
+            sim.schedule(op[1] * 0.1, gate[0].succeed)
+            gate[0] = sim.event()
+        elif kind == "run":
+            sim.run(until=sim.now + op[1] * 0.1)
+        elif kind == "until_proc":
+            if procs:
+                try:
+                    sim.run(until=procs[op[1] % len(procs)])
+                except SimulationError:  # gated on an unreleased gate
+                    log.append("drained")
+        elif kind == "until_event":
+            stop = sim.event()
+            sim.schedule(op[1] * 0.1, stop.succeed)
+            sim.run(until=stop)
+        log.append(sim.now)
+    sim.run()
+    gate[0].succeed()
+    sim.run()
+    return log, sim.engine_stats(), sim._seq, sim.now
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_SLEEP_OPS, compact_min=st.sampled_from([1, 4, 64]))
+# A cancel lands while a sleep is parked, one entry short of the
+# compaction threshold unless the parked sleep is counted.
+@example(ops=[("schedule", 5), ("spawn", [1], False, True), ("run", 0),
+              ("gate_cancel", 0), ("release", 0)], compact_min=1)
+def test_direct_dispatch_preserves_dispatch_order(ops, compact_min):
+    direct, heap_only = Simulator(), HeapOnlySimulator()
+    direct.compact_min = heap_only.compact_min = compact_min
+    assert _drive_sleepers(direct, ops) == _drive_sleepers(heap_only, ops)
+    assert heap_only.direct_dispatches == 0
