@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 import time
 from typing import Dict, Optional
@@ -81,7 +82,6 @@ def _profile(args) -> int:
     """
     import cProfile
     import io
-    import os
     import platform
     import pstats
 
@@ -139,15 +139,12 @@ def _profile(args) -> int:
     except BrokenPipeError:
         # stdout went to a pager/head that quit; the report file is
         # already written, so a quiet exit is the right behaviour.
-        import os as _os
-        _os.dup2(_os.open(_os.devnull, _os.O_WRONLY), 1)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     return 0
 
 
 def _status(args) -> int:
     """Read-only campaign progress view over a journal (+ sidecar)."""
-    import os
-
     from repro.core.measurer import read_status, render_status
     if not os.path.exists(args.journal):
         print(f"no journal at {args.journal}", file=sys.stderr)
@@ -158,8 +155,6 @@ def _status(args) -> int:
 
 def _report(args) -> int:
     """Render a campaign journal into a self-contained HTML report."""
-    import os
-
     from repro.analysis.stats import CampaignResults
     from repro.core.htmlreport import (render_html_report,
                                        validate_html_report)
@@ -211,6 +206,40 @@ def _trace_summary(args) -> int:
         return 1
     print(render_trace_summary(summarize_chrome_trace(text)))
     return 0
+
+
+#: Output-path flags of each subcommand, as (flag, ``args`` attribute).
+_OUTPUT_FLAGS = {
+    "run": (("--out", "out"), ("--trace", "trace"),
+            ("--metrics", "metrics"), ("--journal", "journal")),
+    "report": (("--out", "out"),),
+    "profile": (("--out", "out"), ("--metrics", "metrics")),
+}
+
+
+def _prepare_outputs(args, parser) -> None:
+    """Apply the one output-path rule before any work starts.
+
+    Missing parent directories are created, as the campaign journal
+    always did; a path that still cannot be written (an existing
+    directory, say) is a usage error naming the flag and the path.
+    """
+    for flag, dest in _OUTPUT_FLAGS[args.command]:
+        path = getattr(args, dest)
+        if not path:
+            continue
+        parent = os.path.dirname(path)
+        try:
+            if parent:
+                os.makedirs(parent, exist_ok=True)
+        except OSError as err:
+            parser.error(f"{flag} {path}: cannot create directory "
+                         f"{parent} ({err.strerror})")
+        if os.path.isdir(path):
+            parser.error(f"{flag} {path}: is a directory")
+        target = path if os.path.exists(path) else parent or os.curdir
+        if not os.access(target, os.W_OK):
+            parser.error(f"{flag} {path}: not writable")
 
 
 def _apply_scenario(args, parser):
@@ -413,6 +442,7 @@ def main(argv: Optional[list] = None) -> int:
     _setup_logging(args.log_level)
 
     if args.command == "profile":
+        _prepare_outputs(args, parser)
         return _profile(args)
 
     if args.command == "trace-summary":
@@ -422,6 +452,7 @@ def main(argv: Optional[list] = None) -> int:
         return _status(args)
 
     if args.command == "report":
+        _prepare_outputs(args, parser)
         return _report(args)
 
     if args.command == "list":
@@ -443,6 +474,7 @@ def main(argv: Optional[list] = None) -> int:
             registry.get(args.experiment)
         except registry.UnknownExperimentError as err:
             parser.error(str(err))
+    _prepare_outputs(args, parser)
 
     if args.resume and not args.journal:
         parser.error("--resume requires --journal")

@@ -6,8 +6,8 @@ installed via :func:`telemetry_context`; the disabled path is a single
 ``None`` check at every instrumentation site.
 """
 
-from repro.obs.attribution import (TransferSample, attribution_report,
-                                   render_attribution)
+from repro.obs.attribution import (TransferLog, TransferSample,
+                                   attribution_report, render_attribution)
 from repro.obs.context import (active_telemetry, clear_telemetry,
                                install_telemetry)
 from repro.obs.export import (chrome_trace_json, render_trace_summary,
@@ -24,5 +24,6 @@ __all__ = [
     "SpanTracer", "SpanHandle",
     "chrome_trace_json", "validate_chrome_trace",
     "summarize_chrome_trace", "render_trace_summary",
-    "TransferSample", "attribution_report", "render_attribution",
+    "TransferLog", "TransferSample", "attribution_report",
+    "render_attribution",
 ]

@@ -16,11 +16,17 @@ swamp the interference signal.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from array import array
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import Dict, Iterator, List, Optional
 
-__all__ = ["TransferSample", "attribution_report", "render_attribution"]
+from repro.obs.metrics import JSONStream
+
+__all__ = ["TransferSample", "TransferLog", "attribution_report",
+           "render_attribution"]
 
 #: ``insufficient_data`` reasons a report carries when the correlation
 #: is undefined (instead of a bare None or a NaN leaking into exports).
@@ -34,9 +40,13 @@ INSUFFICIENT_REASONS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferSample:
-    """One completed transfer and the cycle activity it overlapped."""
+    """One completed transfer and the cycle activity it overlapped.
+
+    The row type a :class:`TransferLog` yields when iterated; the log
+    itself stores transfers as columns.
+    """
 
     t: float                 # completion time (simulated seconds)
     run: str                 # experiment/run label ("" if unknown)
@@ -49,23 +59,115 @@ class TransferSample:
     mem_stall: float         # stall cycles accrued across both machines
     busy: float              # busy cycles accrued across both machines
     retries: int = 0
-    meta: Dict[str, object] = field(default_factory=dict)
 
     @property
     def stall_fraction(self) -> float:
         """Fraction of overlapped busy cycles spent stalled on memory."""
         return self.mem_stall / self.busy if self.busy > 0 else 0.0
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "t": self.t, "run": self.run, "src": self.src,
-            "dst": self.dst, "size": self.size,
-            "protocol": self.protocol,
-            "duration": self.duration, "bandwidth": self.bandwidth,
-            "mem_stall": self.mem_stall, "busy": self.busy,
-            "stall_fraction": self.stall_fraction,
-            "retries": self.retries,
-        }
+
+# Column layout.  A field gets a typed array only if every value the
+# recorder stores in it already has that type: an int in a 'd' column
+# would export as ``0.0`` instead of ``0``.  ``run`` and ``protocol``
+# hold the (shared) label strings.
+_FIELDS = ("t", "run", "src", "dst", "size", "protocol", "duration",
+           "bandwidth", "mem_stall", "busy", "retries")
+_TYPECODES = {"t": "d", "duration": "d", "bandwidth": "d",
+              "mem_stall": "d", "busy": "d",
+              "src": "q", "dst": "q", "size": "q", "retries": "q"}
+# Keys of one exported row, in the sorted order json writes them.
+_ROW_KEYS = tuple(sorted(_FIELDS + ("stall_fraction",)))
+#: Rows encoded per step of :meth:`TransferLog.iter_json`.
+EXPORT_CHUNK = 512
+# Encodes one column chunk in json's C encoder.  ``ensure_ascii``
+# output never contains a raw NUL, so it safely separates the items.
+_encode_column = json.JSONEncoder(check_circular=False,
+                                  separators=("\x00", ": ")).encode
+
+
+class TransferLog(JSONStream):
+    """Completed transfers as columns, one typed array per numeric field.
+
+    :meth:`append` stores a transfer without building a per-message
+    object; iterating yields :class:`TransferSample` rows.  Exported
+    (through :func:`~repro.obs.metrics.iter_indented_json`) the log is
+    the list of row objects, each with its derived ``stall_fraction``.
+    """
+
+    __slots__ = _FIELDS
+
+    def __init__(self) -> None:
+        for name in _FIELDS:
+            code = _TYPECODES.get(name)
+            setattr(self, name, array(code) if code else [])
+
+    def append(self, t: float, run: str, src: int, dst: int, size: int,
+               protocol: str, duration: float, bandwidth: float,
+               mem_stall: float, busy: float, retries: int = 0) -> None:
+        self.t.append(t)
+        self.run.append(run)
+        self.src.append(src)
+        self.dst.append(dst)
+        self.size.append(size)
+        self.protocol.append(protocol)
+        self.duration.append(duration)
+        self.bandwidth.append(bandwidth)
+        self.mem_stall.append(mem_stall)
+        self.busy.append(busy)
+        self.retries.append(retries)
+
+    def extend(self, other: "TransferLog") -> None:
+        """Append *other*'s transfers, in order (column concatenation)."""
+        for name in _FIELDS:
+            getattr(self, name).extend(getattr(other, name))
+
+    def for_run(self, run: str) -> "TransferLog":
+        """The sub-log of transfers labelled *run*, in order."""
+        keep = [i for i, label in enumerate(self.run) if label == run]
+        sub = TransferLog()
+        for name in _FIELDS:
+            column = getattr(self, name)
+            getattr(sub, name).extend([column[i] for i in keep])
+        return sub
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self) -> Iterator[TransferSample]:
+        return map(TransferSample,
+                   *(getattr(self, name) for name in _FIELDS))
+
+    def iter_json(self, depth: int, indent: int) -> Iterator[str]:
+        """The row list as ``json.dumps(rows, indent, sort_keys)`` at
+        *depth* writes it, :data:`EXPORT_CHUNK` rows per chunk.
+
+        Each column chunk goes through json's C encoder once; the rows
+        are then filled into one template built from the sorted keys.
+        """
+        n = len(self)
+        if not n:
+            yield "[]"
+            return
+        pad = " " * indent
+        row_sep = "\n" + pad * (depth + 1)
+        key_sep = "\n" + pad * (depth + 2)
+        template = "{" + ",".join(
+            f"{key_sep}{encode_basestring_ascii(key)}: %s"
+            for key in _ROW_KEYS) + row_sep + "}"
+        joiner = "," + row_sep
+        sep = "[" + row_sep
+        for lo in range(0, n, EXPORT_CHUNK):
+            hi = lo + EXPORT_CHUNK
+            chunk = {name: getattr(self, name)[lo:hi] for name in _FIELDS}
+            chunk["stall_fraction"] = [
+                m / b if b > 0 else 0.0
+                for m, b in zip(chunk["mem_stall"], chunk["busy"])]
+            columns = [_encode_column(list(chunk[key]))[1:-1].split("\x00")
+                       for key in _ROW_KEYS]
+            yield sep + joiner.join([template % row
+                                     for row in zip(*columns)])
+            sep = joiner
+        yield "\n" + pad * depth + "]"
 
 
 def _pearson(xs: List[float], ys: List[float]) -> Optional[float]:
@@ -85,7 +187,7 @@ def _pearson(xs: List[float], ys: List[float]) -> Optional[float]:
     return r if math.isfinite(r) else None
 
 
-def attribution_report(samples: List[TransferSample],
+def attribution_report(log: TransferLog,
                        n_bins: int = 5) -> Dict[str, object]:
     """Correlate normalised bandwidth with overlapped stall fraction.
 
@@ -101,31 +203,36 @@ def attribution_report(samples: List[TransferSample],
     carries a structured ``insufficient_data`` reason (a key of
     :data:`INSUFFICIENT_REASONS`).
     """
-    samples = [s for s in samples
-               if s.duration > 0 and s.size > 0
-               and math.isfinite(s.duration)
-               and math.isfinite(s.bandwidth)
-               and math.isfinite(s.mem_stall)
-               and math.isfinite(s.busy)]
-    if not samples:
+    isfinite = math.isfinite
+    keep = [i for i, (duration, size, bw, stall, busy) in enumerate(zip(
+                log.duration, log.size, log.bandwidth, log.mem_stall,
+                log.busy))
+            if duration > 0 and size > 0 and isfinite(duration)
+            and isfinite(bw) and isfinite(stall) and isfinite(busy)]
+    if not keep:
         return {"transfers": 0, "correlation": None, "bins": [],
                 "quiet_transfers": 0,
                 "insufficient_data": "no_active_transfers"}
 
     # Normalise bandwidth within same-size groups: 1.0 = the best this
     # message size achieved anywhere in the run.
+    sizes = [log.size[i] for i in keep]
+    bandwidths = [log.bandwidth[i] for i in keep]
     best_by_size: Dict[int, float] = {}
-    for s in samples:
-        best = best_by_size.get(s.size, 0.0)
-        if s.bandwidth > best:
-            best_by_size[s.size] = s.bandwidth
-    norm = [(s, s.bandwidth / best_by_size[s.size]) for s in samples]
+    for size, bw in zip(sizes, bandwidths):
+        if bw > best_by_size.get(size, 0.0):
+            best_by_size[size] = bw
+    norm = [bw / best_by_size[size] for size, bw in zip(sizes, bandwidths)]
 
-    active = [(s, nb) for s, nb in norm if s.busy > 0]
-    quiet = len(norm) - len(active)
+    # Active transfers overlapped compute cycles; only they correlate.
+    mem_stall, busy = log.mem_stall, log.busy
+    active = [k for k, i in enumerate(keep) if busy[i] > 0]
+    quiet = len(keep) - len(active)
+    stall = [mem_stall[keep[k]] / busy[keep[k]] for k in active]
+    active_norm = [norm[k] for k in active]
+    active_bw = [bandwidths[k] for k in active]
 
-    corr = _pearson([s.stall_fraction for s, _ in active],
-                    [nb for _, nb in active]) if active else None
+    corr = _pearson(stall, active_norm) if active else None
     reason = None
     if corr is None:
         if not active:
@@ -136,20 +243,20 @@ def attribution_report(samples: List[TransferSample],
             reason = "zero_variance"
 
     # Fig-10-style table: bin by stall fraction, report mean normalised
-    # bandwidth per bin.
-    max_stall = max((s.stall_fraction for s, _ in active), default=0.0)
-    hi = max(max_stall, 1e-9)
+    # bandwidth per bin.  The last bin takes everything from its low
+    # edge up: ``hi * n_bins / n_bins`` can round below ``hi``, and the
+    # transfer with the highest stall fraction must still be binned.
+    hi = max(max(stall, default=0.0), 1e-9)
     bins: List[Dict[str, object]] = []
     for b in range(n_bins):
         lo_edge = hi * b / n_bins
         hi_edge = hi * (b + 1) / n_bins
-        members = [
-            (s, nb) for s, nb in active
-            if lo_edge <= s.stall_fraction < hi_edge
-            or (b == n_bins - 1 and s.stall_fraction == hi_edge)]
+        last = b == n_bins - 1
+        members = [k for k, sf in enumerate(stall)
+                   if lo_edge <= sf and (last or sf < hi_edge)]
         if members:
-            mean_bw = sum(nb for _, nb in members) / len(members)
-            mean_abs = sum(s.bandwidth for s, _ in members) / len(members)
+            mean_bw = sum([active_norm[k] for k in members]) / len(members)
+            mean_abs = sum([active_bw[k] for k in members]) / len(members)
         else:
             mean_bw = None
             mean_abs = None
@@ -162,11 +269,11 @@ def attribution_report(samples: List[TransferSample],
                                    if mean_abs is not None else None),
         })
 
-    retrans = sum(s.retries for s in samples)
+    retries = log.retries
     report: Dict[str, object] = {
-        "transfers": len(samples),
+        "transfers": len(keep),
         "quiet_transfers": quiet,
-        "retransmitted": retrans,
+        "retransmitted": sum(retries[i] for i in keep),
         "correlation": round(corr, 6) if corr is not None else None,
         "bins": bins,
     }

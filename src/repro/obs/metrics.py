@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "metric_key", "parse_metric_key", "bucket_quantiles",
-           "iter_indented_json"]
+           "iter_indented_json", "JSONStream"]
 
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -52,7 +52,22 @@ def parse_metric_key(key: str) -> Tuple[str, LabelItems]:
     return name, tuple(items)
 
 
-_CONTAINERS = (list, tuple, dict)
+class JSONStream:
+    """A value that writes its own JSON text in :func:`iter_indented_json`.
+
+    Subclasses implement :meth:`iter_json`, whose chunks must equal what
+    ``json.dumps(..., indent=indent, sort_keys=True)`` writes at
+    *depth* for the plain document the value stands for.  It lets a
+    large export skip building that document.
+    """
+
+    __slots__ = ()
+
+    def iter_json(self, depth: int, indent: int) -> Iterator[str]:
+        raise NotImplementedError
+
+
+_CONTAINERS = (list, tuple, dict, JSONStream)
 
 
 def iter_indented_json(obj, indent: int = 1) -> Iterator[str]:
@@ -66,7 +81,8 @@ def iter_indented_json(obj, indent: int = 1) -> Iterator[str]:
     only scalars has a single level of items, so C encoding it with the
     item separator ``"," + newline + indentation`` gives exactly the
     indented items.  Only containers that hold other containers are
-    walked here.
+    walked here, and a :class:`JSONStream` value writes its own chunks
+    (the transfer log streams its rows straight from its columns).
     """
     pad = " " * indent
     encoders: Dict[int, object] = {}
@@ -85,6 +101,9 @@ def iter_indented_json(obj, indent: int = 1) -> Iterator[str]:
             values = value.values()
         elif isinstance(value, (list, tuple)):
             values = value
+        elif isinstance(value, JSONStream):
+            yield from value.iter_json(depth, indent)
+            return
         else:
             yield flat(value, depth)
             return

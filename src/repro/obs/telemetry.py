@@ -31,7 +31,7 @@ import os
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.attribution import (TransferSample, attribution_report,
+from repro.obs.attribution import (TransferLog, attribution_report,
                                    render_attribution)
 from repro.obs.context import clear_telemetry, install_telemetry
 from repro.obs.metrics import MetricsRegistry
@@ -79,7 +79,7 @@ class Telemetry:
         self.registry: Optional[MetricsRegistry] = \
             MetricsRegistry() if metrics else None
         self.tracer: Optional[SpanTracer] = SpanTracer() if trace else None
-        self.transfers: List[TransferSample] = []
+        self.transfers = TransferLog()
         self.run_label = ""
         self._bindings: Dict[int, _Binding] = {}   # id(FluidNetwork) -> _Binding
         self._n_clusters = 0
@@ -283,14 +283,11 @@ class Telemetry:
             seconds.observe(record.duration)
             if record.retries:
                 registry.counter("net.retransmits").inc(record.retries)
-        sample = TransferSample(
-            t=record.end, run=app if app is not None else self.run_label,
-            src=src_node, dst=dst_node,
-            size=record.size, protocol=record.protocol,
-            duration=record.duration, bandwidth=record.bandwidth,
-            mem_stall=record.mem_stall_overlap,
-            busy=record.busy_overlap, retries=record.retries)
-        self.transfers.append(sample)
+        self.transfers.append(
+            record.end, app if app is not None else self.run_label,
+            src_node, dst_node, record.size, record.protocol,
+            record.duration, record.bandwidth, record.mem_stall_overlap,
+            record.busy_overlap, record.retries)
         tracer = self.tracer
         if tracer is not None:
             binding = self._binding_for_net(cluster.net)
@@ -402,13 +399,14 @@ class Telemetry:
         Telemetry (pid blocks start at 0) and ships this payload back;
         the parent folds it in with :meth:`absorb_point` in submission
         order, reconstructing exactly what a serial run against one
-        shared sink would have recorded.
+        shared sink would have recorded.  The transfer log travels as
+        its columns (typed arrays pickle as raw bytes).
         """
         return {
             "n_clusters": self._n_clusters,
             "events": list(self.tracer._events)  # noqa: SLF001
             if self.tracer is not None else None,
-            "transfers": list(self.transfers),
+            "transfers": self.transfers,
         }
 
     def absorb_point(self, payload: dict,
@@ -429,7 +427,9 @@ class Telemetry:
                 event["pid"] = event["pid"] + offset
                 shifted.append(event)
             self.tracer._events.extend(shifted)  # noqa: SLF001
-        self.transfers.extend(payload.get("transfers") or ())
+        transfers = payload.get("transfers")
+        if transfers:
+            self.transfers.extend(transfers)
         if metrics and self.registry is not None:
             self.registry.merge_delta(metrics)
         self._n_clusters += payload.get("n_clusters", 0)
@@ -438,9 +438,9 @@ class Telemetry:
     def attribution(self, run: Optional[str] = None,
                     n_bins: int = 5) -> dict:
         """Fig-10-style bandwidth-vs-stall attribution report."""
-        samples = self.transfers if run is None \
-            else [s for s in self.transfers if s.run == run]
-        return attribution_report(samples, n_bins=n_bins)
+        log = self.transfers if run is None \
+            else self.transfers.for_run(run)
+        return attribution_report(log, n_bins=n_bins)
 
     def render_attribution(self, run: Optional[str] = None) -> str:
         return render_attribution(self.attribution(run=run))
@@ -458,7 +458,7 @@ class Telemetry:
             raise RuntimeError("telemetry was created with metrics=False")
         self.registry.export(path, extra={
             "attribution": self.attribution(),
-            "transfer_samples": [s.to_dict() for s in self.transfers],
+            "transfer_samples": self.transfers,
         })
 
 

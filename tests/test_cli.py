@@ -136,3 +136,43 @@ def test_trials_note_for_non_sweep_experiment(capsys):
     assert main(["run", "fig2", "--fast", "--trials", "2"]) == 0
     assert "--trials only affects sweep experiments" \
         in capsys.readouterr().err
+
+
+def test_output_paths_in_missing_directories_are_created(capsys, tmp_path):
+    """Every output flag creates its missing parent directories, the
+    rule --journal always followed."""
+    d = tmp_path / "new" / "dir"
+    assert main(["run", "fig1a", "--fast",
+                 "--out", str(d / "o" / "R.md"),
+                 "--trace", str(d / "t" / "T.json"),
+                 "--metrics", str(d / "m" / "M.json"),
+                 "--journal", str(d / "j" / "J.jsonl")]) == 0
+    for name in ("o/R.md", "t/T.json", "m/M.json", "j/J.jsonl"):
+        assert (d / name).stat().st_size > 0
+    assert main(["report", str(d / "j" / "J.jsonl"),
+                 "-o", str(d / "r" / "R.html")]) == 0
+    assert (d / "r" / "R.html").stat().st_size > 0
+    assert main(["profile", "fig1a", "--top", "1",
+                 "--out", str(d / "p" / "P.txt"),
+                 "--metrics", str(d / "p" / "PM.json")]) == 0
+    assert (d / "p" / "PM.json").stat().st_size > 0
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace", "--metrics",
+                                  "--journal"])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag):
+    """A path that cannot be written fails before any simulation runs,
+    as an argparse error naming the flag and the path."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "fig1a", "--fast", flag, str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag} {tmp_path}: is a directory" in err
+    assert "done in" not in err
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "j.jsonl", "-o", str(blocker / "R.html")])
+    assert exc.value.code == 2
+    assert f"--out {blocker / 'R.html'}: cannot create directory" \
+        in capsys.readouterr().err

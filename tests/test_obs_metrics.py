@@ -1,11 +1,13 @@
 """Metrics registry: instrument semantics, snapshot/delta, exports."""
 
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.obs.attribution import EXPORT_CHUNK, TransferLog, TransferSample
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                iter_indented_json, metric_key)
 
@@ -292,3 +294,69 @@ def test_real_metrics_export_is_stdlib_json(tmp_path):
     doc = json.loads(text)
     assert doc["transfer_samples"]
     assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+# -- the transfer log's column export ----------------------------------------
+
+def _row_dict(s):
+    """One exported transfer row, as the row-per-object export built it."""
+    return {"t": s.t, "run": s.run, "src": s.src, "dst": s.dst,
+            "size": s.size, "protocol": s.protocol,
+            "duration": s.duration, "bandwidth": s.bandwidth,
+            "mem_stall": s.mem_stall, "busy": s.busy,
+            "stall_fraction": s.mem_stall / s.busy if s.busy > 0 else 0.0,
+            "retries": s.retries}
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True) \
+    | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"),
+                       -float("inf")])
+_int64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+# Several apps, plus labels json has to escape.
+_labels = st.sampled_from(["", "victim", "noise", "café", 'q"uo\\te',
+                           "漢\x00\n"]) | st.text(max_size=6)
+_samples = st.builds(
+    TransferSample, t=_any_float, run=_labels, src=_int64, dst=_int64,
+    size=_int64, protocol=st.sampled_from(["eager", "rendezvous"]),
+    duration=_any_float, bandwidth=_any_float, mem_stall=_any_float,
+    busy=_any_float, retries=st.integers(0, 2 ** 40))
+
+
+def _assert_log_exports_like_rows(samples, indent=1):
+    log = TransferLog()
+    for s in samples:
+        log.append(*dataclasses.astuple(s))
+    reg = MetricsRegistry()
+    reg.counter("net.transfers").inc(len(samples))
+    rows = [_row_dict(s) for s in samples]
+    # At depth 1 (the metrics export) and nested one level deeper.
+    for doc, plain in (
+            ({"transfer_samples": log}, {"transfer_samples": rows}),
+            ({"a": [{"b": log}, log]}, {"a": [{"b": rows}, rows]})):
+        expected = json.dumps(plain, indent=indent, sort_keys=True)
+        assert "".join(iter_indented_json(doc, indent)) == expected
+    expected = json.dumps({"metrics": reg.snapshot(),
+                           "transfer_samples": rows},
+                          indent=1, sort_keys=True)
+    assert reg.to_json(extra={"transfer_samples": log}) == expected
+
+
+@given(st.lists(_samples, max_size=40), st.sampled_from([0, 1, 2]))
+def test_transfer_log_export_matches_row_dicts(samples, indent):
+    _assert_log_exports_like_rows(samples, indent)
+
+
+@pytest.mark.parametrize("n", [0, 1, EXPORT_CHUNK - 1, EXPORT_CHUNK,
+                               EXPORT_CHUNK + 1, 2 * EXPORT_CHUNK + 3])
+def test_transfer_log_export_around_the_chunk_length(n):
+    special = [0.0, -0.0, float("nan"), float("inf"), -float("inf"),
+               1e-300, 2.5e9, 1 / 3]
+    samples = [
+        TransferSample(t=i * 1e-6, run=("victim", 'n"é', "")[i % 3],
+                       src=i % 4, dst=(i + 1) % 4, size=64 << (i % 8),
+                       protocol=("eager", "rendezvous")[i % 2],
+                       duration=special[i % 8], bandwidth=special[-i % 8],
+                       mem_stall=special[(i * 3) % 8],
+                       busy=special[(i * 5) % 8], retries=i % 3)
+        for i in range(n)]
+    _assert_log_exports_like_rows(samples)

@@ -4,6 +4,9 @@ interference attribution, fault instants, campaign metrics."""
 import dataclasses
 import json
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import PointSpec
 from repro.core.results import ExperimentResult
@@ -274,9 +277,28 @@ def _sample(bandwidth=1e9, stall=0.5, busy=1.0, size=1024):
                           bandwidth=bandwidth, mem_stall=stall, busy=busy)
 
 
+def _sample_row(size, duration, bandwidth, busy, stall_share, retries,
+                run):
+    """A transfer row with ``mem_stall = stall_share * busy``."""
+    from repro.obs.attribution import TransferSample
+    return TransferSample(t=duration, run=run, src=0, dst=1, size=size,
+                          protocol="eager", duration=duration,
+                          bandwidth=bandwidth,
+                          mem_stall=stall_share * busy, busy=busy,
+                          retries=retries)
+
+
+def _log(*samples):
+    from repro.obs.attribution import TransferLog
+    log = TransferLog()
+    for s in samples:
+        log.append(*dataclasses.astuple(s))
+    return log
+
+
 def test_attribution_empty_input_is_structured():
     from repro.obs.attribution import attribution_report
-    report = attribution_report([])
+    report = attribution_report(_log())
     assert report["correlation"] is None
     assert report["insufficient_data"] == "no_active_transfers"
 
@@ -285,7 +307,7 @@ def test_attribution_single_sample_is_structured():
     import json
 
     from repro.obs.attribution import attribution_report, render_attribution
-    report = attribution_report([_sample()])
+    report = attribution_report(_log(_sample()))
     assert report["correlation"] is None
     assert report["insufficient_data"] == "too_few_active_transfers"
     text = render_attribution(report)
@@ -297,7 +319,7 @@ def test_attribution_single_sample_is_structured():
 def test_attribution_zero_variance_is_structured():
     from repro.obs.attribution import attribution_report
     # Identical stall fractions and bandwidths: Pearson undefined.
-    report = attribution_report([_sample(), _sample()])
+    report = attribution_report(_log(_sample(), _sample()))
     assert report["correlation"] is None
     assert report["insufficient_data"] == "zero_variance"
 
@@ -310,7 +332,7 @@ def test_attribution_nonfinite_samples_dropped():
     bad = _sample()
     bad.bandwidth = math.nan
     report = attribution_report(
-        [bad, _sample(1e9, 0.2), _sample(2e9, 0.8), _sample(1.5e9, 0.5)])
+        _log(bad, _sample(1e9, 0.2), _sample(2e9, 0.8), _sample(1.5e9, 0.5)))
     assert report["transfers"] == 3
     assert "nan" not in json.dumps(report).lower()
     assert report["correlation"] is not None
@@ -321,6 +343,189 @@ def test_attribution_healthy_report_keyset_unchanged():
     metric exports keep their exact pre-existing keys (byte-identity)."""
     from repro.obs.attribution import attribution_report
     report = attribution_report(
-        [_sample(1e9, 0.2), _sample(2e9, 0.8), _sample(1.5e9, 0.5)])
+        _log(_sample(1e9, 0.2), _sample(2e9, 0.8), _sample(1.5e9, 0.5)))
     assert report["correlation"] is not None
     assert "insufficient_data" not in report
+
+
+# -- attribution over columns vs. the row-based computation ----------------
+
+def _row_attribution(samples, n_bins=5):
+    """Oracle: the attribution computed row by row over TransferSamples,
+    as it was before the log became columnar (with the last bin taking
+    every stall fraction from its low edge up)."""
+    import math
+    samples = [s for s in samples
+               if s.duration > 0 and s.size > 0
+               and math.isfinite(s.duration)
+               and math.isfinite(s.bandwidth)
+               and math.isfinite(s.mem_stall)
+               and math.isfinite(s.busy)]
+    if not samples:
+        return {"transfers": 0, "correlation": None, "bins": [],
+                "quiet_transfers": 0,
+                "insufficient_data": "no_active_transfers"}
+    best_by_size = {}
+    for s in samples:
+        best = best_by_size.get(s.size, 0.0)
+        if s.bandwidth > best:
+            best_by_size[s.size] = s.bandwidth
+    norm = [(s, s.bandwidth / best_by_size[s.size]) for s in samples]
+    active = [(s, nb) for s, nb in norm if s.busy > 0]
+    quiet = len(norm) - len(active)
+    from repro.obs.attribution import _pearson
+    corr = _pearson([s.stall_fraction for s, _ in active],
+                    [nb for _, nb in active]) if active else None
+    reason = None
+    if corr is None:
+        if not active:
+            reason = "no_active_transfers"
+        elif len(active) < 2:
+            reason = "too_few_active_transfers"
+        else:
+            reason = "zero_variance"
+    max_stall = max((s.stall_fraction for s, _ in active), default=0.0)
+    hi = max(max_stall, 1e-9)
+    bins = []
+    for b in range(n_bins):
+        lo_edge = hi * b / n_bins
+        hi_edge = hi * (b + 1) / n_bins
+        members = [
+            (s, nb) for s, nb in active
+            if lo_edge <= s.stall_fraction
+            and (b == n_bins - 1 or s.stall_fraction < hi_edge)]
+        if members:
+            mean_bw = sum(nb for _, nb in members) / len(members)
+            mean_abs = sum(s.bandwidth for s, _ in members) / len(members)
+        else:
+            mean_bw = mean_abs = None
+        bins.append({
+            "stall_lo": round(lo_edge, 6), "stall_hi": round(hi_edge, 6),
+            "transfers": len(members),
+            "mean_norm_bandwidth": (round(mean_bw, 6)
+                                    if mean_bw is not None else None),
+            "mean_bandwidth_Bps": (round(mean_abs, 3)
+                                   if mean_abs is not None else None),
+        })
+    report = {"transfers": len(samples), "quiet_transfers": quiet,
+              "retransmitted": sum(s.retries for s in samples),
+              "correlation": round(corr, 6) if corr is not None else None,
+              "bins": bins}
+    if reason is not None:
+        report["insufficient_data"] = reason
+    return report
+
+
+def _outcome(fn, *args):
+    """Bit-exact comparable result: the report's JSON (which tells -0.0
+    from 0.0), or the exception type it raised."""
+    try:
+        return json.dumps(fn(*args), sort_keys=True)
+    except Exception as err:  # noqa: BLE001 - compared, not swallowed
+        return type(err)
+
+
+_odd = st.sampled_from([0.0, -0.0, float("nan"), float("inf")])
+
+
+def _attr_samples(bandwidth):
+    return st.builds(
+        _sample_row,
+        size=st.sampled_from([0, 8, 1024, 1 << 20]),
+        duration=st.floats(1e-9, 1e-2) | _odd,
+        bandwidth=bandwidth,
+        busy=st.floats(1e-9, 1e-2) | _odd,
+        # Ratios of integers reach the "unround" shares that simple
+        # floats miss (``hi * 5 / 5 < hi`` for about 6% of them).
+        stall_share=st.floats(0.0, 1.0)
+        | st.integers(0, 999_999_937).map(lambda k: k / 999_999_937),
+        retries=st.integers(0, 3),
+        run=st.sampled_from(["victim", "noise"]))
+
+
+# Zero bandwidths included: a size group with no positive bandwidth
+# must fail the same way in both computations.
+_any_samples = _attr_samples(st.floats(1e3, 1e11) | _odd)
+# What the recorder stores: a transfer that survives the finiteness
+# filter has a positive bandwidth (size / duration).
+_recorded_samples = _attr_samples(
+    st.floats(1e3, 1e11) | st.sampled_from([float("nan"), float("inf")]))
+
+
+@given(st.lists(_any_samples, max_size=60), st.integers(1, 7))
+def test_attribution_over_log_matches_row_oracle(samples, n_bins):
+    from repro.obs.attribution import attribution_report
+    assert _outcome(attribution_report, _log(*samples), n_bins) \
+        == _outcome(_row_attribution, samples, n_bins)
+
+
+@given(st.lists(_recorded_samples, max_size=60), st.integers(1, 7))
+def test_attribution_bins_every_active_transfer(samples, n_bins):
+    from repro.obs.attribution import attribution_report
+    report = attribution_report(_log(*samples), n_bins)
+    assert sum(b["transfers"] for b in report["bins"]) \
+        == report["transfers"] - report["quiet_transfers"]
+
+
+def test_attribution_top_bin_keeps_the_highest_stall_transfer():
+    """``hi * 5 / 5`` rounds below this ``hi``: the transfer whose stall
+    fraction is the maximum used to fall into no bin at all."""
+    from repro.obs.attribution import attribution_report
+    hi = 0.21659939713061338
+    assert hi * 5 / 5 < hi
+    report = attribution_report(_log(*(
+        _sample_row(1024, 1e-6, bw, 1.0, share, 0, "r")
+        for bw, share in ((1e9, 0.05), (2e9, 0.1), (3e9, hi)))))
+    assert [b["transfers"] for b in report["bins"]] == [0, 1, 1, 0, 1]
+    assert report["bins"][-1]["stall_hi"] == round(hi * 5 / 5, 6)
+
+
+def test_attribution_by_run_filters_into_a_sub_log():
+    from repro.obs.telemetry import Telemetry
+    tele = Telemetry(trace=False, metrics=True)
+    rows = [_sample_row(1024, 1e-6, 1e9 + i, 1e-6, (i % 5) / 5, i % 2,
+                        ("victim", "noise")[i % 3 == 0])
+            for i in range(30)]
+    tele.transfers = _log(*rows)
+    for run in ("victim", "noise"):
+        mine = [s for s in rows if s.run == run]
+        assert json.dumps(tele.attribution(run=run)) \
+            == json.dumps(_row_attribution(mine))
+    assert list(tele.transfers.for_run("noise")) \
+        == [s for s in rows if s.run == "noise"]
+
+
+# -- the log under --jobs: pickled payloads, ordered concatenation -----------
+
+def _point_telemetry(rows):
+    from repro.obs.telemetry import Telemetry
+    tele = Telemetry(trace=False, metrics=True)
+    tele.transfers = _log(*rows)
+    return tele
+
+
+def test_point_payload_survives_pickle():
+    import pickle
+    rows = [_sample_row(64 << i, 1e-6 * (i + 1), 1e9 / (i + 1), 1e-6,
+                        0.25 * i, i, "app é")
+            for i in range(4)]
+    payload = pickle.loads(pickle.dumps(
+        _point_telemetry(rows).point_payload()))
+    log = payload["transfers"]
+    assert list(log) == rows
+    assert (log.t.typecode, log.size.typecode) == ("d", "q")
+
+
+def test_absorb_point_concatenates_in_submission_order():
+    import pickle
+
+    from repro.obs.telemetry import Telemetry
+    first = [_sample_row(1024, 1e-6, 1e9, 1e-6, 0.5, 0, "a")] * 2
+    second = [_sample_row(8, 2e-6, 4e6, 0.0, 0.0, 1, "b"),
+              _sample_row(8, 1e-6, 8e6, 1e-6, 0.1, 0, "c")]
+    parent = Telemetry(trace=False, metrics=True)
+    for rows in (first, [], second):
+        payload = pickle.loads(pickle.dumps(
+            _point_telemetry(rows).point_payload()))
+        parent.absorb_point(payload)
+    assert list(parent.transfers) == first + second
