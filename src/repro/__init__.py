@@ -21,23 +21,27 @@ Per-figure experiment entry points live in :mod:`repro.core.experiments`
 command line.
 """
 
-from repro.hardware import (
-    BILLY, BORA, HENRI, PYXIS, Cluster, CoreActivity, Machine, MachineSpec,
-    available_presets, get_preset,
-)
-from repro.kernels import (
-    Kernel, copy_kernel, prime_kernel, avx_kernel, run_kernel, triad_kernel,
-    tunable_triad,
-)
-from repro.mpi import CommWorld, P2PContext, PingPong, PingPongResult
-from repro.core import experiments
-from repro.core.placement import Placement
-from repro.core.results import ExperimentResult, Series
-from repro.core.sidebyside import (
-    SideBySideConfig, run_duration_protocol, run_throughput_protocol,
-)
-from repro.runtime import PollingSpec, RuntimeComm, RuntimeSystem
-from repro.runtime.apps import run_cg, run_gemm
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hardware": (
+        "BILLY", "BORA", "HENRI", "PYXIS", "Cluster", "CoreActivity",
+        "Machine", "MachineSpec", "available_presets", "get_preset",
+    ),
+    "repro.kernels": (
+        "Kernel", "copy_kernel", "prime_kernel", "avx_kernel", "run_kernel",
+        "triad_kernel", "tunable_triad",
+    ),
+    "repro.mpi": ("CommWorld", "P2PContext", "PingPong", "PingPongResult"),
+    "repro.core": ("experiments",),
+    "repro.core.placement": ("Placement",),
+    "repro.core.results": ("ExperimentResult", "Series"),
+    "repro.core.sidebyside": (
+        "SideBySideConfig", "run_duration_protocol", "run_throughput_protocol",
+    ),
+    "repro.runtime": ("PollingSpec", "RuntimeComm", "RuntimeSystem"),
+    "repro.runtime.apps": ("run_cg", "run_gemm"),
+})
 
 __version__ = "1.0.0"
 

@@ -1,12 +1,17 @@
 """Statistics and model-fitting helpers for experiment results."""
 
-from repro.analysis.stats import (
-    NonFiniteSampleWarning, SummaryStats, summarize, median, decile_band,
-    bootstrap_ci,
-)
-from repro.analysis.fitting import (
-    fit_latency_frequency, detect_ridge, crossover_index, relative_change,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".stats": (
+        "NonFiniteSampleWarning", "SummaryStats", "summarize", "median",
+        "decile_band", "bootstrap_ci",
+    ),
+    ".fitting": (
+        "fit_latency_frequency", "detect_ridge", "crossover_index",
+        "relative_change",
+    ),
+})
 
 __all__ = [
     "NonFiniteSampleWarning", "SummaryStats", "summarize", "median",

@@ -19,6 +19,11 @@ comes from :mod:`repro.core.registry`; this module only parses flags
 and wires execution contexts (faults, telemetry, journaling, process
 pools) around registry dispatch.  Custom parameter/fault/output
 combinations live in scenario TOML files (docs/SCENARIOS.md).
+
+Module scope imports only the standard library and the lazy-export
+helper: each command imports its own stack, so ``report``, ``status``
+and ``trace-summary`` never load the simulator (DESIGN.md, "Import
+surface").
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ import sys
 import time
 from typing import Dict, Optional
 
-from repro.core import registry
-from repro.core.registry import run_experiment
-from repro.core.report import write_experiments_md
+from repro._lazy import lazy_exports
 
 __all__ = ["main", "run_experiment"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.registry": ("run_experiment",),
+})
 
 
 def _build_fault_plan(args):
@@ -85,6 +92,8 @@ def _profile(args) -> int:
     import platform
     import pstats
 
+    from repro.core import registry
+
     name = args.experiment
     if name not in registry.names():
         print(f"unknown experiment: {name!r} (see `repro list`)",
@@ -99,7 +108,7 @@ def _profile(args) -> int:
     cpu0 = time.process_time()
     with telemetry_context(trace=False, metrics=True) as tele:
         profiler.enable()
-        run_experiment(name, spec=args.spec, fast=True)
+        registry.run_experiment(name, spec=args.spec, fast=True)
         profiler.disable()
         run_wall = time.perf_counter() - wall0
         run_cpu = time.process_time() - cpu0
@@ -146,9 +155,6 @@ def _profile(args) -> int:
 def _status(args) -> int:
     """Read-only campaign progress view over a journal (+ sidecar)."""
     from repro.core.measurer import read_status, render_status
-    if not os.path.exists(args.journal):
-        print(f"no journal at {args.journal}", file=sys.stderr)
-        return 2
     print(render_status(read_status(args.journal)))
     return 0
 
@@ -158,10 +164,6 @@ def _report(args) -> int:
     from repro.analysis.stats import CampaignResults
     from repro.core.htmlreport import (render_html_report,
                                        validate_html_report)
-    for path in filter(None, (args.journal, args.compare)):
-        if not os.path.exists(path):
-            print(f"no journal at {path}", file=sys.stderr)
-            return 2
     results = CampaignResults.from_journal(args.journal)
     if not results.entries:
         print(f"{args.journal}: no readable journal records",
@@ -240,6 +242,34 @@ def _prepare_outputs(args, parser) -> None:
         target = path if os.path.exists(path) else parent or os.curdir
         if not os.access(target, os.W_OK):
             parser.error(f"{flag} {path}: not writable")
+
+
+#: Input-path arguments of each subcommand, as (name, ``args`` attribute).
+_INPUT_ARGS = {
+    "report": (("journal", "journal"), ("--compare", "compare")),
+    "status": (("journal", "journal"),),
+}
+
+
+def _check_inputs(args, parser) -> bool:
+    """Apply the one input-path rule before any work starts.
+
+    A missing journal is reported as such and the caller exits 2; a path
+    that exists but cannot be read as a file (a directory, say) is a
+    usage error naming the argument and the path.
+    """
+    for name, dest in _INPUT_ARGS[args.command]:
+        path = getattr(args, dest)
+        if not path:
+            continue
+        if not os.path.exists(path):
+            print(f"no journal at {path}", file=sys.stderr)
+            return False
+        if os.path.isdir(path):
+            parser.error(f"{name} {path}: is a directory")
+        if not os.access(path, os.R_OK):
+            parser.error(f"{name} {path}: not readable")
+    return True
 
 
 def _apply_scenario(args, parser):
@@ -449,12 +479,13 @@ def main(argv: Optional[list] = None) -> int:
         return _trace_summary(args)
 
     if args.command == "status":
-        return _status(args)
+        return _status(args) if _check_inputs(args, parser) else 2
 
     if args.command == "report":
         _prepare_outputs(args, parser)
-        return _report(args)
+        return _report(args) if _check_inputs(args, parser) else 2
 
+    from repro.core import registry
     if args.command == "list":
         print(registry.render_listing(long=args.long))
         return 0
@@ -571,6 +602,7 @@ def main(argv: Optional[list] = None) -> int:
                 print(f"wrote {args.metrics}", file=sys.stderr)
 
     if args.out:
+        from repro.core.report import write_experiments_md
         write_experiments_md(sections, path=args.out,
                              title=f"Experiment run ({args.spec}"
                              f"{', fast' if args.fast else ''})")

@@ -14,16 +14,19 @@
   generation.
 """
 
-from repro.core.results import Series, ExperimentResult
-from repro.core.placement import (
-    Placement, compute_core_ids, comm_core_for, data_numa_for,
-)
-from repro.core.sidebyside import (
-    SideBySideConfig, ThroughputOutcome, DurationOutcome,
-    run_throughput_protocol, run_duration_protocol,
-)
-from repro.core import experiments
-from repro.core.report import render_table, render_experiment, write_experiments_md
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".results": ("Series", "ExperimentResult"),
+    ".placement": (
+        "Placement", "compute_core_ids", "comm_core_for", "data_numa_for",
+    ),
+    ".sidebyside": (
+        "SideBySideConfig", "ThroughputOutcome", "DurationOutcome",
+        "run_throughput_protocol", "run_duration_protocol",
+    ),
+    ".report": ("render_table", "render_experiment", "write_experiments_md"),
+})
 
 __all__ = [
     "Series", "ExperimentResult",

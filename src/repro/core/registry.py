@@ -17,12 +17,15 @@ Every experiment is journal-capable (equivalently ``--jobs``-,
 ``journal=False``: fig2, fig3bc and gpu_vs_network are each one
 continuous simulation with no point boundary to journal at.
 
-Experiment modules are imported lazily on first registry access
-(:func:`load`), keeping ``import repro`` light.  Listing order is
-canonical — ``PROVIDER_MODULES`` order, then definition order within a
-module — regardless of which provider happened to be imported first,
-so ``repro list`` and ``repro run all`` are stable even when a library
-user imports one experiment module directly.
+This module itself imports only the standard library.  The first
+registry access calls :func:`load`, which imports every module in
+``PROVIDER_MODULES`` and with them the simulator stack they run on
+(``repro.sim``, ``hardware``, ``kernels``, ``netmodel``, ``mpi``);
+read-only commands that never touch the registry stay off it.  Listing
+order is canonical — ``PROVIDER_MODULES`` order, then definition order
+within a module — regardless of which provider happened to be imported
+first, so ``repro list`` and ``repro run all`` are stable even when a
+library user imports one experiment module directly.
 """
 
 from __future__ import annotations

@@ -28,18 +28,22 @@ Usage::
     result.failures            # structured per-point fault annotations
 """
 
-from repro.faults.context import (
-    InstalledFaults, active_faults, active_point_scope, clear_faults,
-    derive_point_seed, fault_context, install_faults, point_scope,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    CrashWorker, DegradedLink, FailSlowCore, FailStop, FaultPlan,
-    MessageLoss, RegCacheFlush, parse_fault,
-)
-from repro.faults.chaos import maybe_chaos
-from repro.faults.reliability import (ReliabilityConfig, TransportError,
-                                      backoff_delay)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".context": (
+        "InstalledFaults", "active_faults", "active_point_scope",
+        "clear_faults", "derive_point_seed", "fault_context",
+        "install_faults", "point_scope",
+    ),
+    ".injector": ("FaultInjector",),
+    ".plan": (
+        "CrashWorker", "DegradedLink", "FailSlowCore", "FailStop", "FaultPlan",
+        "MessageLoss", "RegCacheFlush", "parse_fault",
+    ),
+    ".chaos": ("maybe_chaos",),
+    ".reliability": ("ReliabilityConfig", "TransportError", "backoff_delay"),
+})
 
 __all__ = [
     "FaultPlan", "FailSlowCore", "DegradedLink", "MessageLoss",

@@ -17,16 +17,20 @@ into live simulation objects:
   memory-stalled), the simulated equivalent of ``perf``/pmu-tools.
 """
 
-from repro.hardware.presets import (
-    MachineSpec, TurboTable, CoreFreqSpec, UncoreSpec, MemorySpec,
-    InterconnectSpec, NICSpec, ContentionSpec,
-    HENRI, BORA, BILLY, PYXIS, get_preset, available_presets,
-)
-from repro.hardware.topology import Machine, Cluster, Core, NUMANode, Socket
-from repro.hardware.frequency import FrequencyModel, CoreActivity
-from repro.hardware.counters import CycleCounters
-from repro.hardware.memory import Buffer, allocate, allocate_interleaved
-from repro.hardware.nic import RegistrationCache, dma_demand, dma_efficiency
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".presets": (
+        "MachineSpec", "TurboTable", "CoreFreqSpec", "UncoreSpec",
+        "MemorySpec", "InterconnectSpec", "NICSpec", "ContentionSpec",
+        "HENRI", "BORA", "BILLY", "PYXIS", "get_preset", "available_presets",
+    ),
+    ".topology": ("Machine", "Cluster", "Core", "NUMANode", "Socket"),
+    ".frequency": ("FrequencyModel", "CoreActivity"),
+    ".counters": ("CycleCounters",),
+    ".memory": ("Buffer", "allocate", "allocate_interleaved"),
+    ".nic": ("RegistrationCache", "dma_demand", "dma_efficiency"),
+})
 
 __all__ = [
     "MachineSpec", "TurboTable", "CoreFreqSpec", "UncoreSpec", "MemorySpec",

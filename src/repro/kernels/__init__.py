@@ -17,18 +17,24 @@ characteristics and executed chunk-by-chunk on simulated cores:
   for live demonstration/calibration outside the simulator.
 """
 
-from repro.kernels.roofline import (
-    Kernel, KernelRun, KernelStats, run_kernel, arithmetic_intensity,
-)
-from repro.kernels.stream import (
-    copy_kernel, triad_kernel, tunable_triad, cursor_for_intensity,
-    intensity_of_cursor, STREAM_ARRAY_BYTES,
-)
-from repro.kernels.prime import prime_kernel, prime_workload_ops
-from repro.kernels.avx import avx_kernel
-from repro.kernels.blas import (
-    gemm_tile_cost, gemv_tile_cost, axpy_cost, dot_cost, TileCost,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".roofline": (
+        "Kernel", "KernelRun", "KernelStats", "run_kernel",
+        "arithmetic_intensity",
+    ),
+    ".stream": (
+        "copy_kernel", "triad_kernel", "tunable_triad",
+        "cursor_for_intensity", "intensity_of_cursor", "STREAM_ARRAY_BYTES",
+    ),
+    ".prime": ("prime_kernel", "prime_workload_ops"),
+    ".avx": ("avx_kernel",),
+    ".blas": (
+        "gemm_tile_cost", "gemv_tile_cost", "axpy_cost", "dot_cost",
+        "TileCost",
+    ),
+})
 
 __all__ = [
     "Kernel", "KernelRun", "KernelStats", "run_kernel",

@@ -9,9 +9,13 @@
   bandwidth is size divided by that latency.
 """
 
-from repro.mpi.comm import CommWorld, Rank
-from repro.mpi.p2p import P2PContext, Request
-from repro.mpi.pingpong import PingPong, PingPongResult
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".comm": ("CommWorld", "Rank"),
+    ".p2p": ("P2PContext", "Request"),
+    ".pingpong": ("PingPong", "PingPongResult"),
+})
 
 __all__ = ["CommWorld", "Rank", "P2PContext", "Request",
            "PingPong", "PingPongResult"]

@@ -8,7 +8,11 @@
   couplings that make communications and computations interfere.
 """
 
-from repro.netmodel.logp import LogPSample, sample_logp
-from repro.netmodel.protocols import ProtocolEngine, TransferRecord
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".logp": ("LogPSample", "sample_logp"),
+    ".protocols": ("ProtocolEngine", "TransferRecord"),
+})
 
 __all__ = ["LogPSample", "sample_logp", "ProtocolEngine", "TransferRecord"]

@@ -6,16 +6,19 @@ installed via :func:`telemetry_context`; the disabled path is a single
 ``None`` check at every instrumentation site.
 """
 
-from repro.obs.attribution import (TransferLog, TransferSample,
-                                   attribution_report, render_attribution)
-from repro.obs.context import (active_telemetry, clear_telemetry,
-                               install_telemetry)
-from repro.obs.export import (chrome_trace_json, render_trace_summary,
-                              summarize_chrome_trace, validate_chrome_trace)
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               metric_key)
-from repro.obs.telemetry import Telemetry, telemetry_context
-from repro.obs.tracer import SpanHandle, SpanTracer
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".attribution": ("TransferLog", "TransferSample", "attribution_report",
+                     "render_attribution"),
+    ".context": ("active_telemetry", "clear_telemetry", "install_telemetry"),
+    ".export": ("chrome_trace_json", "render_trace_summary",
+                "summarize_chrome_trace", "validate_chrome_trace"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "metric_key"),
+    ".telemetry": ("Telemetry", "telemetry_context"),
+    ".tracer": ("SpanHandle", "SpanTracer"),
+})
 
 __all__ = [
     "Telemetry", "telemetry_context",

@@ -15,13 +15,17 @@
 * :mod:`repro.runtime.apps` — distributed CG and GEMM task graphs (§6).
 """
 
-from repro.runtime.task import AccessMode, DataHandle, Task, TaskGraph
-from repro.runtime.scheduler import EagerScheduler, PollingSpec
-from repro.runtime.stealing import WorkStealingScheduler
-from repro.runtime.worker import Worker
-from repro.runtime.runtime import RuntimeSystem, RuntimeSpec, runtime_spec_for
-from repro.runtime.mpi_layer import RuntimeComm, SendStats
-from repro.runtime.autotune import AutotuneConfig, WorkerAutotuner
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".task": ("AccessMode", "DataHandle", "Task", "TaskGraph"),
+    ".scheduler": ("EagerScheduler", "PollingSpec"),
+    ".stealing": ("WorkStealingScheduler",),
+    ".worker": ("Worker",),
+    ".runtime": ("RuntimeSystem", "RuntimeSpec", "runtime_spec_for"),
+    ".mpi_layer": ("RuntimeComm", "SendStats"),
+    ".autotune": ("AutotuneConfig", "WorkerAutotuner"),
+})
 
 __all__ = [
     "AccessMode", "DataHandle", "Task", "TaskGraph",

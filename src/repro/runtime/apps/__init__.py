@@ -1,6 +1,10 @@
 """Distributed task-graph applications for §6 (Figure 10)."""
 
-from repro.runtime.apps.cg import CGResult, run_cg
-from repro.runtime.apps.gemm import GEMMResult, run_gemm
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cg": ("CGResult", "run_cg"),
+    ".gemm": ("GEMMResult", "run_gemm"),
+})
 
 __all__ = ["CGResult", "run_cg", "GEMMResult", "run_gemm"]

@@ -19,11 +19,15 @@ on.  It provides:
   traces of Figures 2 and 3 of the paper).
 """
 
-from repro.sim.engine import Simulator, Process, SimulationError
-from repro.sim.events import Event, Timeout, AllOf, AnyOf, Interrupt
-from repro.sim.fluid import Resource, Flow, FluidNetwork
-from repro.sim.randomness import RandomStreams, noisy
-from repro.sim.trace import Trace, PeriodicSampler
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": ("Simulator", "Process", "SimulationError"),
+    ".events": ("Event", "Timeout", "AllOf", "AnyOf", "Interrupt"),
+    ".fluid": ("Resource", "Flow", "FluidNetwork"),
+    ".randomness": ("RandomStreams", "noisy"),
+    ".trace": ("Trace", "PeriodicSampler"),
+})
 
 __all__ = [
     "Simulator",

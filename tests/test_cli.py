@@ -176,3 +176,24 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag):
     assert exc.value.code == 2
     assert f"--out {blocker / 'R.html'}: cannot create directory" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["status", "{d}"],
+    ["report", "{d}", "-o", "{d}/R.html"],
+    ["report", "{j}", "--compare", "{d}", "-o", "{d}/R.html"],
+])
+def test_directory_input_path_is_a_usage_error(capsys, tmp_path, argv):
+    """A journal argument that is a directory fails before any work, as
+    an argparse error naming the argument and the path."""
+    j = tmp_path / "j.jsonl"
+    j.write_text("")
+    argv = [a.format(d=tmp_path, j=j) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    name = "--compare" if "--compare" in argv else "journal"
+    assert f"{name} {tmp_path}: is a directory" in err
+    assert out == "" and "wrote" not in err
+    assert not (tmp_path / "R.html").exists()
