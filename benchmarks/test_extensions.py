@@ -82,27 +82,6 @@ def test_gpu_interference(benchmark):
     assert stream.observations["memcpy_bw_min_ratio"] < 0.4
 
 
-def test_prediction_accuracy(benchmark):
-    """§8 future work: closed-form predictor vs the simulator."""
-    from repro.analysis.prediction import predict_interference
-    from repro.core import experiments as E
-    from repro.hardware import HENRI
-
-    def run():
-        sim4b = E.fig4b(core_counts=[0, 5, 20, 35], reps=3)
-        base = sim4b["comm_together_bw"].median[0]
-        errors = []
-        for n in (5, 20, 35):
-            simulated = sim4b["comm_together_bw"].at(n) / base
-            predicted = predict_interference(HENRI, n).bandwidth_ratio
-            errors.append(abs(predicted - simulated))
-        return errors
-
-    errors = run_once(benchmark, run)
-    note(benchmark, max_abs_error=max(errors))
-    assert max(errors) < 0.15
-
-
 def test_scheduler_comparison(benchmark):
     """Eager central list vs locality work stealing on the §6 GEMM."""
     from repro.runtime.apps import run_gemm

@@ -1,10 +1,11 @@
 """Micro-benchmarks of the incremental fluid solver.
 
 Unlike the figure benchmarks, these stress the solver directly.  The
-drivers live in :mod:`repro.sim.microbench`; the end-to-end and
-per-layer benchmark of the figure sweeps is ``perfbench/run.py``.
+drivers live in ``benchmarks/microbench.py``, next to this file; the
+end-to-end and per-layer benchmark of the figure sweeps is
+``perfbench/run.py``.
 
-* ``test_fluid_component_churn`` (PR 3 tentpole): a many-component
+* ``test_fluid_component_churn``: a many-component
   flow graph (one shared bus per "socket", fig10-style) driven by a
   churn of start/complete/capacity events.  With global recomputation
   this is quadratic in the number of components — the incremental
@@ -15,14 +16,13 @@ per-layer benchmark of the figure sweeps is ``perfbench/run.py``.
   on wide components and the dirty-component memo.
 * ``test_fluid_tiny_components``: 1–2-flow component churn — the rate
   solver's per-solve overhead on the smallest components.
-* ``test_sampler_dense`` (PR 9 tentpole): dense periodic sampling
+* ``test_sampler_dense``: dense periodic sampling
   under activity churn — the epoch-batched sampler.
 """
 
 from conftest import note, run_once
 
-from repro.sim.microbench import (churn, churn_wide, sampler_dense,
-                                  tiny_components)
+from microbench import churn, churn_wide, sampler_dense, tiny_components
 
 N_COMPONENTS = 16
 FLOWS_PER_COMPONENT = 12

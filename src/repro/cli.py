@@ -470,6 +470,13 @@ def main(argv: Optional[list] = None) -> int:
                         "re-run only failed/missing ones")
     args = parser.parse_args(argv)
     _setup_logging(args.log_level)
+    if getattr(args, "spec", None):
+        # An unknown preset is a usage error naming the valid ones.
+        from repro.hardware.presets import get_preset
+        try:
+            get_preset(args.spec)
+        except KeyError as err:
+            parser.error(f"--spec: {err.args[0]}")
 
     if args.command == "profile":
         _prepare_outputs(args, parser)
@@ -498,6 +505,9 @@ def main(argv: Optional[list] = None) -> int:
         return 0
 
     scenario = _apply_scenario(args, parser)
+    if args.jobs < 0:
+        parser.error(f"--jobs must be >= 0 (0 = one per CPU), "
+                     f"got {args.jobs}")
     names = registry.names(in_all=True) if args.experiment == "all" \
         else [args.experiment]
     if args.experiment != "all":

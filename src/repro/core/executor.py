@@ -391,10 +391,11 @@ class SweepExecutor:
     ``jobs <= 1`` stays in-process (no pool, no pickling) but still
     routes through :func:`_execute_point` — the serial path is the
     parallel path with a pool of zero.  ``jobs == 0`` at construction
-    means "one per CPU".
+    means "one per CPU"; a negative ``jobs`` is a ``ValueError``.
 
     The parallel path is a submission-order futures loop (window =
-    ``jobs``) rather than ``pool.map``: each in-flight point carries a
+    ``jobs``, capped at the sweep's point count, and so is the pool)
+    rather than ``pool.map``: each in-flight point carries a
     deadline, crashes and timeouts requeue the affected points with
     backoff, and results are buffered per index and yielded contiguously
     — the merge order is identical whatever the completion (or retry)
@@ -404,14 +405,23 @@ class SweepExecutor:
     def __init__(self, jobs: int = 1,
                  policy: Optional[ExecutionPolicy] = None):
         jobs = int(jobs)
-        if jobs == 0:
-            jobs = os.cpu_count() or 1
-        self.jobs = max(1, jobs)
+        if jobs < 0:
+            raise ValueError(f"jobs must be >= 0 (0 = one per CPU), "
+                             f"got {jobs}")
+        self.jobs = jobs or os.cpu_count() or 1
         self.policy = policy if policy is not None else ExecutionPolicy()
         self._pool: Optional[ProcessPoolExecutor] = None
 
     # -- pool lifecycle ----------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(self, width: int) -> ProcessPoolExecutor:
+        """The pool, with at least *width* workers.
+
+        A fork-context pool launches all ``max_workers`` processes up
+        front, so it is sized to the sweep being mapped; a later, wider
+        sweep replaces it with a wider one.
+        """
+        if self._pool is not None and self._pool._max_workers < width:
+            self.close()
         if self._pool is None:
             import multiprocessing
             try:
@@ -419,7 +429,7 @@ class SweepExecutor:
             except ValueError:  # pragma: no cover - non-POSIX fallback
                 ctx = multiprocessing.get_context()
             self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=ctx,
+                max_workers=width, mp_context=ctx,
                 initializer=_worker_init)
         return self._pool
 
@@ -473,6 +483,7 @@ class SweepExecutor:
                       ) -> Iterator[dict]:
         policy = self.policy
         n = len(tasks)
+        width = min(self.jobs, n)
         # (ready_at, index) pairs awaiting (re)submission, kept sorted;
         # the initial load is all-ready in index order, so first
         # submissions happen in task order.
@@ -486,13 +497,13 @@ class SweepExecutor:
         def submit_ready() -> None:
             now = time.monotonic()
             i = 0
-            while i < len(waiting) and len(inflight) < self.jobs:
+            while i < len(waiting) and len(inflight) < width:
                 ready_at, idx = waiting[i]
                 if ready_at > now:
                     break  # sorted: nothing later is ready either
                 waiting.pop(i)
                 try:
-                    future = self._ensure_pool().submit(
+                    future = self._ensure_pool(width).submit(
                         _execute_point, tasks[idx])
                 except BrokenProcessPool:
                     # A previously-submitted point already killed the
@@ -563,7 +574,7 @@ class SweepExecutor:
             wait_s = None
             if deadlines:
                 wait_s = max(0.0, min(deadlines.values()) - time.monotonic())
-            if waiting and len(inflight) < self.jobs:
+            if waiting and len(inflight) < width:
                 wake = max(0.0, waiting[0][0] - time.monotonic())
                 wait_s = wake if wait_s is None else min(wait_s, wake)
             done, _ = _futures_wait(list(inflight), timeout=wait_s,
@@ -593,7 +604,8 @@ class SweepExecutor:
                 # The pool is broken: every other in-flight future is
                 # dead too.  Drain any that still carry a result, charge
                 # the rest (the culprit cannot be attributed, and with
-                # window == jobs they were all running), rebuild the
+                # the window no wider than the pool they were all
+                # running), rebuild the
                 # pool lazily, and carry on — completed entries are
                 # already buffered and are never recomputed.
                 _obs_inc("executor.worker_crashes")

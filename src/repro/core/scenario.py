@@ -270,6 +270,7 @@ def _validate_faults(specs: List[object], source: str) -> Tuple[str, ...]:
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     """Parse + validate scenario TOML text into a :class:`Scenario`."""
     from repro.core import registry
+    from repro.hardware.presets import get_preset
 
     doc = _parse_toml(text, source)
     if not isinstance(doc, dict):
@@ -293,6 +294,12 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         registry.get(experiment)
     except registry.UnknownExperimentError as err:
         raise ScenarioError(f"{source}: [scenario] experiment: {err}"
+                            ) from None
+    spec = scen.get("spec", "henri")
+    try:
+        get_preset(spec)
+    except KeyError as err:
+        raise ScenarioError(f"{source}: [scenario] spec: {err.args[0]}"
                             ) from None
 
     params = doc.get("params", {})
@@ -326,6 +333,11 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(
             f"{source}: [execution] point_retries must be >= 0, got "
             f"{point_retries!r}")
+    jobs = execution.get("jobs")
+    if jobs is not None and jobs < 0:
+        raise ScenarioError(
+            f"{source}: [execution] jobs must be >= 0 (0 = cpu count), "
+            f"got {jobs!r}")
     trials = execution.get("trials")
     if trials is not None and trials < 1:
         raise ScenarioError(
@@ -336,14 +348,14 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     return Scenario(
         name=name,
         experiment=experiment,
-        spec=scen.get("spec", "henri"),
+        spec=spec,
         fast=bool(scen.get("fast", False)),
         params=dict(params),
         fault_specs=fault_specs,
         fault_seed=faults.get("seed"),
         timeout=float(timeout) if timeout is not None else None,
         max_retries=faults.get("max_retries"),
-        jobs=execution.get("jobs"),
+        jobs=jobs,
         trials=trials,
         journal=execution.get("journal"),
         resume=bool(execution.get("resume", False)),

@@ -197,3 +197,29 @@ def test_directory_input_path_is_a_usage_error(capsys, tmp_path, argv):
     assert f"{name} {tmp_path}: is a directory" in err
     assert out == "" and "wrote" not in err
     assert not (tmp_path / "R.html").exists()
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["run", "fig1a", "--fast", "--spec", "bogus", "--out", "{d}/o/R.md"],
+     "--spec: unknown preset 'bogus'; available: ['billy', 'bora', "
+     "'henri', 'pyxis']"),
+    (["topology", "--spec", "bogus"], "--spec: unknown preset 'bogus'"),
+    (["profile", "fig1a", "--spec", "bogus", "--out", "{d}/o/P.txt"],
+     "--spec: unknown preset 'bogus'"),
+    (["run", "fig1a", "--fast", "--jobs", "-1", "--out", "{d}/o/R.md"],
+     "--jobs must be >= 0 (0 = one per CPU), got -1"),
+])
+def test_bad_spec_or_jobs_is_a_usage_error(capsys, tmp_path, argv, needle):
+    """An unknown preset or a negative --jobs fails before any output
+    directory is created or any work starts."""
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(d=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert needle in err
+    assert out == "" and not (tmp_path / "o").exists()
+
+
+def test_spec_lookup_is_case_insensitive(capsys):
+    assert main(["topology", "--spec", "HENRI"]) == 0
+    assert capsys.readouterr().out

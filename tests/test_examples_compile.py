@@ -46,4 +46,4 @@ def test_examples_present():
             "arithmetic_intensity.py", "runtime_interference.py",
             "cg_vs_gemm.py", "native_stream.py",
             "autotune_workers.py", "gpu_transfers.py",
-            "collectives_demo.py", "predict_interference.py"} <= names
+            "collectives_demo.py"} <= names

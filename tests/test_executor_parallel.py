@@ -347,6 +347,47 @@ def test_jobs_zero_means_cpu_count():
     ex = SweepExecutor(jobs=0)
     assert ex.jobs == (os.cpu_count() or 1)
     ex.close()
+    with pytest.raises(ValueError, match="jobs must be >= 0"):
+        SweepExecutor(jobs=-1)
+
+
+def test_pool_is_sized_to_the_sweep(monkeypatch):
+    """A fork pool starts all its workers up front, so a huge --jobs
+    must not fork more workers than the sweep has points.  The pool
+    class is faked: no test starts the processes."""
+    from concurrent.futures import Future
+
+    import repro.core.executor as executor_mod
+
+    widths = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None, initializer=None):
+            self._max_workers = max_workers
+            widths.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", RecordingPool)
+
+    def sweep(n):
+        return [(PointSpec(experiment="figX", key=f"size={i}",
+                           runner="tests.test_executor_parallel:_row_runner",
+                           params={"size": i}), {}) for i in range(n)]
+
+    with SweepExecutor(jobs=10**6) as ex:
+        for n in (3, 8, 2):
+            entries = list(ex.map_points(sweep(n)))
+            assert [e["key"] for e in entries] == \
+                [f"size={i}" for i in range(n)]
+    # The wider second sweep rebuilds the pool; the third reuses it.
+    assert widths == [3, 8]
 
 
 def test_map_preserves_submission_order():

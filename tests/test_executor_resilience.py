@@ -158,7 +158,7 @@ def test_close_waits_on_clean_exit_only(monkeypatch):
     calls = []
 
     def instrument(executor):
-        pool = executor._ensure_pool()  # noqa: SLF001
+        pool = executor._ensure_pool(2)  # noqa: SLF001
         orig = pool.shutdown
 
         def spy(wait=True, cancel_futures=False):

@@ -68,6 +68,10 @@ def test_minimal_scenario_defaults():
      "jobs"),
     ("[scenario]\nexperiment = 'fig9'\n[execution]\njobs = true\n",
      "jobs"),
+    ("[scenario]\nexperiment = 'fig9'\n[execution]\njobs = -1\n",
+     "jobs must be >= 0"),
+    ("[scenario]\nexperiment = 'fig9'\nspec = 'bogus'\n",
+     "spec: unknown preset 'bogus'; available: ['billy', 'bora', 'henri'"),
     ("[scenario]\nexperiment = 'fig9'\n[execution]\nresume = true\n",
      "resume"),
     ("[scenario]\nexperiment = 'fig4a'\n[params]\nbogus_knob = 3\n",
