@@ -24,5 +24,5 @@ def note(benchmark, **info):
     """Attach paper-vs-measured numbers to the benchmark report."""
     for key, value in info.items():
         if isinstance(value, float):
-            value = round(value, 4)
+            value = float(f"{value:.4g}")
         benchmark.extra_info[key] = value

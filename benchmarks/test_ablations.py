@@ -8,6 +8,7 @@ import pytest
 
 from conftest import note, run_once
 
+from repro.core.record import PAPER_VALUES
 from repro.core.registry import run_experiment
 
 CORES = [0, 3, 5, 12, 20, 28, 35]
@@ -53,7 +54,8 @@ def test_ablation_dma_priority_carries_asymptote(benchmark):
     note(benchmark, with_mechanism=base_floor, without=abl_floor)
     # With the NIC's arbitration weight the floor is the paper's ~1/3;
     # as 'just another core' it collapses far lower.
-    assert base_floor == pytest.approx(1 / 3, abs=0.07)
+    assert base_floor == pytest.approx(
+        PAPER_VALUES["fig4b-bandwidth-min-ratio"], abs=0.07)
     assert abl_floor < 0.66 * base_floor
 
 

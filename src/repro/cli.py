@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list [--long]
     python -m repro run fig4a [--spec henri] [--fast]
-    python -m repro run all --fast --out EXPERIMENTS_RUN.md
+    python -m repro run all --fast --out RUN.md
     python -m repro run --scenario examples/scenario_fig1a_loss.toml
     python -m repro run fig1a --fast --trials 5 --journal c.jsonl
     python -m repro status c.jsonl
@@ -95,10 +95,6 @@ def _profile(args) -> int:
     from repro.core import registry
 
     name = args.experiment
-    if name not in registry.names():
-        print(f"unknown experiment: {name!r} (see `repro list`)",
-              file=sys.stderr)
-        return 2
     os.environ["REPRO_ENGINE_COUNTERS"] = "1"
     from repro.obs.telemetry import telemetry_context
     out = args.out if args.out else f"PROFILE_{name}.txt"
@@ -479,6 +475,11 @@ def main(argv: Optional[list] = None) -> int:
             parser.error(f"--spec: {err.args[0]}")
 
     if args.command == "profile":
+        from repro.core import registry
+        try:
+            registry.get(args.experiment)
+        except registry.UnknownExperimentError as err:
+            parser.error(str(err))
         _prepare_outputs(args, parser)
         return _profile(args)
 
@@ -515,7 +516,6 @@ def main(argv: Optional[list] = None) -> int:
             registry.get(args.experiment)
         except registry.UnknownExperimentError as err:
             parser.error(str(err))
-    _prepare_outputs(args, parser)
 
     if args.resume and not args.journal:
         parser.error("--resume requires --journal")
@@ -538,6 +538,7 @@ def main(argv: Optional[list] = None) -> int:
         policy = ExecutionPolicy(**policy_kwargs)
     except ValueError as err:
         parser.error(str(err))
+    _prepare_outputs(args, parser)
     if policy.trials > 1:
         not_sweep = [n for n in names
                      if not registry.get(n).journal_capable]

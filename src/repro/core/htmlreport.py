@@ -11,9 +11,9 @@ charts.  Per figure series it shows
   medians by :meth:`~repro.analysis.stats.TrialSet.ci`;
 * a table of the same numbers (median, CI bounds, trial count);
 
-plus a paper-vs-measured table (claims from
-:data:`~repro.core.record.PAPER_CLAIMS` matched against the journal's
-experiments), a Mann-Whitney comparison section when ``--compare``
+plus a paper-vs-measured table (the claims of
+:data:`~repro.core.record.CLAIMS` whose figure matches a journal
+experiment), a Mann-Whitney comparison section when ``--compare``
 names a second journal, a Fig-10-style attribution trend derived from
 the journaled per-point metric deltas, aggregated campaign metrics
 (histogram p50/p95/p99 included) and a failure/`[hole]` listing.
@@ -182,12 +182,12 @@ def _matched_claims(experiments: List[str]) -> List[Tuple[str, str, str]]:
     """(figure, claim, journal experiment) for claims whose figure id
     matches a journal experiment (by prefix either way: the fig1a/fig1b
     entry points journal under the shared sweep name ``fig1``)."""
-    from repro.core.record import PAPER_CLAIMS
+    from repro.core.record import CLAIMS
     out = []
-    for fig, claim, _extract in PAPER_CLAIMS:
+    for fig, text in ((c.figure, c.text) for c in CLAIMS):
         for exp in experiments:
             if fig == exp or fig.startswith(exp) or exp.startswith(fig):
-                out.append((fig, claim, exp))
+                out.append((fig, text, exp))
                 break
     return out
 

@@ -16,22 +16,11 @@ the clusters of §2.2 of the paper:
 * ``pyxis`` — dual Cavium ThunderX2 @2.5 GHz, 64 cores, 2 NUMA nodes,
   InfiniBand ConnectX-6 EDR.
 
-Calibration anchors (henri, from the paper):
-
-==========================================  =======================
-Quantity                                     Paper value
-==========================================  =======================
-latency @ core 2.3 GHz (constant)            1.8 µs
-latency @ core 1.0 GHz (constant)            3.1 µs
-uncore-only latency effect                   ≈ +5 %
-bandwidth @ uncore 2.4 / 1.2 GHz             10.5 / 10.1 GB/s
-latency near/far NIC (no load)               1.39 / 1.67 µs
-latency ping-pong alone vs w/ compute        1.7 / 1.52 µs (fig 2)
-network bw loss, 36 STREAM cores             ≈ −2/3
-STREAM loss @5 cores w/ bandwidth pingpong   ≤ 25 %
-StarPU latency overhead                      +38 µs
-memory/compute ridge (tunable TRIAD)         ≈ 6 flop/B
-==========================================  =======================
+The paper's numbers that these presets are calibrated to, with the
+accepted interval around each, are the checks of the claims table in
+:mod:`repro.core.record`.  One anchor has no check there: the no-load
+latency with data near / far from the NIC, 1.39 / 1.67 µs on henri
+(derived in ``docs/MODELING.md``).
 """
 
 from __future__ import annotations

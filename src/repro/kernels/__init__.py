@@ -13,8 +13,6 @@ characteristics and executed chunk-by-chunk on simulated cores:
 * :mod:`repro.kernels.avx` — the AVX-512 weak-scaling FLOP kernel (§3.3).
 * :mod:`repro.kernels.blas` — tile-level (flops, bytes) cost models for
   GEMM/GEMV/AXPY/DOT, used by the task-based runtime applications (§6).
-* :mod:`repro.kernels.native` — a *real* NumPy STREAM run on the host,
-  for live demonstration/calibration outside the simulator.
 """
 
 from repro._lazy import lazy_exports

@@ -220,6 +220,29 @@ def test_bad_spec_or_jobs_is_a_usage_error(capsys, tmp_path, argv, needle):
     assert out == "" and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["profile", "bogusexp", "--out", "{d}/o/P.txt"],
+     "unknown experiment 'bogusexp'; valid experiments: "),
+    (["run", "fig1a", "--fast", "--resume", "--out", "{d}/o/x.md"],
+     "--resume requires --journal"),
+    (["run", "fig1a", "--fast", "--fault", "bogus", "--out", "{d}/o/x.md"],
+     "unknown fault kind 'bogus'"),
+    (["run", "fig1a", "--fast", "--point-timeout", "-1",
+      "--out", "{d}/o/x.md"],
+     "point_timeout must be > 0"),
+])
+def test_bad_arguments_create_no_output_directory(capsys, tmp_path, argv,
+                                                  needle):
+    """Every argument check runs before an output directory is
+    created."""
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(d=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert needle in err
+    assert out == "" and not (tmp_path / "o").exists()
+
+
 def test_spec_lookup_is_case_insensitive(capsys):
     assert main(["topology", "--spec", "HENRI"]) == 0
     assert capsys.readouterr().out

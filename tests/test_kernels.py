@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.record import PAPER_VALUES
 from repro.hardware import Cluster, CoreActivity, HENRI
 from repro.kernels import (
     Kernel, arithmetic_intensity, avx_kernel, axpy_cost, copy_kernel,
@@ -129,7 +130,8 @@ def test_avx_weak_scaling_duration(machine):
             for i in range(4)]
     machine.sim.run()
     d4 = max(r.stats.duration for r in runs)
-    assert d4 == pytest.approx(0.135, rel=0.1)
+    assert d4 == pytest.approx(PAPER_VALUES["fig3a-avx-4-core-duration"],
+                               rel=0.1)
 
     m2 = Cluster(HENRI, 1).machine(0)
     runs20 = [run_kernel(m2, i, avx_kernel(), sweeps=1) for i in range(20)]

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.record import PAPER_VALUES
 from repro.hardware import Cluster, HENRI
 from repro.mpi import CommWorld
 from repro.mpi.collectives import (
@@ -31,7 +32,7 @@ def test_bcast_completes_and_scales_logarithmically(n_nodes):
     assert rec.messages == n_nodes - 1
     # Binomial tree: duration ~ ceil(log2 p) x per-message latency.
     rounds = math.ceil(math.log2(n_nodes))
-    per_msg = 1.8e-6
+    per_msg = PAPER_VALUES["fig1a-high-core-latency"]
     assert rec.duration < rounds * per_msg * 2.0
     assert rec.duration > rounds * per_msg * 0.5
 

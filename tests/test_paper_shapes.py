@@ -1,203 +1,50 @@
-"""Integration tests asserting the paper's headline findings.
+"""The paper's headline findings, asserted on the ``--fast`` runs.
 
-Each test runs a reduced version of a paper experiment and checks the
-*shape* of the result: orderings, thresholds and rough factors.  The
-full-resolution versions live in ``benchmarks/``.
+One test per ``"fast"`` check of the claims table
+(:data:`repro.core.record.CLAIMS`): the *shape* of each result —
+orderings, thresholds and rough factors.  Each run executes once per
+module.  The same runs render EXPERIMENTS.md, so a stale committed copy
+fails here too; regenerate it with ``python tools/experiments_md.py``.
 """
+
+import importlib.util
+import pathlib
 
 import pytest
 
-from repro.core import experiments as E
-from repro.mpi.pingpong import BANDWIDTH_SIZE, LATENCY_SIZE
+from repro.core.record import checks, run_fast
 
 pytestmark = pytest.mark.slow
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# -- §3.1: frequency effects on communications -------------------------------
-
-def test_fig1_core_frequency_drives_latency():
-    res = E.fig1(sizes=[4], reps=8)
-    hi = res.observations["latency_high_core_s"]
-    lo = res.observations["latency_low_core_s"]
-    # Paper: 1.8 us at 2.3 GHz vs 3.1 us at 1.0 GHz.
-    assert hi == pytest.approx(1.8e-6, rel=0.1)
-    assert lo == pytest.approx(3.1e-6, rel=0.1)
-    assert lo / hi == pytest.approx(1.72, rel=0.15)
+_spec = importlib.util.spec_from_file_location(
+    "experiments_md", ROOT / "tools" / "experiments_md.py")
+experiments_md = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(experiments_md)
 
 
-def test_fig1_uncore_frequency_drives_bandwidth():
-    res = E.fig1(sizes=[4, BANDWIDTH_SIZE], reps=4)
-    bw_hi = res.observations["bandwidth_uncore_max"]
-    bw_lo = res.observations["bandwidth_uncore_min"]
-    # Paper: 10.5 vs 10.1 GB/s.
-    assert bw_hi == pytest.approx(10.5e9, rel=0.05)
-    assert bw_lo < bw_hi
-    assert bw_hi / bw_lo == pytest.approx(1.04, abs=0.03)
+class _Runs(dict):
+    """Run id -> result, running each ``--fast`` run on first access."""
+
+    def __missing__(self, run_id):
+        self[run_id] = result = run_fast(run_id)
+        return result
 
 
-# -- §3.2: CPU-bound compute does not hurt, and can help ---------------------
-
-def test_fig2_frequency_phases_and_latency_improvement():
-    res = E.fig2(phase_seconds=0.04)
-    obs = res.observations
-    # Phase B (idle): compute cores at minimum frequency.
-    assert obs["compute_core_ghz_B"] == pytest.approx(1.0, abs=0.1)
-    # Phase C: compute cores boosted.
-    assert obs["compute_core_ghz_C"] > 2.0
-    # Paper: latency slightly BETTER with computation (1.52 vs 1.7 us).
-    assert obs["latency_together_s"] < obs["latency_alone_s"]
+@pytest.fixture(scope="module")
+def runs():
+    return _Runs()
 
 
-# -- §3.3: AVX ----------------------------------------------------------
-
-def test_fig3_avx_slows_itself_not_comms():
-    res = E.fig3a(core_counts=(4, 20), reps=5)
-    # Weak scaling: more AVX cores -> lower license frequency -> slower.
-    assert res["compute_alone"].at(20) > res["compute_alone"].at(4)
-    assert res["compute_alone"].at(4) == pytest.approx(0.135, rel=0.15)
-    # Latency never degraded by AVX compute.
-    for n in (4, 20):
-        assert res["latency_together"].at(n) <= \
-            res["latency_alone"].at(n) * 1.05
+@pytest.mark.parametrize("check", checks("fast"), ids=lambda c: c.name)
+def test_claim(check, runs):
+    value = check.evaluate(runs)
+    assert check.holds(value), \
+        f"{check.name}: {value!r} outside [{check.lo!r}, {check.hi!r}]"
 
 
-def test_fig3bc_comm_core_frequency_stable():
-    res = E.fig3bc(n_compute=4, phase_seconds=0.05)
-    # Paper fig 3b: 4 AVX cores at ~3 GHz, comm core unaffected.
-    assert res.observations["avx_core_ghz"] == pytest.approx(3.0, abs=0.15)
-    assert res.observations["comm_core_ghz"] >= 2.5
-
-
-# -- §4.2: memory contention ---------------------------------------------------
-
-def test_fig4a_latency_far_thread_doubles_late():
-    res = E.fig4a(core_counts=[0, 5, 20, 28, 35], reps=6)
-    base = res.observations["latency_baseline_s"]
-    # Flat until computing threads reach the comm socket ...
-    assert res["comm_together"].at(5) == pytest.approx(base, rel=0.1)
-    # ... then roughly doubles at full core count (paper: x2).
-    assert res.observations["latency_max_ratio"] == pytest.approx(
-        2.0, rel=0.25)
-    # STREAM is not impacted by the latency ping-pong.
-    assert res["compute_together"].at(20) == pytest.approx(
-        res["compute_alone"].at(20), rel=0.05)
-
-
-def test_fig4b_bandwidth_drops_two_thirds():
-    res = E.fig4b(core_counts=[0, 3, 5, 20, 35], reps=4)
-    # Paper: impacted from ~3 cores; -2/3 at full count.
-    assert res.observations["bandwidth_impact_from_cores"] <= 5
-    assert res.observations["bandwidth_min_ratio"] == pytest.approx(
-        1 / 3, abs=0.08)
-    # STREAM loses at most ~25 % (at few cores).
-    ratios = [t / a for t, a in zip(res["compute_together"].median,
-                                    res["compute_alone"].median)]
-    assert min(ratios) > 0.65
-    assert min(ratios) < 0.9
-
-
-# -- §4.3: placement (Table 1) ---------------------------------------------------
-
-def test_table1_placement_orderings():
-    rows = {(
-        r["data"], r["comm_thread"]): r
-        for r in E.table1(core_counts=[0, 5, 20, 35],
-                          reps=4).meta["rows"]}
-    # Far comm thread: stronger latency degradation than near.
-    assert rows[("near", "far")]["latency_max_ratio"] > \
-        rows[("near", "near")]["latency_max_ratio"]
-    # Far data: bandwidth drops more abruptly than near data.
-    assert rows[("far", "near")]["bandwidth_min_ratio"] < \
-        rows[("near", "near")]["bandwidth_min_ratio"]
-    # Near thread stays mild (paper: "around 2 us").
-    assert rows[("near", "near")]["latency_max_ratio"] < 1.6
-
-
-# -- §4.4: message size ---------------------------------------------------
-
-def test_fig6a_thresholds():
-    res = E.fig6a(sizes=[4, 1024, 4096, 65536, 1 << 20, 64 << 20], reps=4)
-    # Paper @5 cores: comms degraded from 64 KB, STREAM from 4 KB.
-    assert res.observations["comm_degraded_from_size"] == 65536
-    assert res.observations["stream_degraded_from_size"] in (4096, 65536)
-
-
-def test_fig6b_more_cores_hurt_smaller_messages():
-    res6a = E.fig6a(sizes=[4096, 65536], reps=4)
-    res6b = E.fig6b(sizes=[4096, 65536], reps=4)
-    ratio_a = res6a["comm_together"].at(4096) / \
-        res6a["comm_alone"].at(4096)
-    ratio_b = res6b["comm_together"].at(4096) / \
-        res6b["comm_alone"].at(4096)
-    # At 35 cores even small messages are degraded; at 5 cores they are not.
-    assert ratio_b < 0.8 < ratio_a
-
-
-# -- §4.5: arithmetic intensity -------------------------------------------------
-
-def test_fig7a_latency_ridge():
-    res = E.fig7a(cursors=[1, 24, 72, 144, 480], reps=4, elems=800_000)
-    lat = res["comm_together"]
-    alone = res["comm_alone"].median[0]
-    # Memory-bound side: latency roughly doubles.
-    assert lat.at(1 / 12) > 1.7 * alone
-    # CPU-bound side: recovered.
-    assert lat.at(40) < 1.2 * alone
-    # Computing duration constant in the memory-bound regime (§4.5).
-    assert res["compute_together"].at(1 / 12) == pytest.approx(
-        res["compute_alone"].at(1 / 12), rel=0.05)
-
-
-def test_fig7b_bandwidth_ridge():
-    res = E.fig7b(cursors=[1, 72, 480], reps=3, elems=2_000_000, sweeps=3)
-    bw = res["comm_together_bw"]
-    # Paper: -60 % below the ridge; nominal above.
-    assert bw.at(1 / 12) < 0.45 * bw.at(40)
-    # Compute slowed ~10 % by the large messages below the ridge.
-    slowdown = res["compute_together"].at(1 / 12) / \
-        res["compute_alone"].at(1 / 12)
-    assert 1.02 < slowdown < 1.35
-
-
-# -- §5: runtime system ---------------------------------------------------
-
-def test_runtime_overhead_matches_paper():
-    res = E.runtime_overhead(reps=10)
-    # Paper: +38 us on henri.
-    assert res.observations["overhead_s"] == pytest.approx(38e-6, rel=0.2)
-
-
-def test_fig8_numa_match_beats_mismatch():
-    res = E.fig8(reps=8)
-    obs = res.observations
-    assert obs["data_near_thread_near_latency_s"] < \
-        obs["data_near_thread_far_latency_s"]
-    assert obs["data_far_thread_far_latency_s"] < \
-        obs["data_far_thread_near_latency_s"]
-
-
-def test_fig9_polling_ordering():
-    res = E.fig9(sizes=[4], reps=6)
-    lat = {k: res.observations[f"{k}_latency_4B_s"]
-           for k in ("backoff_2", "backoff_32", "backoff_10000", "paused")}
-    assert lat["backoff_2"] > lat["backoff_32"] > lat["backoff_10000"]
-    assert lat["backoff_10000"] == pytest.approx(lat["paused"], rel=0.03)
-
-
-# -- §6: CG vs GEMM ---------------------------------------------------
-
-def test_fig10_cg_vs_gemm():
-    res = E.fig10(worker_counts=(1, 16, 34),
-                  cg_kwargs=dict(n=60_000, iterations=2),
-                  gemm_kwargs=dict(n=2048, tile=128))
-    # CG loses far more sending bandwidth than GEMM ...
-    assert res.observations["cg_bw_loss"] > 0.55
-    assert res.observations["gemm_bw_loss"] < 0.45
-    assert res.observations["cg_bw_loss"] > \
-        res.observations["gemm_bw_loss"] + 0.2
-    # ... and stalls far more (paper: 70 % vs 20 %).
-    assert res.observations["cg_stall_max"] > 0.6
-    assert res.observations["gemm_stall_max"] < 0.45
-    # Stalls grow with worker count for both.
-    assert res["cg_stall_fraction"].median[0] < \
-        res["cg_stall_fraction"].median[-1]
+def test_experiments_md_is_fresh(runs):
+    committed = experiments_md.OUT.read_text()
+    assert committed == experiments_md.render(runs), \
+        "EXPERIMENTS.md is stale: run python tools/experiments_md.py"

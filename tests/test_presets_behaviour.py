@@ -7,6 +7,7 @@ calibrations reproduce their direction.
 import pytest
 
 from repro.core import experiments as E
+from repro.core.record import PAPER_VALUES
 from repro.hardware import BILLY, BORA, Cluster, HENRI, PYXIS
 from repro.kernels import cursor_for_intensity, tunable_triad
 from repro.mpi import CommWorld, PingPong
@@ -55,8 +56,8 @@ def test_bora_noise_wider_than_henri():
 def test_runtime_overhead_ordering_across_clusters():
     """§5.2: +38 us (henri), +23 us (billy), +45 us (pyxis)."""
     overheads = {}
-    for preset, expected in (("henri", 38e-6), ("billy", 23e-6),
-                             ("pyxis", 45e-6)):
+    for preset in ("henri", "billy", "pyxis"):
+        expected = PAPER_VALUES[f"runtime_overhead-{preset}"]
         res = E.runtime_overhead(spec=preset, reps=8)
         overheads[preset] = res.observations["overhead_s"]
         assert overheads[preset] == pytest.approx(expected, rel=0.25)

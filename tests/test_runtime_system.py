@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.record import PAPER_VALUES
 from repro.hardware import Cluster, HENRI, allocate
 from repro.kernels.blas import TileCost, gemv_tile_cost
 from repro.mpi import CommWorld
@@ -157,9 +158,10 @@ def test_runtime_spec_per_preset():
     # §5.2 ordering: billy < henri < pyxis overheads.
     assert billy.message_overhead_s < henri.message_overhead_s \
         < pyxis.message_overhead_s
-    assert henri.message_overhead_s == pytest.approx(38e-6, rel=0.05)
-    assert billy.message_overhead_s == pytest.approx(23e-6, rel=0.05)
-    assert pyxis.message_overhead_s == pytest.approx(45e-6, rel=0.05)
+    for preset, spec in (("henri", henri), ("billy", billy),
+                         ("pyxis", pyxis)):
+        assert spec.message_overhead_s == pytest.approx(
+            PAPER_VALUES[f"runtime_overhead-{preset}"], rel=0.05)
 
 
 def test_stack_inflation_monotone():
