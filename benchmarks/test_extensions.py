@@ -1,8 +1,8 @@
-"""Extension benches: overlap, multi-pair, §8 autotuning, collectives.
+"""Extension benches: overlap, multi-pair, GPU transfers, collectives.
 
 Beyond the paper's figures: the related-work methodologies ([7] overlap,
 [9] multi-pair) applied to the same simulated substrate, plus the §8
-future-work autotuner.
+future-work GPU interference.
 """
 
 import pytest
@@ -11,7 +11,6 @@ from conftest import note, run_once
 
 from repro.core.multipair import multipair_experiment
 from repro.core.overlap import overlap_experiment
-from repro.runtime.apps import run_cg
 
 
 def test_overlap_efficiency(benchmark):
@@ -45,25 +44,6 @@ def test_multipair_wire_sharing(benchmark):
     assert lat.at(8) < 1.6 * lat.at(1)
 
 
-def test_autotune_cg(benchmark):
-    def both():
-        fixed = run_cg(n_workers=34, iterations=4)
-        tuned = run_cg(n_workers=34, iterations=4, autotune=True)
-        return fixed, tuned
-
-    fixed, tuned = run_once(benchmark, both)
-    note(benchmark,
-         fixed_bw_GBs=fixed.sending_bandwidth / 1e9,
-         tuned_bw_GBs=tuned.sending_bandwidth / 1e9,
-         fixed_stalls=fixed.stall_fraction,
-         tuned_stalls=tuned.stall_fraction,
-         time_ratio=tuned.duration / fixed.duration)
-    # §8's goal: shed contention at no compute cost.
-    assert tuned.duration < fixed.duration * 1.1
-    assert tuned.sending_bandwidth > fixed.sending_bandwidth
-    assert tuned.stall_fraction < fixed.stall_fraction
-
-
 def test_gpu_interference(benchmark):
     """§8 future work: GPU data movements vs network and STREAM."""
     from repro.core.gpu_experiments import gpu_vs_network, gpu_vs_stream
@@ -80,27 +60,6 @@ def test_gpu_interference(benchmark):
     assert net.observations["bandwidth_ratio"] < 0.97
     # ...and STREAM starves the GPU link like it starves the NIC.
     assert stream.observations["memcpy_bw_min_ratio"] < 0.4
-
-
-def test_scheduler_comparison(benchmark):
-    """Eager central list vs locality work stealing on the §6 GEMM."""
-    from repro.runtime.apps import run_gemm
-
-    def both():
-        eager = run_gemm(n_workers=34, n=2048, tile=128)
-        stealing = run_gemm(n_workers=34, n=2048, tile=128,
-                            scheduler="lws")
-        return eager, stealing
-
-    eager, stealing = run_once(benchmark, both)
-    note(benchmark,
-         eager_ms=eager.duration * 1e3,
-         stealing_ms=stealing.duration * 1e3,
-         eager_stalls=eager.stall_fraction,
-         stealing_stalls=stealing.stall_fraction)
-    # Both schedulers complete the same work in comparable time.
-    assert stealing.duration < 1.5 * eager.duration
-    assert stealing.sending_bandwidth > 0
 
 
 def test_collectives_under_contention(benchmark):

@@ -490,8 +490,10 @@ def main(argv: Optional[list] = None) -> int:
         return _status(args) if _check_inputs(args, parser) else 2
 
     if args.command == "report":
+        if not _check_inputs(args, parser):
+            return 2
         _prepare_outputs(args, parser)
-        return _report(args) if _check_inputs(args, parser) else 2
+        return _report(args)
 
     from repro.core import registry
     if args.command == "list":

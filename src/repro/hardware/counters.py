@@ -28,15 +28,10 @@ class CoreCounterState:
     mem_stall: float = 0.0      # of which: stalled on memory accesses
     flops: float = 0.0          # floating point operations retired
     bytes_moved: float = 0.0    # DRAM traffic caused by this core
-    # Of mem_stall: the *excess* over the uncontended memory time, i.e.
-    # cycles lost to other traffic on the memory system (what the §8
-    # worker autotuner minimises).
-    contention_stall: float = 0.0
 
     def copy(self) -> "CoreCounterState":
         return CoreCounterState(self.busy, self.mem_stall,
-                                self.flops, self.bytes_moved,
-                                self.contention_stall)
+                                self.flops, self.bytes_moved)
 
 
 class CounterTotals(NamedTuple):
@@ -48,7 +43,6 @@ class CounterTotals(NamedTuple):
     mem_stall: float
     flops: float
     bytes_moved: float
-    contention_stall: float
 
 
 class CycleCounters(EpochSource):
@@ -67,21 +61,17 @@ class CycleCounters(EpochSource):
         self._totals: Optional[CounterTotals] = None
 
     def record(self, core_id: int, busy: float, mem_stall: float = 0.0,
-               flops: float = 0.0, bytes_moved: float = 0.0,
-               contention_stall: float = 0.0) -> None:
+               flops: float = 0.0, bytes_moved: float = 0.0) -> None:
         """Accumulate a finished execution slice on *core_id*."""
         if busy < 0 or mem_stall < 0 or mem_stall > busy * (1 + 1e-9):
             raise ValueError(
                 f"invalid slice: busy={busy}, mem_stall={mem_stall}")
-        if contention_stall < 0 or contention_stall > mem_stall * (1 + 1e-9):
-            raise ValueError("contention_stall must be within mem_stall")
         self._bump_epoch()
         st = self._state[core_id]
         st.busy += busy
         st.mem_stall += min(mem_stall, busy)
         st.flops += flops
         st.bytes_moved += bytes_moved
-        st.contention_stall += min(contention_stall, mem_stall)
         # Cleared after the update, not keyed on the epoch: a listener
         # of the bump above may read totals() before the state changes.
         self._totals = None
@@ -105,15 +95,14 @@ class CycleCounters(EpochSource):
         """
         totals = self._totals
         if totals is None:
-            busy = mem_stall = flops = bytes_moved = contention = 0.0
+            busy = mem_stall = flops = bytes_moved = 0.0
             for st in self._state.values():
                 busy += st.busy
                 mem_stall += st.mem_stall
                 flops += st.flops
                 bytes_moved += st.bytes_moved
-                contention += st.contention_stall
             totals = self._totals = CounterTotals(
-                busy, mem_stall, flops, bytes_moved, contention)
+                busy, mem_stall, flops, bytes_moved)
         return totals
 
     def snapshot(self) -> Dict[int, CoreCounterState]:
@@ -132,8 +121,6 @@ class CycleCounters(EpochSource):
             total.mem_stall += now.mem_stall - prev.mem_stall
             total.flops += now.flops - prev.flops
             total.bytes_moved += now.bytes_moved - prev.bytes_moved
-            total.contention_stall += (now.contention_stall
-                                       - prev.contention_stall)
         return total
 
     @staticmethod

@@ -216,12 +216,6 @@ def _kernel_body(machine: Machine, core_id: int, kernel: Kernel,
                     yield cpu_time
                 chunk_time = sim.now - chunk_start
                 mem_stall = max(0.0, chunk_time - cpu_time)
-                # Excess over the uncontended memory time: cycles lost
-                # to *other* traffic, not to the kernel's own roofline.
-                uncontended = nbytes / demand if nbytes > 0 else 0.0
-                contention = max(0.0, min(mem_stall,
-                                          chunk_time - max(cpu_time,
-                                                           uncontended)))
                 stats.busy += chunk_time
                 stats.mem_stall += mem_stall
                 stats.bytes_moved += nbytes
@@ -229,8 +223,7 @@ def _kernel_body(machine: Machine, core_id: int, kernel: Kernel,
                 stats.elems_done += n
                 machine.counters.record(
                     core_id, busy=chunk_time, mem_stall=mem_stall,
-                    flops=n * kernel.flops_per_elem, bytes_moved=nbytes,
-                    contention_stall=contention)
+                    flops=n * kernel.flops_per_elem, bytes_moved=nbytes)
                 remaining -= n
             sweep += 1
             stats.sweeps_done = sweep

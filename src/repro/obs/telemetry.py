@@ -353,14 +353,6 @@ class Telemetry:
             tracer.counter(self.machine_pid(machine), "mem_stall_frac",
                            machine.sim.now, stall / busy)
 
-    def on_steal(self, machine, thief_core: int) -> None:
-        if self.registry is not None:
-            self.registry.counter("runtime.steals").inc()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.instant(self.machine_pid(machine), thief_core, "steal",
-                           machine.sim.now, cat="runtime")
-
     def on_kernel_done(self, machine, core_id: int, kernel_name: str) -> None:
         if self.registry is not None:
             self.registry.counter("kernels.runs", kernel=kernel_name).inc()

@@ -2,8 +2,9 @@
 
 * :mod:`repro.runtime.task` — tasks, data handles, access modes, and
   sequential-consistency dependency inference.
-* :mod:`repro.runtime.scheduler` — the central eager queue whose shared
-  list + lock are what polling workers hammer (§5.4).
+* :mod:`repro.runtime.scheduler` — the central eager queue (StarPU's
+  default and the runtime's only scheduler) whose shared list + lock are
+  what polling workers hammer (§5.4).
 * :mod:`repro.runtime.worker` — workers bound to cores, executing tasks
   through the roofline model, busy-waiting with exponential backoff.
 * :mod:`repro.runtime.runtime` — the runtime façade: core reservation
@@ -20,17 +21,14 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".task": ("AccessMode", "DataHandle", "Task", "TaskGraph"),
     ".scheduler": ("EagerScheduler", "PollingSpec"),
-    ".stealing": ("WorkStealingScheduler",),
     ".worker": ("Worker",),
     ".runtime": ("RuntimeSystem", "RuntimeSpec", "runtime_spec_for"),
     ".mpi_layer": ("RuntimeComm", "SendStats"),
-    ".autotune": ("AutotuneConfig", "WorkerAutotuner"),
 })
 
 __all__ = [
     "AccessMode", "DataHandle", "Task", "TaskGraph",
-    "EagerScheduler", "WorkStealingScheduler", "PollingSpec", "Worker",
+    "EagerScheduler", "PollingSpec", "Worker",
     "RuntimeSystem", "RuntimeSpec", "runtime_spec_for",
     "RuntimeComm", "SendStats",
-    "AutotuneConfig", "WorkerAutotuner",
 ]

@@ -152,8 +152,6 @@ def run_cg(spec: MachineSpec | str = "henri", n: int = 120_000,
            tile_rows: Optional[int] = None, iterations: int = 3,
            n_workers: Optional[int] = None,
            polling: Optional[PollingSpec] = None,
-           autotune: bool = False,
-           scheduler: str = "eager",
            seed: int = 0,
            cluster: Optional[Cluster] = None,
            nodes: Sequence[int] = (0, 1),
@@ -162,11 +160,9 @@ def run_cg(spec: MachineSpec | str = "henri", n: int = 120_000,
 
     ``tile_rows`` defaults to a partition fine enough to feed every
     worker of the machine (StarPU applications tile for the full core
-    count regardless of how many workers are enabled).  With
-    ``autotune=True`` a :class:`~repro.runtime.autotune.WorkerAutotuner`
-    controls each node's active worker count (the paper's §8 proposal).
-    Pass an existing *cluster* (and a two-node *nodes* placement) to run
-    on a shared fabric next to other applications (see repro.core.apps).
+    count regardless of how many workers are enabled).  Pass an existing
+    *cluster* (and a two-node *nodes* placement) to run on a shared
+    fabric next to other applications (see repro.core.apps).
     *runtime* replaces the machine's calibrated
     :class:`~repro.runtime.runtime.RuntimeSpec` (mechanism ablations).
     """
@@ -184,16 +180,11 @@ def run_cg(spec: MachineSpec | str = "henri", n: int = 120_000,
         tile_rows = max(200, (n // 2) // (2 * machine_spec.n_cores))
     world = CommWorld(cluster, comm_placement="far", nodes=nodes)
     runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers,
-                                 polling=polling, spec=runtime,
-                                 scheduler=scheduler) for r in (0, 1)}
+                                 polling=polling, spec=runtime)
+                for r in (0, 1)}
     comm = RuntimeComm(world, runtimes)
     for rt in runtimes.values():
         rt.start()
-    tuners = []
-    if autotune:
-        from repro.runtime.autotune import WorkerAutotuner
-        tuners = [WorkerAutotuner(rt, comm=comm).start()
-                  for rt in runtimes.values()]
 
     data = {r: _build_rank_data(world.rank(r).machine, r, n, tile_rows)
             for r in (0, 1)}
@@ -203,19 +194,11 @@ def run_cg(spec: MachineSpec | str = "henri", n: int = 120_000,
     drivers = [cluster.sim.process(
         _driver(r, 1 - r, runtimes[r], comm, data[r], n, tile_rows,
                 iterations)) for r in (0, 1)]
-    if tuners:
-        # The tuners' control loops keep the event queue alive; drive
-        # until the application itself is done.
-        for d in drivers:
-            cluster.sim.run(until=d)
-    else:
-        cluster.sim.run()
+    cluster.sim.run()
     for d in drivers:
         if not d.ok:  # surface driver errors
             _ = d.value
     duration = cluster.sim.now - t0
-    for tuner in tuners:
-        tuner.stop()
     for rt in runtimes.values():
         rt.shutdown()
     cluster.sim.run()

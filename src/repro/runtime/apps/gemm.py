@@ -120,7 +120,6 @@ def _driver(rank: int, other: int, rt: RuntimeSystem, comm: RuntimeComm,
 def run_gemm(spec: MachineSpec | str = "henri", n: int = 4096,
              tile: int = 128, n_workers: Optional[int] = None,
              polling: Optional[PollingSpec] = None,
-             scheduler: str = "eager",
              seed: int = 0,
              cluster: Optional[Cluster] = None,
              nodes: Sequence[int] = (0, 1),
@@ -143,8 +142,8 @@ def run_gemm(spec: MachineSpec | str = "henri", n: int = 4096,
         cluster = Cluster(machine_spec, n_nodes=max(nodes) + 1, seed=seed)
     world = CommWorld(cluster, comm_placement="far", nodes=nodes)
     runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers,
-                                 polling=polling, spec=runtime,
-                                 scheduler=scheduler) for r in (0, 1)}
+                                 polling=polling, spec=runtime)
+                for r in (0, 1)}
     comm = RuntimeComm(world, runtimes)
     for rt in runtimes.values():
         rt.start()

@@ -46,7 +46,7 @@ class RuntimeSpec:
     # memory system stays well below saturation — only loses ~20 %).
     stack_stall_k: float = 14.0      # inflation factor - 1 at saturation
     stack_stall_power: float = 4.0   # convexity of the inflation curve
-    # Schedulers prefer ready tasks whose data sits on the popping
+    # The scheduler prefers ready tasks whose data sits on the popping
     # worker's socket; False gives the locality-blind eager list.
     scheduler_locality: bool = True
 
@@ -74,34 +74,13 @@ def runtime_spec_for(spec: MachineSpec) -> RuntimeSpec:
     return _RUNTIME_SPECS.get(spec.name, RuntimeSpec())
 
 
-def make_scheduler(name: str, polling: Optional[PollingSpec],
-                   machine, locality: bool = True) -> object:
-    """Build a scheduler by name: ``"eager"`` (central list, StarPU's
-    default) or ``"lws"`` (locality work stealing)."""
-    if name == "eager":
-        return EagerScheduler(polling, machine=machine, locality=locality)
-    if name == "lws":
-        from repro.runtime.stealing import WorkStealingScheduler
-        return WorkStealingScheduler(polling, machine=machine,
-                                     locality=locality)
-    raise ValueError(f"unknown scheduler {name!r}; pick 'eager' or 'lws'")
-
-
 class RuntimeSystem:
     """One node's task runtime (a StarPU instance)."""
 
     def __init__(self, world: CommWorld, rank: int,
                  n_workers: Optional[int] = None,
                  polling: Optional[PollingSpec] = None,
-                 spec: Optional[RuntimeSpec] = None,
-                 scheduler: object = "eager"):
-        """
-        ``scheduler`` is a :func:`make_scheduler` name (by default the
-        StarPU-like central eager list, with the spec's
-        ``scheduler_locality``) or any object implementing the
-        :class:`~repro.runtime.scheduler.EagerScheduler` interface, e.g.
-        a :class:`~repro.runtime.stealing.WorkStealingScheduler`.
-        """
+                 spec: Optional[RuntimeSpec] = None):
         self.world = world
         self.rank_id = rank
         self.rank = world.rank(rank)
@@ -109,10 +88,9 @@ class RuntimeSystem:
         self.sim = world.sim
         self.spec = spec if spec is not None \
             else runtime_spec_for(self.machine.spec)
-        self.scheduler = make_scheduler(
-            scheduler, polling, self.machine,
-            locality=self.spec.scheduler_locality) \
-            if isinstance(scheduler, str) else scheduler
+        self.scheduler = EagerScheduler(
+            polling, machine=self.machine,
+            locality=self.spec.scheduler_locality)
 
         # Core reservation (§5.1): comm core already taken by the world;
         # the next-to-last available core hosts the main thread.
@@ -191,15 +169,15 @@ class RuntimeSystem:
             self._wake.succeed()
         self._wake = self.sim.event()
 
-    def worker_went_idle(self, polls: bool = True) -> None:
+    def worker_went_idle(self) -> None:
         self._idle_workers += 1
-        if polls and not self.scheduler.polling.paused:
+        if not self.scheduler.polling.paused:
             self._idle_pollers += 1
             self.scheduler.set_idle_pollers(self._idle_pollers)
 
-    def worker_woke_up(self, polls: bool = True) -> None:
+    def worker_woke_up(self) -> None:
         self._idle_workers = max(0, self._idle_workers - 1)
-        if polls and not self.scheduler.polling.paused:
+        if not self.scheduler.polling.paused:
             self._idle_pollers = max(0, self._idle_pollers - 1)
             self.scheduler.set_idle_pollers(self._idle_pollers)
 
@@ -231,8 +209,8 @@ class RuntimeSystem:
     def requeue(self, task: Task) -> None:
         """Return a crashed worker's in-flight task to the ready list.
 
-        The task re-enters through the ordinary push path, so the
-        stealing machinery distributes it to a surviving worker; its
+        The task re-enters through the ordinary push path, so a
+        surviving worker pops it from the eager ready list; its
         pending/dependency bookkeeping is untouched (it was never
         completed).
         """
@@ -256,40 +234,6 @@ class RuntimeSystem:
         if self._n_pending == 0:
             self._all_done.succeed()
         return self._all_done
-
-    # -- dynamic worker-count control (§8 future work) ----------------------
-    def set_active_workers(self, n: int) -> None:
-        """Keep *n* workers active, paused/resumed socket-balanced (the
-        paper's §8 proposal: 'select the optimal number of workers which
-        reduces memory contention').
-
-        The active set interleaves sockets so that reducing workers does
-        not strand one socket's data behind the inter-socket link.
-        """
-        if not (0 <= n <= len(self.workers)):
-            raise ValueError(
-                f"active workers must be in [0, {len(self.workers)}]")
-        by_socket: Dict[int, List] = {}
-        for worker in self.workers:
-            socket = self.machine.cores[worker.core_id].socket_id
-            by_socket.setdefault(socket, []).append(worker)
-        interleaved: List = []
-        queues = list(by_socket.values())
-        idx = 0
-        while any(queues):
-            queue = queues[idx % len(queues)]
-            if queue:
-                interleaved.append(queue.pop(0))
-            idx += 1
-        for i, worker in enumerate(interleaved):
-            if i < n:
-                worker.resume()
-            else:
-                worker.pause()
-
-    @property
-    def active_workers(self) -> int:
-        return sum(1 for w in self.workers if not w.paused)
 
     # -- external-completion hooks (used by the comm layer) ----------------
     def external_dependency(self) -> Task:

@@ -22,8 +22,8 @@ second of simulated time):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Deque, Optional
 
 from repro.runtime.task import Task
 
@@ -71,13 +71,14 @@ class EagerScheduler:
     ``locality=False`` for the plain locality-blind eager list.
     """
 
+    # How many tasks from the head of the list a locality-aware pop scans.
+    LOCALITY_WINDOW = 16
+
     def __init__(self, polling: Optional[PollingSpec] = None,
-                 machine=None, locality: bool = True,
-                 locality_window: int = 16):
+                 machine=None, locality: bool = True):
         self.polling = polling if polling is not None else PollingSpec()
         self.machine = machine
         self.locality = locality and machine is not None
-        self.locality_window = locality_window
         self._ready: Deque[Task] = deque()
         self.stats = SchedulerStats()
         self._idle_pollers = 0
@@ -88,13 +89,12 @@ class EagerScheduler:
         self.stats.pushed += 1
         self.stats.max_queue = max(self.stats.max_queue, len(self._ready))
 
-    def pop(self, worker_socket: Optional[int] = None,
-            core_id: Optional[int] = None) -> Optional[Task]:
+    def pop(self, worker_socket: Optional[int] = None) -> Optional[Task]:
         if not self._ready:
             return None
         self.stats.popped += 1
         if self.locality and worker_socket is not None:
-            window = min(self.locality_window, len(self._ready))
+            window = min(self.LOCALITY_WINDOW, len(self._ready))
             for idx in range(window):
                 task = self._ready[idx]
                 numa = task.data_numa()

@@ -36,7 +36,6 @@ class Worker:
         self.core_id = core_id
         self.tasks_executed = 0
         self.busy_time = 0.0
-        self.paused = False
         self.crashed = False
         self.current_task: Optional[Task] = None
         self._requeue_on_crash = True
@@ -52,7 +51,7 @@ class Worker:
         The worker thread dies at its current yield point; with
         *requeue* its in-flight task goes back to the scheduler's ready
         list, where the surviving workers pick it up through the normal
-        pop/steal machinery.
+        eager pop.
         """
         if self.crashed:
             return
@@ -60,20 +59,6 @@ class Worker:
         self._requeue_on_crash = requeue
         if self._process is not None and self._process.is_alive:
             self._process.interrupt("worker crash")
-
-    def pause(self) -> None:
-        """Stop taking tasks after the current one (the §8 'reduce the
-        number of workers' knob); the core stops polling entirely."""
-        if not self.paused:
-            self.paused = True
-            # Recycle idle workers so a parked poller re-registers as a
-            # non-polling sleeper.
-            self.runtime._wake_all()  # noqa: SLF001 - cooperating classes
-
-    def resume(self) -> None:
-        if self.paused:
-            self.paused = False
-            self.runtime._wake_all()  # noqa: SLF001 - cooperating classes
 
     # ------------------------------------------------------------------
     def _loop(self) -> Generator:
@@ -83,42 +68,32 @@ class Worker:
         machine = self.machine
         machine.set_core_activity(self.core_id, CoreActivity.SCALAR,
                                   uncore_active=False)
+        # Reaction latency after a push: a polling worker notices it on
+        # average half a backoff period later; paused workers must be
+        # resumed by the runtime - a far slower wake-up path (futex +
+        # context switch).
+        wake_latency = runtime.spec.worker_resume_s if polling.paused \
+            else polling.poll_period / 2.0
         discarded = False
         try:
             my_socket = machine.cores[self.core_id].socket_id
-            if hasattr(sched, "register_worker"):
-                sched.register_worker(self.core_id)
             while not runtime.stopped:
-                task = None if self.paused \
-                    else sched.pop(worker_socket=my_socket,
-                                   core_id=self.core_id)
+                task = sched.pop(worker_socket=my_socket)
                 if task is None:
-                    polls = not self.paused
-                    runtime.worker_went_idle(polls=polls)
+                    runtime.worker_went_idle()
                     try:
-                        wake = runtime.wake_event()
-                        yield wake
+                        yield runtime.wake_event()
                     finally:
-                        runtime.worker_woke_up(polls=polls)
+                        runtime.worker_woke_up()
                     if runtime.stopped:
                         return
-                    if self.paused:
-                        continue
-                    if not polling.paused:
-                        # Reaction latency: on average half a backoff
-                        # period passes before the poll notices the push.
-                        yield polling.poll_period / 2.0
-                    else:
-                        # Paused workers must be resumed by the runtime -
-                        # a far slower wake-up path (futex + context
-                        # switch).
-                        yield runtime.spec.worker_resume_s
+                    yield wake_latency
                     continue
                 yield from self._execute(task)
         except Interrupt:
             # Crash injection: the worker dies here.  Its in-flight
-            # task (if any) survives by going back to the ready list —
-            # the stealing machinery hands it to a living worker.
+            # task (if any) survives by going back to the ready list,
+            # where a living worker pops it.
             task, self.current_task = self.current_task, None
             if task is not None and not task.done and self._requeue_on_crash:
                 runtime.requeue(task)
@@ -167,12 +142,10 @@ class Worker:
             data_numa = machine.cores[self.core_id].numa_id
 
         t0 = sim.now
-        uncontended = 0.0
         if nbytes > 0:
             demand = spec.memory.per_core_bw
             if cpu_time > 0:
                 demand = min(demand, nbytes / cpu_time)
-            uncontended = nbytes / demand
             machine.set_streaming(self.core_id,
                                   machine.streaming_weight(demand))
             flow = machine.net.transfer(
@@ -197,12 +170,9 @@ class Worker:
 
         exec_time = sim.now - t0
         stall = max(0.0, exec_time - cpu_time)
-        contention = max(0.0, min(
-            stall, exec_time - max(cpu_time, uncontended)))
         machine.counters.record(self.core_id, busy=exec_time + overhead,
                                 mem_stall=stall, flops=task.cost.flops,
-                                bytes_moved=nbytes,
-                                contention_stall=contention)
+                                bytes_moved=nbytes)
         task.end_time = sim.now
         self.tasks_executed += 1
         self.busy_time += exec_time + overhead

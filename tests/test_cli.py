@@ -171,8 +171,10 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag):
     assert "done in" not in err
     blocker = tmp_path / "file"
     blocker.write_text("")
+    journal = tmp_path / "j.jsonl"
+    journal.write_text("")
     with pytest.raises(SystemExit) as exc:
-        main(["report", "j.jsonl", "-o", str(blocker / "R.html")])
+        main(["report", str(journal), "-o", str(blocker / "R.html")])
     assert exc.value.code == 2
     assert f"--out {blocker / 'R.html'}: cannot create directory" \
         in capsys.readouterr().err
@@ -241,6 +243,16 @@ def test_bad_arguments_create_no_output_directory(capsys, tmp_path, argv,
     out, err = capsys.readouterr()
     assert needle in err
     assert out == "" and not (tmp_path / "o").exists()
+
+
+def test_missing_journal_creates_no_output_directory(capsys, tmp_path):
+    """report checks its journal before it creates the output's
+    parent directory."""
+    missing = tmp_path / "missing.jsonl"
+    out_dir = tmp_path / "d"
+    assert main(["report", str(missing), "-o", str(out_dir / "R.html")]) == 2
+    assert f"no journal at {missing}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_spec_lookup_is_case_insensitive(capsys):

@@ -11,7 +11,8 @@ from repro.hardware import HENRI
 from repro.hardware.topology import Cluster
 from repro.mpi.comm import CommWorld
 from repro.runtime.apps import run_cg, run_gemm
-from repro.runtime.runtime import RuntimeSpec, RuntimeSystem, make_scheduler
+from repro.runtime.runtime import RuntimeSpec, RuntimeSystem
+from repro.runtime.scheduler import EagerScheduler
 
 ABLATIONS = {"no_pio_colocation", "no_dma_derating", "no_dma_priority",
              "no_stack_stall", "no_scheduler_locality"}
@@ -91,10 +92,8 @@ def test_runtime_spec_switches_scheduler_locality():
     assert default.scheduler.locality
     assert not blind.scheduler.locality
     machine = cluster.machine(0)
-    for name in ("eager", "lws"):
-        assert make_scheduler(name, None, machine).locality
-        assert not make_scheduler(name, None, machine,
-                                  locality=False).locality
+    assert EagerScheduler(None, machine).locality
+    assert not EagerScheduler(None, machine, locality=False).locality
 
 
 def test_ablations_leave_no_global_state_behind():

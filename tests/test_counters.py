@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.hardware.counters import CounterTotals, CycleCounters
 
 CORES = (0, 1, 2, 3)
-FIELDS = ("busy", "mem_stall", "flops", "bytes_moved", "contention_stall")
+FIELDS = ("busy", "mem_stall", "flops", "bytes_moved")
 
 
 def _fresh_sum(counters, cores=CORES):
@@ -30,13 +30,13 @@ def test_totals_reflect_each_new_slice():
     counters = CycleCounters(CORES)
     assert counters.totals() == (0.0,) * len(FIELDS)
     counters.record(1, busy=2.0, mem_stall=0.5, flops=10.0,
-                    bytes_moved=64.0, contention_stall=0.25)
+                    bytes_moved=64.0)
     first = counters.totals()
     assert (first.busy, first.mem_stall, first.flops) == (2.0, 0.5, 10.0)
     counters.record(3, busy=1.0, mem_stall=1.0)
     second = counters.totals()
     assert (second.busy, second.mem_stall) == (3.0, 1.5)
-    assert (second.bytes_moved, second.contention_stall) == (64.0, 0.25)
+    assert second.bytes_moved == 64.0
 
 
 def test_totals_is_cached_between_records():
@@ -89,8 +89,7 @@ def test_totals_equal_a_fresh_sum_bitwise(slices):
     counters = CycleCounters(CORES)
     for core, busy, frac, flops, read in slices:
         counters.record(core, busy=busy, mem_stall=busy * frac,
-                        flops=flops, bytes_moved=flops / 3,
-                        contention_stall=busy * frac / 2)
+                        flops=flops, bytes_moved=flops / 3)
         if read:
             assert tuple(counters.totals()) == _fresh_sum(counters)
     assert tuple(counters.totals()) == _fresh_sum(counters)

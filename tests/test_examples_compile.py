@@ -44,5 +44,5 @@ def test_examples_present():
     names = {p.name for p in EXAMPLES}
     assert {"quickstart.py", "placement_study.py",
             "arithmetic_intensity.py", "runtime_interference.py",
-            "cg_vs_gemm.py", "autotune_workers.py", "gpu_transfers.py",
+            "cg_vs_gemm.py", "gpu_transfers.py",
             "collectives_demo.py"} <= names

@@ -4,7 +4,9 @@ import pytest
 
 from repro.hardware import Cluster, HENRI, allocate
 from repro.kernels.blas import TileCost
-from repro.runtime import DataHandle, EagerScheduler, PollingSpec, Task
+from repro.mpi import CommWorld
+from repro.runtime import (DataHandle, EagerScheduler, PollingSpec,
+                           RuntimeSystem, Task)
 
 
 def make_task(numa=0, machine=None):
@@ -97,3 +99,22 @@ def test_message_lock_delay_orderings():
     assert delays["paused"] == 0.0
     # Huge backoff is nearly equivalent to paused (§5.4).
     assert delays["backoff10000"] < 0.1 * delays["backoff32"]
+
+
+@pytest.mark.parametrize("polling, pollers", [
+    (None, 8),                          # StarPU's default backoff
+    (PollingSpec(paused=True), 0),      # fig9's paused baseline
+], ids=["polling", "paused"])
+def test_idle_workers_poll_a_live_runtime(polling, pollers):
+    """Idle workers of a started runtime register as pollers, and only
+    polling ones make runtime messages wait on the list lock."""
+    cluster = Cluster(HENRI, 2)
+    world = CommWorld(cluster, comm_placement="far")
+    rt = RuntimeSystem(world, 0, n_workers=8, polling=polling).start()
+    cluster.sim.run(until=0.001)
+    assert rt.idle_workers == 8
+    assert rt.scheduler.idle_pollers == pollers
+    if pollers:
+        assert rt.scheduler.message_lock_delay() > 0
+    else:
+        assert rt.scheduler.message_lock_delay() == 0.0
