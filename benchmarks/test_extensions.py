@@ -1,4 +1,4 @@
-"""Extension benches: overlap, multi-pair, GPU transfers, collectives.
+"""Extension benches: overlap, multi-pair, GPU transfers.
 
 Beyond the paper's figures: the related-work methodologies ([7] overlap,
 [9] multi-pair) applied to the same simulated substrate, plus the §8
@@ -61,32 +61,3 @@ def test_gpu_interference(benchmark):
     # ...and STREAM starves the GPU link like it starves the NIC.
     assert stream.observations["memcpy_bw_min_ratio"] < 0.4
 
-
-def test_collectives_under_contention(benchmark):
-    from repro.hardware import Cluster
-    from repro.kernels import run_kernel, triad_kernel
-    from repro.mpi import CommWorld
-    from repro.mpi.collectives import CollectiveContext
-
-    def measure():
-        size = 8 << 20
-        quiet = CollectiveContext(
-            CommWorld(Cluster("henri", 2), comm_placement="near")
-        ).run("allreduce", size=size)
-        world = CommWorld(Cluster("henri", 2), comm_placement="near")
-        ctx = CollectiveContext(world)
-        runs = []
-        for machine in world.cluster.machines:
-            for core in range(12):
-                runs.append(run_kernel(machine, core, triad_kernel(),
-                                       data_numa=0, sweeps=None))
-        loud = ctx.run("allreduce", size=size)
-        for r in runs:
-            r.request_stop()
-        world.sim.run()
-        return quiet, loud
-
-    quiet, loud = run_once(benchmark, measure)
-    note(benchmark, quiet_ms=quiet.duration * 1e3,
-         contended_ms=loud.duration * 1e3)
-    assert loud.duration > 1.3 * quiet.duration

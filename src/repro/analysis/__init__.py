@@ -1,4 +1,4 @@
-"""Statistics and model-fitting helpers for experiment results."""
+"""Statistics and feature-detection helpers for experiment results."""
 
 from repro._lazy import lazy_exports
 
@@ -7,15 +7,11 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "NonFiniteSampleWarning", "SummaryStats", "summarize", "median",
         "decile_band", "bootstrap_ci",
     ),
-    ".fitting": (
-        "fit_latency_frequency", "detect_ridge", "crossover_index",
-        "relative_change",
-    ),
+    ".fitting": ("detect_ridge", "crossover_index"),
 })
 
 __all__ = [
     "NonFiniteSampleWarning", "SummaryStats", "summarize", "median",
     "decile_band", "bootstrap_ci",
-    "fit_latency_frequency", "detect_ridge", "crossover_index",
-    "relative_change",
+    "detect_ridge", "crossover_index",
 ]

@@ -1,8 +1,5 @@
-"""Model fitting and feature detection on experiment series.
+"""Feature detection on experiment series.
 
-* :func:`fit_latency_frequency` — fits the LogP decomposition
-  ``latency = L + O / f`` to (frequency, latency) pairs, recovering the
-  hardware latency and the software overhead in cycles (§3.1's analysis).
 * :func:`detect_ridge` — finds the arithmetic-intensity ridge where a
   sweep stops being memory-bound (§4.5's 6 flop/B boundary).
 * :func:`crossover_index` — first index where a series degrades past a
@@ -11,35 +8,11 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["fit_latency_frequency", "detect_ridge", "crossover_index",
-           "relative_change"]
-
-
-def fit_latency_frequency(freqs_hz: Sequence[float],
-                          latencies_s: Sequence[float]
-                          ) -> Tuple[float, float]:
-    """Least-squares fit of ``latency = L + O/f``.
-
-    Returns ``(L_seconds, O_cycles)``.
-    """
-    f = np.asarray(freqs_hz, dtype=float)
-    lat = np.asarray(latencies_s, dtype=float)
-    if f.size != lat.size or f.size < 2:
-        raise ValueError("need >= 2 matching (frequency, latency) points")
-    design = np.column_stack([np.ones_like(f), 1.0 / f])
-    (L, O), *_ = np.linalg.lstsq(design, lat, rcond=None)
-    return float(L), float(O)
-
-
-def relative_change(baseline: float, value: float) -> float:
-    """(value - baseline) / baseline; 0 when baseline is 0."""
-    if baseline == 0:
-        return 0.0
-    return (value - baseline) / baseline
+__all__ = ["detect_ridge", "crossover_index"]
 
 
 def crossover_index(xs: Sequence[float], values: Sequence[float],

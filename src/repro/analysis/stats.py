@@ -284,10 +284,11 @@ def mann_whitney_u(a: Sequence[float],
 def read_journal_entries(path) -> List[dict]:
     """Tolerantly parse a JSON-lines campaign journal.
 
-    Unlike ``CampaignJournal._load`` (which owns the file and may be
-    strict), this reader serves *live* journals: a line currently being
-    written by the campaign process may be incomplete, so malformed
-    lines are skipped instead of raising.
+    The one journal parser: ``status``, ``report`` and
+    ``CampaignJournal`` on resume all read through it.  A line being
+    written by a live campaign, or torn by a crash, may be incomplete,
+    so malformed lines, and records without ``experiment``, ``key``
+    and ``status``, are skipped instead of raising.
     """
     entries: List[dict] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -299,7 +300,8 @@ def read_journal_entries(path) -> List[dict]:
                 entry = json.loads(line)
             except json.JSONDecodeError:
                 continue  # in-flight partial line
-            if isinstance(entry, dict) and "experiment" in entry:
+            if isinstance(entry, dict) and \
+                    {"experiment", "key", "status"} <= entry.keys():
                 entries.append(entry)
     return entries
 

@@ -570,8 +570,11 @@ def main(argv: Optional[list] = None) -> int:
         if args.journal:
             from repro.core.campaign import CampaignJournal
             from repro.core.measurer import CampaignMeasurer
-            journal = stack.enter_context(
-                CampaignJournal(args.journal, resume=args.resume))
+            try:
+                journal = stack.enter_context(
+                    CampaignJournal(args.journal, resume=args.resume))
+            except RuntimeError as err:   # another writer holds it
+                parser.error(str(err))
             CampaignMeasurer.attach(journal)
         if args.jobs != 1 or policy.trials > 1:
             # trials ride on the executor policy, so a multi-trial run

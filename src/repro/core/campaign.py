@@ -30,9 +30,12 @@ one continuous simulation — see ``ExperimentDef.journal_capable`` in
 
 The journal is optional: with ``journal=None`` the guard still provides
 the error boundary, it just cannot resume.  Journal writes are
-crash-safe (flushed and fsynced per record) and the file is exclusively
-locked — a second concurrent writer is rejected rather than silently
-interleaving lines.  Under a process pool only the parent ever writes.
+crash-safe: each record is flushed and fsynced, so a crash loses at
+most the in-flight point, and the torn line it may leave is cut on
+resume.  The file is exclusively locked before anything is truncated
+or loaded, so a second concurrent writer is refused and the journal
+it found stays as it was.  Under a process pool only the parent ever
+writes.
 """
 
 from __future__ import annotations
@@ -71,9 +74,12 @@ class CampaignJournal:
 
     Every record is flushed and fsynced before :meth:`record` returns:
     a crash loses at most the in-flight point, never a journaled one.
-    The file is held under an exclusive ``flock`` for the journal's
-    lifetime, so two processes cannot corrupt one campaign file — with
-    ``--jobs`` parallelism all writes funnel through the parent.
+    A crash mid-record leaves a torn last line; resume cuts it before
+    appending.  The file is held under an exclusive ``flock`` for the
+    journal's lifetime, taken before it is truncated or loaded: a
+    second writer gets a :class:`RuntimeError` and the file is left
+    untouched.  With ``--jobs`` parallelism all writes funnel through
+    the parent.
     """
 
     def __init__(self, path, resume: bool = False):
@@ -85,13 +91,16 @@ class CampaignJournal:
         # Optional live-progress observer (see repro.core.measurer);
         # attached by the CLI, consulted by SweepGuard.
         self.measurer = None
-        if resume and self.path.exists():
-            self._load()
         if self.path.parent != Path(""):
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a" if resume else "w",
-                        encoding="utf-8")
+        # Append mode until the lock is held: a refused second writer
+        # must leave the journal it found untouched.
+        self._fh = open(self.path, "a", encoding="utf-8")
         self._lock()
+        if resume:
+            self._load()
+        else:
+            self._fh.truncate(0)
 
     def _lock(self) -> None:
         if fcntl is None:  # pragma: no cover - non-POSIX
@@ -107,14 +116,17 @@ class CampaignJournal:
                 f"process; refusing a second concurrent writer") from None
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                self._entries[(entry["experiment"], entry["key"],
-                               int(entry.get("trial", 0)))] = entry
+        from repro.analysis.stats import read_journal_entries
+        # A crash mid-record leaves a torn last line; cut it first, so
+        # the next record starts on a line of its own and the loaded
+        # entries are exactly the ones on disk.
+        data = self.path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            self._fh.truncate(end)
+        for entry in read_journal_entries(self.path):
+            self._entries[(entry["experiment"], entry["key"],
+                           int(entry.get("trial", 0)))] = entry
 
     # -- queries -----------------------------------------------------------
     def lookup(self, experiment: str, key: str,

@@ -222,10 +222,6 @@ class FaultInjector:
     def node_alive(self, node: int) -> bool:
         return node not in self._dead
 
-    @property
-    def dead_nodes(self) -> Set[int]:
-        return set(self._dead)
-
     def link_latency_factor(self, src: int, dst: int) -> float:
         factor = self._lat_factor.get((src, dst), 1.0)
         if self._res_lat_factor:

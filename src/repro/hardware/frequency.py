@@ -141,10 +141,6 @@ class FrequencyModel(EpochSource):
             self._core_caps[core_id] = float(hz)
         self._core_hz_memo.clear()
 
-    def core_cap(self, core_id: int) -> Optional[float]:
-        """Current fail-slow cap of *core_id*, or ``None``."""
-        return self._core_caps.get(core_id)
-
     # -- activity tracking ----------------------------------------------------
     def set_activity(self, core_id: int, activity: CoreActivity,
                      uncore_active: Optional[bool] = None) -> None:

@@ -138,10 +138,6 @@ class GPUKernelStats:
     flops: float
     bytes_moved: float
 
-    @property
-    def flop_rate(self) -> float:
-        return self.flops / self.duration if self.duration > 0 else 0.0
-
 
 def run_gpu_kernel(gpu: GPU, cost: TileCost,
                    sweeps: int = 1) -> "object":

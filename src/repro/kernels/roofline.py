@@ -124,10 +124,6 @@ class KernelStats:
         return self.bytes_moved / self.duration if self.duration > 0 else 0.0
 
     @property
-    def flop_rate(self) -> float:
-        return self.flops / self.duration if self.duration > 0 else 0.0
-
-    @property
     def stall_fraction(self) -> float:
         return self.mem_stall / self.busy if self.busy > 0 else 0.0
 

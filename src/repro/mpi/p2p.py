@@ -64,10 +64,6 @@ class _SerialQueue:
             self.sim.process(self._drain())
         return done
 
-    @property
-    def backlog(self) -> int:
-        return len(self._jobs)
-
     def _drain(self):
         while self._jobs:
             job, done = self._jobs.popleft()
@@ -111,10 +107,6 @@ class P2PContext:
                       done=self.sim.event())
         self._match(req)
         return req
-
-    def send_backlog(self, rank: int) -> int:
-        """Transfers queued on rank *rank*'s communication thread."""
-        return self._queues[rank].backlog
 
     def cancel(self, req: Request) -> bool:
         """Withdraw an *unmatched* request.

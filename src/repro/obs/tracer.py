@@ -74,11 +74,6 @@ class SpanTracer:
             "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
             "args": {"name": name}})
 
-    def sort_thread(self, pid: int, tid: int, index: int) -> None:
-        self._events.append({
-            "name": "thread_sort_index", "ph": "M", "pid": pid, "tid": tid,
-            "args": {"sort_index": index}})
-
     # -- spans --------------------------------------------------------------
     def begin(self, pid: int, tid: int, name: str, cat: str,
               start: float, **args) -> SpanHandle:

@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from typing import Optional
 
 __all__ = ["InvariantViolation", "enable", "disable", "enabled",
-           "sample_every", "invariant_checks"]
+           "invariant_checks"]
 
 
 class InvariantViolation(RuntimeError):
@@ -69,11 +69,6 @@ SAMPLE_EVERY: int = _env_sample()
 def enabled() -> bool:
     """Whether invariant checking is currently on."""
     return ENABLED
-
-
-def sample_every() -> int:
-    """Run the reference cross-checks on every Nth rate solve."""
-    return SAMPLE_EVERY
 
 
 def enable(sample: Optional[int] = None) -> None:

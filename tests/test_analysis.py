@@ -1,4 +1,4 @@
-"""Tests for the analysis helpers (stats, fitting, feature detection)."""
+"""Tests for the analysis helpers (stats, feature detection)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     SummaryStats, bootstrap_ci, crossover_index, decile_band, detect_ridge,
-    fit_latency_frequency, median, relative_change, summarize,
+    median, summarize,
 )
 
 
@@ -58,30 +58,7 @@ def test_summarize_ordering_invariant(samples):
     assert min(samples) <= s.median <= max(samples)
 
 
-# -- fitting ----------------------------------------------------------------
-
-def test_fit_latency_frequency_recovers_parameters():
-    """Recover the paper's LogP decomposition: lat = L + O/f."""
-    L_true, O_true = 0.8e-6, 2400.0
-    freqs = np.array([1.0e9, 1.5e9, 2.0e9, 2.3e9])
-    lats = L_true + O_true / freqs
-    L, O = fit_latency_frequency(freqs, lats)
-    assert L == pytest.approx(L_true, rel=1e-6)
-    assert O == pytest.approx(O_true, rel=1e-6)
-
-
-def test_fit_validation():
-    with pytest.raises(ValueError):
-        fit_latency_frequency([1e9], [1e-6])
-    with pytest.raises(ValueError):
-        fit_latency_frequency([1e9, 2e9], [1e-6])
-
-
-def test_relative_change():
-    assert relative_change(10.0, 15.0) == pytest.approx(0.5)
-    assert relative_change(10.0, 5.0) == pytest.approx(-0.5)
-    assert relative_change(0.0, 5.0) == 0.0
-
+# -- feature detection --------------------------------------------------
 
 def test_crossover_above_and_below():
     xs = [1, 2, 3, 4, 5]

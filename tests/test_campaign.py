@@ -125,6 +125,21 @@ def test_fig1_fail_stop_degrades_then_resumes(tmp_path):
             assert res.median[res.x.index(x)] == med
 
 
+def test_resume_past_a_torn_tail(tmp_path):
+    """A crash mid-record leaves a partial last line; resume drops it,
+    replays the journaled points and keeps every line parseable."""
+    path = tmp_path / "fig1.jsonl"
+    with CampaignJournal(path) as journal:
+        fresh = fig1(journal=journal, **FAST)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"experiment": "fig1", "key": "tor')
+    with CampaignJournal(path, resume=True) as journal:
+        resumed = fig1(journal=journal, **FAST)
+    lines = path.read_text().splitlines()
+    assert [json.loads(line) for line in lines]
+    assert _series_state(resumed) == _series_state(fresh)
+
+
 def test_fig1_zero_fault_unchanged_by_guard(tmp_path):
     """The guard/journal wrapping must not perturb healthy timings."""
     base = fig1(**FAST)

@@ -255,6 +255,23 @@ def test_missing_journal_creates_no_output_directory(capsys, tmp_path):
     assert not out_dir.exists()
 
 
+def test_locked_journal_is_a_usage_error(capsys, tmp_path):
+    """A journal another writer holds exits 2 naming it, and its
+    records stay on disk."""
+    from repro.core.campaign import CampaignJournal
+    path = tmp_path / "live.jsonl"
+    with CampaignJournal(path) as holder:
+        holder.record("fig1a", "size=4", "ok")
+        before = path.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig1a", "--fast", "--journal", str(path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"campaign journal {path} is locked by another process" \
+            in err
+        assert out == "" and path.read_bytes() == before
+
+
 def test_spec_lookup_is_case_insensitive(capsys):
     assert main(["topology", "--spec", "HENRI"]) == 0
     assert capsys.readouterr().out

@@ -176,12 +176,16 @@ def test_journal_entries_without_fp_rerun(tmp_path):
 
 def test_journal_rejects_second_concurrent_writer(tmp_path):
     path = tmp_path / "j.jsonl"
-    with CampaignJournal(path):
+    with CampaignJournal(path) as journal:
+        journal.record("figX", "size=4", "ok")
+        before = path.read_bytes()
         with pytest.raises(RuntimeError, match="locked by another"):
             CampaignJournal(path)
+        # The refused writer truncated nothing.
+        assert path.read_bytes() == before
     # Lock released on close: reopening now works.
-    with CampaignJournal(path, resume=True):
-        pass
+    with CampaignJournal(path, resume=True) as journal:
+        assert journal.completed("figX") == ["size=4"]
 
 
 # -- failure propagation ----------------------------------------------------

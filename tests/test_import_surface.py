@@ -5,10 +5,13 @@ Each check runs in a fresh interpreter, because this test process has
 long since imported everything.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from importlib.util import resolve_name
 from pathlib import Path
 
 import pytest
@@ -126,3 +129,104 @@ assert main(sys.argv[1:]) == 0
     assert "repro.cli" in loaded
     assert _simulator_modules(loaded) == []
     assert not set(loaded) & {"repro.core.registry", *PROVIDER_MODULES}
+
+
+# -- reachability -----------------------------------------------------------
+
+#: A string constant naming a module, optionally with ``:func``: the
+#: registry's provider modules and the runner and renderer strings.
+_MODULE_STRING = re.compile(r"repro(\.\w+)+(:\w+)?")
+
+
+def _modules(root: Path) -> dict:
+    """``{module name: source path}`` for every module under *root*."""
+    found = {}
+    for path in sorted((root / "repro").rglob("*.py")):
+        parts = path.relative_to(root).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        found[".".join(parts)] = path
+    return found
+
+
+def _lazy_calls(tree: ast.Module) -> list:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "lazy_exports"]
+
+
+def _lazy_table(name: str, tree: ast.Module) -> dict:
+    """``{exported name: module}`` from *name*'s ``lazy_exports`` call."""
+    table = {}
+    for call in _lazy_calls(tree):
+        for module, names in ast.literal_eval(call.args[1]).items():
+            target = resolve_name(module, name) \
+                if module.startswith(".") else module
+            table.update(dict.fromkeys(names, target))
+    return table
+
+
+def _reachable(modules: dict, roots) -> set:
+    """The *modules* a static walk reaches from *roots*; no code is
+    run."""
+    trees = {name: ast.parse(path.read_text(encoding="utf-8"))
+             for name, path in modules.items()}
+    lazy = {name: _lazy_table(name, tree) for name, tree in trees.items()}
+
+    def targets(package: str, attr: str) -> list:
+        """Modules that ``from package import attr`` loads."""
+        if f"{package}.{attr}" in modules:
+            return [f"{package}.{attr}"]
+        module = lazy.get(package, {}).get(attr)
+        if module is None:
+            return []
+        return [module, *targets(module, attr)]
+
+    def edges(name: str):
+        package = name if modules[name].name == "__init__.py" \
+            else name.rpartition(".")[0]
+        # A lazy table's module strings are not edges: only an import
+        # of one of its names is.
+        table_strings = {id(node) for call in _lazy_calls(trees[name])
+                         for node in ast.walk(call)}
+        for node in ast.walk(trees[name]):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = resolve_name("." * node.level + (node.module or ""),
+                                    package) if node.level else node.module
+                yield base
+                for alias in node.names:
+                    attrs = lazy.get(base, {}) if alias.name == "*" \
+                        else [alias.name]
+                    for attr in attrs:
+                        yield from targets(base, attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and _MODULE_STRING.fullmatch(node.value) \
+                    and id(node) not in table_strings:
+                yield node.value.partition(":")[0]
+
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        # Importing a.b.c runs a and a.b first.
+        parts = name.split(".")
+        for i in range(1, len(parts) + 1):
+            prefix = ".".join(parts[:i])
+            if prefix in modules and prefix not in seen:
+                seen.add(prefix)
+                todo.extend(edges(prefix))
+    return seen
+
+
+def test_every_module_is_reachable_from_the_cli():
+    """Every module under ``src/repro`` is one the CLI can load: a
+    static walk from ``repro.cli`` and ``repro.__main__`` over import
+    statements, the names they pull through lazy-export tables, and
+    ``"repro.x.y[:func]"`` strings reaches them all.  A lazy-table
+    entry alone is not an edge, so a module only tests import fails."""
+    modules = _modules(Path(SRC))
+    unreached = sorted(set(modules) - _reachable(
+        modules, ("repro.cli", "repro.__main__")))
+    assert unreached == [], f"modules the CLI cannot reach: {unreached}"

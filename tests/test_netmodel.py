@@ -1,4 +1,4 @@
-"""Tests for the network model (LogP decomposition + protocol engine)."""
+"""Tests for the network model (the protocol engine)."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from repro.hardware import Cluster, HENRI, RegistrationCache, allocate
 from repro.hardware.nic import dma_demand, dma_efficiency
 from repro.mpi import CommWorld
-from repro.netmodel import ProtocolEngine, sample_logp
+from repro.netmodel import ProtocolEngine
 
 
 @pytest.fixture
@@ -23,37 +23,6 @@ def run_transfer(world, size, src_numa=0, dst_numa=0):
         a.node_id, a.comm_core, src, b.node_id, b.comm_core, dst, size))
     world.sim.run()
     return proc.value
-
-
-# -- LogP --------------------------------------------------------------
-
-def test_logp_overheads_scale_with_frequency(world):
-    m = world.rank(0).machine
-    core = world.rank(0).comm_core
-    m.freq.set_userspace(2.3e9)
-    hi = sample_logp(m, core)
-    m.freq.set_userspace(1.0e9)
-    lo = sample_logp(m, core)
-    assert lo.o_send == pytest.approx(hi.o_send * 2.3)
-    assert lo.o_recv == pytest.approx(hi.o_recv * 2.3)
-    # Wire latency is frequency independent.
-    assert lo.L == hi.L
-
-
-def test_logp_small_message_prediction_close_to_simulation(world):
-    m = world.rank(0).machine
-    predicted = sample_logp(m, world.rank(0).comm_core).small_message_latency
-    record = run_transfer(world, 4)
-    assert record.duration == pytest.approx(predicted, rel=0.15)
-
-
-def test_logp_gap_includes_congestion(world):
-    m = world.rank(0).machine
-    core = world.rank(0).comm_core
-    base = sample_logp(m, core).g
-    for i in range(8):
-        m.set_streaming(i, True)
-    assert sample_logp(m, core).g > base
 
 
 # -- protocol selection ---------------------------------------------------

@@ -144,9 +144,11 @@ def test_read_journal_entries_skips_malformed_lines(tmp_path):
     p = tmp_path / "c.jsonl"
     good = json.dumps({"experiment": "e", "key": "k", "status": "ok"})
     p.write_text(good + "\n{not json\n" + good + "\n"
+                 + '{"experiment": "e3"}\n'
                  + '{"experiment": "e2"', encoding="utf-8")
     entries = read_journal_entries(p)
-    assert len(entries) == 2          # malformed + truncated tail skipped
+    # malformed line, keyless record and truncated tail skipped
+    assert len(entries) == 2
     assert all(e["experiment"] == "e" for e in entries)
 
 

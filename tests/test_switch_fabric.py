@@ -4,7 +4,6 @@ import pytest
 
 from repro.hardware import Cluster, HENRI
 from repro.mpi import CommWorld, P2PContext
-from repro.mpi.collectives import CollectiveContext
 
 
 def test_switch_validation():
@@ -68,14 +67,3 @@ def test_generous_switch_is_transparent():
     assert s1.record.duration == pytest.approx(s2.record.duration,
                                                rel=0.02)
 
-
-def test_collectives_slower_on_oversubscribed_fabric():
-    size = 8 << 20
-    free = CollectiveContext(
-        CommWorld(Cluster(HENRI, 8), comm_placement="near"))
-    shared = CollectiveContext(
-        CommWorld(Cluster(HENRI, 8, switch_bw=12e9),
-                  comm_placement="near"))
-    rec_free = free.run("allreduce", size=size)
-    rec_shared = shared.run("allreduce", size=size)
-    assert rec_shared.duration > 1.5 * rec_free.duration
