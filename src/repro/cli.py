@@ -215,14 +215,14 @@ _OUTPUT_FLAGS = {
 }
 
 
-def _prepare_outputs(args, parser) -> None:
+def _prepare_outputs(args, parser, flags=None) -> None:
     """Apply the one output-path rule before any work starts.
 
     Missing parent directories are created, as the campaign journal
     always did; a path that still cannot be written (an existing
     directory, say) is a usage error naming the flag and the path.
     """
-    for flag, dest in _OUTPUT_FLAGS[args.command]:
+    for flag, dest in flags or _OUTPUT_FLAGS[args.command]:
         path = getattr(args, dest)
         if not path:
             continue
@@ -540,14 +540,6 @@ def main(argv: Optional[list] = None) -> int:
         policy = ExecutionPolicy(**policy_kwargs)
     except ValueError as err:
         parser.error(str(err))
-    _prepare_outputs(args, parser)
-    if policy.trials > 1:
-        not_sweep = [n for n in names
-                     if not registry.get(n).journal_capable]
-        if not_sweep:
-            print(f"note: --trials only affects sweep experiments; "
-                  f"{', '.join(not_sweep)} run(s) once regardless",
-                  file=sys.stderr)
 
     from contextlib import ExitStack
 
@@ -555,6 +547,22 @@ def main(argv: Optional[list] = None) -> int:
     sections: Dict[str, str] = {}
     results: Dict[str, object] = {}
     with ExitStack() as stack:
+        journal = None
+        if args.journal:
+            # Claim the journal before any other output path is made,
+            # and truncate or load it only once every flag is valid.
+            _prepare_outputs(args, parser, (("--journal", "journal"),))
+            from repro.core.campaign import CampaignJournal
+            from repro.core.measurer import CampaignMeasurer
+            try:
+                journal = stack.enter_context(CampaignJournal(
+                    args.journal, resume=args.resume, begin=False))
+            except RuntimeError as err:   # another writer holds it
+                parser.error(str(err))
+        _prepare_outputs(args, parser)
+        if journal is not None:
+            journal.begin()
+            CampaignMeasurer.attach(journal)
         if args.check_invariants:
             from repro.sim.invariants import invariant_checks
             stack.enter_context(invariant_checks())
@@ -566,16 +574,6 @@ def main(argv: Optional[list] = None) -> int:
             from repro.obs import telemetry_context
             tele = stack.enter_context(
                 telemetry_context(trace=bool(args.trace)))
-        journal = None
-        if args.journal:
-            from repro.core.campaign import CampaignJournal
-            from repro.core.measurer import CampaignMeasurer
-            try:
-                journal = stack.enter_context(
-                    CampaignJournal(args.journal, resume=args.resume))
-            except RuntimeError as err:   # another writer holds it
-                parser.error(str(err))
-            CampaignMeasurer.attach(journal)
         if args.jobs != 1 or policy.trials > 1:
             # trials ride on the executor policy, so a multi-trial run
             # needs an installed executor even when it stays serial.

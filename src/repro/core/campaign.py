@@ -24,9 +24,10 @@ content fingerprint (``"fp"``) and double as a point-level result
 cache: on resume a point replays only while its parameters and the
 simulation code are unchanged.
 
-Every registered experiment journals this way except the few that are
-one continuous simulation — see ``ExperimentDef.journal_capable`` in
-:mod:`repro.core.registry`.
+Every registered experiment runs its points this way.  A point may
+ship scalars that are not curves (fig2's per-phase frequency means,
+say) as one-row ``obs:<name>`` series, which the experiment turns back
+into observations.
 
 The journal is optional: with ``journal=None`` the guard still provides
 the error boundary, it just cannot resume.  Journal writes are
@@ -79,10 +80,11 @@ class CampaignJournal:
     journal's lifetime, taken before it is truncated or loaded: a
     second writer gets a :class:`RuntimeError` and the file is left
     untouched.  With ``--jobs`` parallelism all writes funnel through
-    the parent.
+    the parent.  ``begin=False`` defers the truncate or load to
+    :meth:`begin`: the caller holds the lock, the file stays as found.
     """
 
-    def __init__(self, path, resume: bool = False):
+    def __init__(self, path, resume: bool = False, *, begin: bool = True):
         self.path = Path(path)
         self.resume = resume
         # Keyed (experiment, key, trial); pre-trial entries load as
@@ -97,7 +99,12 @@ class CampaignJournal:
         # must leave the journal it found untouched.
         self._fh = open(self.path, "a", encoding="utf-8")
         self._lock()
-        if resume:
+        if begin:
+            self.begin()
+
+    def begin(self) -> None:
+        """Load the locked file (resume) or truncate it (fresh run)."""
+        if self.resume:
             self._load()
         else:
             self._fh.truncate(0)
@@ -137,11 +144,6 @@ class CampaignJournal:
         return [k if not t else f"{k}#t{t}"
                 for (exp, k, t), e in self._entries.items()
                 if exp == experiment and e["status"] == "ok"]
-
-    def failed(self, experiment: str) -> List[str]:
-        return [k if not t else f"{k}#t{t}"
-                for (exp, k, t), e in self._entries.items()
-                if exp == experiment and e["status"] != "ok"]
 
     # -- recording ---------------------------------------------------------
     def record(self, experiment: str, key: str, status: str,
@@ -189,7 +191,6 @@ class SweepGuard:
         self.result = result
         self.journal = journal
         self.replayed: List[str] = []
-        self.failed: List[str] = []
 
     def run_specs(self, specs) -> Dict[str, str]:
         """Run a whole sweep of :class:`~repro.core.executor.PointSpec`.
@@ -295,7 +296,6 @@ class SweepGuard:
                                result.name, label,
                                failure.get("message", failure.get("error")))
                 result.failures[label] = failure
-                self.failed.append(label)
                 statuses[label] = "failed"
                 if self.journal is not None:
                     self.journal.record(result.name, spec.key, "failed",

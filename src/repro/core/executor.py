@@ -148,7 +148,7 @@ class PointSpec:
 # -- row helpers (runners build journal-shaped rows) ----------------------
 
 def stat_row(x: float, samples) -> List[float]:
-    """Row from raw samples — the counterpart of ``Series.add``."""
+    """Row from raw samples: their median and decile band."""
     stats = summarize(samples)
     return [float(x), stats.median, stats.p10, stats.p90]
 

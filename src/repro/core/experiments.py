@@ -231,6 +231,46 @@ def fig1b(spec: MachineSpec | str = "henri", **kw) -> ExperimentResult:
 # §3.2  Figure 2 — frequency traces with CPU-bound computation
 # ---------------------------------------------------------------------------
 
+_OBS = "obs:"
+
+
+def _shipped(values: Dict[str, float]) -> dict:
+    """A point's scalars that are not curves, as ``obs:<name>`` rows."""
+    return {_OBS + name: [value_row(0, v)] for name, v in values.items()}
+
+
+def _observe_shipped(result: ExperimentResult) -> None:
+    """Move shipped scalars from *result*'s series to observations."""
+    for key in [k for k in result.series if k.startswith(_OBS)]:
+        result.observe(key[len(_OBS):], result.series.pop(key).median[0])
+
+
+def _traced_world(spec: MachineSpec | str, sample_period: float):
+    """(world, sampler): two far-placed nodes, node 0's cores sampled."""
+    cluster = Cluster(_spec(spec), n_nodes=2)
+    world = CommWorld(cluster, comm_placement="far")
+    m0 = cluster.machine(0)
+    probes = {f"core{c.id}": (lambda cid=c.id: m0.freq.core_hz(cid) / 1e9)
+              for c in m0.cores}
+    # Every probe reads m0's frequency model only: one epoch source
+    # buys batched (or probe-skipping) sampling, see sim.trace.
+    sampler = PeriodicSampler(cluster.sim, probes, period=sample_period,
+                              epoch_sources=(m0.freq,)).start()
+    return world, sampler
+
+
+def _start_kernels(world: CommWorld, n_compute: int,
+                   kernel_factory: Callable, sweeps: Optional[int]) -> list:
+    """Kernel runs on *n_compute* cores of each node, beside its comm
+    thread."""
+    comm_cores = {r.node_id: r.comm_core for r in world.ranks}
+    return [run_kernel(machine, core, kernel_factory(), data_numa=0,
+                       sweeps=sweeps)
+            for machine in world.cluster.machines
+            for core in compute_core_ids(machine, n_compute,
+                                         comm_cores[machine.node_id])]
+
+
 def _pingpong_while(pingpong: PingPong, running: Callable[[], bool],
                     out: List[float]) -> Generator:
     """Latency ping-pongs while ``running()`` holds, appending one-way
@@ -247,89 +287,82 @@ def _pingpong_while(pingpong: PingPong, running: Callable[[], bool],
             out.append(rec.duration)
 
 
-@experiment(title="Frequency traces: comm only / idle / comm + compute",
-            tags=("paper", "frequency"), journal=False,
-            fast=dict(phase_seconds=0.04))
-def fig2(spec: MachineSpec | str = "henri", n_compute: int = 20,
-         phase_seconds: float = 0.12, sample_period: float = 2e-3,
-         reps_hint: int = 0) -> ExperimentResult:
+def _fig2_point(params: dict) -> dict:
     """Phases A (comm only), B (idle), C (comm + prime on n cores)."""
-    s = _spec(spec)
-    cluster = Cluster(s, n_nodes=2)
-    world = CommWorld(cluster, comm_placement="far")
-    sim = cluster.sim
-    m0 = cluster.machine(0)
-    comm_core = world.rank(0).comm_core
-
-    probes = {f"core{c.id}": (lambda cid=c.id: m0.freq.core_hz(cid) / 1e9)
-              for c in m0.cores}
-    probes["uncore_s0"] = lambda: m0.freq.uncore_hz(0) / 1e9
-    probes["uncore_s1"] = lambda: m0.freq.uncore_hz(1) / 1e9
-    # Every probe reads m0's frequency model only: one epoch source
-    # buys batched (or probe-skipping) sampling, see sim.trace.
-    sampler = PeriodicSampler(sim, probes, period=sample_period,
-                              epoch_sources=(m0.freq,)).start()
-
+    phase = params["phase_seconds"]
+    world, sampler = _traced_world(params["spec"], params["sample_period"])
+    sim = world.sim
     pingpong = PingPong(world)
     lat_a: List[float] = []
     lat_c: List[float] = []
 
     # Phase A: communications only.
     proc = sim.process(_pingpong_while(
-        pingpong, lambda: sim.now < phase_seconds, lat_a))
-    sim.run(until=phase_seconds)
+        pingpong, lambda: sim.now < phase, lat_a))
+    sim.run(until=phase)
     sim.run(until=proc)
+    if not proc.ok:   # re-raise the ping-pong's transport failure
+        _ = proc.value
 
     # Phase B: everything idle (the comm threads sleep too).
     from repro.hardware.frequency import CoreActivity
     t_b0 = sim.now
     for rank in world.ranks:
         rank.machine.set_core_activity(rank.comm_core, CoreActivity.IDLE)
-    sim.run(until=t_b0 + phase_seconds)
+    sim.run(until=t_b0 + phase)
     for rank in world.ranks:
         rank.machine.set_core_activity(rank.comm_core, CoreActivity.SCALAR,
                                        uncore_active=False)
 
     # Phase C: communications + prime counting on n_compute cores.
     t_c0 = sim.now
-    comm_cores = {r.node_id: r.comm_core for r in world.ranks}
-    runs = []
-    for machine in cluster.machines:
-        cores = compute_core_ids(machine, n_compute,
-                                 comm_cores[machine.node_id])
-        for core in cores:
-            runs.append(run_kernel(machine, core, prime_kernel(),
-                                   data_numa=0, sweeps=None))
-
-    proc_c = sim.process(_pingpong_while(
-        pingpong, lambda: sim.now < t_c0 + phase_seconds, lat_c))
-    sim.run(until=t_c0 + phase_seconds)
-    sim.run(until=proc_c)
+    runs = _start_kernels(world, params["n_compute"], prime_kernel, None)
+    proc = sim.process(_pingpong_while(
+        pingpong, lambda: sim.now < t_c0 + phase, lat_c))
+    sim.run(until=t_c0 + phase)
+    sim.run(until=proc)
+    if not proc.ok:
+        _ = proc.value
     for run in runs:
         run.request_stop()
     trace = sampler.stop()
     sim.run()
 
+    comm_key = f"core{world.rank(0).comm_core}"
+    means: Dict[str, float] = {}
+    for name, (t0, t1) in (("A", (0.0, phase)), ("B", (t_b0, t_c0)),
+                           ("C", (t_c0, t_c0 + phase))):
+        means[f"comm_core_ghz_{name}"] = trace.mean(comm_key, t0, t1)
+        means[f"compute_core_ghz_{name}"] = trace.mean("core0", t0, t1)
+    # x=0: alone, x=1: together.
+    return {"latency": [stat_row(0, lat_a), stat_row(1, lat_c)],
+            **_shipped(means)}
+
+
+@experiment(title="Frequency traces: comm only / idle / comm + compute",
+            tags=("paper", "frequency"),
+            fast=dict(phase_seconds=0.04))
+def fig2(spec: MachineSpec | str = "henri", n_compute: int = 20,
+         phase_seconds: float = 0.12, sample_period: float = 2e-3,
+         journal: Optional[CampaignJournal] = None) -> ExperimentResult:
+    """Phases A (comm only), B (idle), C (comm + prime on n cores)."""
     result = ExperimentResult(
         name="fig2",
         title="Frequency variations: (A) comm only, (B) idle, "
               "(C) comm + compute")
-    result.meta["trace"] = trace
-    result.meta["phases"] = {"A": (0.0, phase_seconds),
-                             "B": (t_b0, t_c0),
-                             "C": (t_c0, t_c0 + phase_seconds)}
-    comm_key = f"core{comm_core}"
-    compute_key = "core0"
-    for phase, (t0, t1) in result.meta["phases"].items():
-        result.observe(f"comm_core_ghz_{phase}",
-                       trace.mean(comm_key, t0, t1))
-        result.observe(f"compute_core_ghz_{phase}",
-                       trace.mean(compute_key, t0, t1))
-    result.observe("latency_alone_s", float(np.median(lat_a)))
-    result.observe("latency_together_s", float(np.median(lat_c)))
-    lat_series = result.new_series("latency", ylabel="latency (s)")
-    lat_series.add(0, lat_a)   # x=0: alone
-    lat_series.add(1, lat_c)   # x=1: together
+    lat = result.new_series("latency", ylabel="latency (s)")
+    SweepGuard(result, journal).run_specs([PointSpec(
+        experiment="fig2", key=f"n={n_compute}",
+        runner="repro.core.experiments:_fig2_point",
+        params=dict(spec=spec, n_compute=n_compute,
+                    phase_seconds=phase_seconds,
+                    sample_period=sample_period))])
+    _observe_shipped(result)
+
+    def observations():
+        result.observe("latency_alone_s", lat.at(0))
+        result.observe("latency_together_s", lat.at(1))
+    _guarded_observations(result, observations)
     return result
 
 
@@ -390,53 +423,47 @@ def fig3a(spec: MachineSpec | str = "henri",
     return result
 
 
-@experiment(title="Frequency traces under AVX load",
-            tags=("paper", "frequency"), index_key="fig3b/c", journal=False,
-            fast=dict(phase_seconds=0.05))
-def fig3bc(spec: MachineSpec | str = "henri", n_compute: int = 4,
-           phase_seconds: float = 0.2,
-           sample_period: float = 2e-3) -> ExperimentResult:
-    """Frequency trace while AVX computations run beside communications."""
-    s = _spec(spec)
-    cluster = Cluster(s, n_nodes=2)
-    world = CommWorld(cluster, comm_placement="far")
-    sim = cluster.sim
-    m0 = cluster.machine(0)
-    comm_core = world.rank(0).comm_core
-
-    probes = {f"core{c.id}": (lambda cid=c.id: m0.freq.core_hz(cid) / 1e9)
-              for c in m0.cores}
-    sampler = PeriodicSampler(sim, probes, period=sample_period,
-                              epoch_sources=(m0.freq,)).start()
-
-    comm_cores = {r.node_id: r.comm_core for r in world.ranks}
-    runs = []
-    for machine in cluster.machines:
-        for core in compute_core_ids(machine, n_compute,
-                                     comm_cores[machine.node_id]):
-            runs.append(run_kernel(machine, core, avx_kernel(),
-                                   data_numa=0, sweeps=1))
-
+def _fig3bc_point(params: dict) -> dict:
+    """AVX kernels on n cores per node beside latency ping-pongs."""
+    world, sampler = _traced_world(params["spec"], params["sample_period"])
+    sim = world.sim
+    runs = _start_kernels(world, params["n_compute"], avx_kernel, 1)
     lats: List[float] = []
-    sim.process(_pingpong_while(
+    proc = sim.process(_pingpong_while(
         PingPong(world), lambda: any(not r.process.triggered for r in runs),
         lats))
     for r in runs:
         sim.run(until=r.process)
     trace = sampler.stop()
     sim.run()
+    if not proc.ok:   # re-raise the ping-pong's transport failure
+        _ = proc.value
     duration = max(r.stats.duration for r in runs)
+    comm_key = f"core{world.rank(0).comm_core}"
+    return {**_shipped({
+        "compute_duration_s": duration,
+        "comm_core_ghz": trace.mean(comm_key, 0, duration),
+        "avx_core_ghz": trace.mean("core0", 0, duration)}),
+        _OBS + "latency_together_s": [stat_row(0, lats)]}
 
+
+@experiment(title="Frequency traces under AVX load",
+            tags=("paper", "frequency"), index_key="fig3b/c",
+            fast=dict(phase_seconds=0.05))
+def fig3bc(spec: MachineSpec | str = "henri", n_compute: int = 4,
+           phase_seconds: float = 0.2,
+           sample_period: float = 2e-3,
+           journal: Optional[CampaignJournal] = None) -> ExperimentResult:
+    """Frequency trace while AVX computations run beside communications."""
     result = ExperimentResult(
         name="fig3bc",
         title=f"Frequency trace, {n_compute} AVX512 computing cores")
-    result.meta["trace"] = trace
-    result.observe("compute_duration_s", duration)
-    result.observe("comm_core_ghz",
-                   trace.mean(f"core{comm_core}", 0, duration))
-    result.observe("avx_core_ghz", trace.mean("core0", 0, duration))
-    result.observe("latency_together_s",
-                   float(np.median(lats)) if lats else None)
+    SweepGuard(result, journal).run_specs([PointSpec(
+        experiment="fig3bc", key=f"n={n_compute}",
+        runner="repro.core.experiments:_fig3bc_point",
+        params=dict(spec=spec, n_compute=n_compute,
+                    sample_period=sample_period))])
+    _observe_shipped(result)
     return result
 
 

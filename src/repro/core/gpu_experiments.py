@@ -17,21 +17,20 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import PointSpec, stat_row
-from repro.core.experiments import _guarded_observations
+from repro.core.experiments import (_OBS, _guarded_observations,
+                                    _observe_shipped, _start_kernels)
 from repro.core.placement import compute_core_ids
 from repro.core.registry import experiment
 from repro.core.results import ExperimentResult
 from repro.hardware.gpu import GPU, GPUSpec, V100, attach_gpu
-from repro.hardware.presets import MachineSpec, get_preset
+from repro.hardware.presets import MachineSpec
 from repro.hardware.topology import Cluster
 from repro.kernels.roofline import run_kernel
 from repro.kernels.stream import triad_kernel
 from repro.mpi.comm import CommWorld
-from repro.mpi.pingpong import BANDWIDTH_SIZE, LATENCY_SIZE
+from repro.mpi.pingpong import BANDWIDTH_SIZE, LATENCY_SIZE, PingPong
 
 __all__ = ["gpu_vs_network", "gpu_vs_stream"]
 
@@ -45,14 +44,46 @@ def _memcpy_loop(gpu: GPU, nbytes: int, out: List[float],
         out.append(bw)
 
 
+def _gpu_network_point(params: dict) -> dict:
+    """One ping-pong beside STREAM cores on both nodes, optionally with
+    a continuous H2D memcpy stream on each node."""
+    key, with_gpu = params["series"], params["with_gpu"]
+    cluster = Cluster(params["spec"], n_nodes=2)
+    world = CommWorld(cluster, comm_placement="far")
+    runs = _start_kernels(world, params["n_stream_cores"], triad_kernel,
+                          None)
+    copies: List[float] = []
+    stop = {"stop": False}
+    if with_gpu:
+        for machine in cluster.machines:
+            gpu = attach_gpu(machine, params["gpu_spec"])
+            cluster.sim.process(
+                _memcpy_loop(gpu, params["chunk"], copies, stop))
+    lats: List[float] = []
+    proc = cluster.sim.process(PingPong(world).process(
+        params["size"], params["reps"], out=lats))
+    cluster.sim.run(until=proc)
+    if not proc.ok:   # re-raise the ping-pong's transport failure
+        _ = proc.value
+    stop["stop"] = True
+    for r in runs:
+        r.request_stop()
+    rows = {key: [stat_row(1.0 if with_gpu else 0.0, lats)]}
+    if with_gpu and copies:
+        rows[f"{_OBS}memcpy_bw_during_{key}"] = [stat_row(0, copies)]
+    return rows
+
+
 @experiment(title="Host<->GPU transfers vs network performance",
-            tags=("extension", "gpu"), journal=False,
+            tags=("extension", "gpu"),
             fast=dict(reps=6, chunk=8 << 20))
 def gpu_vs_network(spec: MachineSpec | str = "henri",
                    gpu_spec: GPUSpec = V100,
                    chunk: int = 16 << 20,
                    reps: int = 10,
-                   n_stream_cores: int = 20) -> ExperimentResult:
+                   n_stream_cores: int = 20,
+                   journal: Optional[CampaignJournal] = None
+                   ) -> ExperimentResult:
     """Marginal impact of GPU memcpy traffic on network performance.
 
     Both measurements run beside *n_stream_cores* STREAM cores per node
@@ -61,50 +92,29 @@ def gpu_vs_network(spec: MachineSpec | str = "henri",
     each node.  The delta isolates what the GPU's data movements cost
     the network — the paper's §8 question.
     """
-    s = get_preset(spec) if isinstance(spec, str) else spec
     result = ExperimentResult(
         name="gpu_vs_network",
         title="Host<->GPU transfers vs network performance")
-
+    specs = []
     for message_size, key in ((LATENCY_SIZE, "latency"),
                               (BANDWIDTH_SIZE, "bandwidth")):
-        series = result.new_series(key, xlabel="gpu traffic",
-                                   ylabel="seconds")
-        for with_gpu in (False, True):
-            cluster = Cluster(s, n_nodes=2)
-            world = CommWorld(cluster, comm_placement="far")
-            comm_cores = {r.node_id: r.comm_core for r in world.ranks}
-            runs = []
-            for machine in cluster.machines:
-                for core in compute_core_ids(
-                        machine, n_stream_cores,
-                        comm_cores[machine.node_id]):
-                    runs.append(run_kernel(machine, core, triad_kernel(),
-                                           data_numa=0, sweeps=None))
-            copies: List[float] = []
-            stop = {"stop": False}
-            if with_gpu:
-                for machine in cluster.machines:
-                    gpu = attach_gpu(machine, gpu_spec)
-                    cluster.sim.process(
-                        _memcpy_loop(gpu, chunk, copies, stop))
-            from repro.mpi.pingpong import PingPong
-            pingpong = PingPong(world)
-            lats: List[float] = []
-            proc = cluster.sim.process(pingpong.process(
-                message_size, reps, out=lats))
-            cluster.sim.run(until=proc)
-            stop["stop"] = True
-            for r in runs:
-                r.request_stop()
-            series.add(1.0 if with_gpu else 0.0, lats)
-            if with_gpu and copies:
-                result.observe(f"memcpy_bw_during_{key}",
-                               float(np.median(copies)))
-    lat = result["latency"]
-    bw = result["bandwidth"]
-    result.observe("latency_ratio", lat.at(1) / lat.at(0))
-    result.observe("bandwidth_ratio", bw.at(0) / bw.at(1))
+        result.new_series(key, xlabel="gpu traffic", ylabel="seconds")
+        specs += [PointSpec(
+            experiment="gpu_vs_network", key=f"{key}/gpu={int(with_gpu)}",
+            runner="repro.core.gpu_experiments:_gpu_network_point",
+            params=dict(spec=spec, gpu_spec=gpu_spec, chunk=chunk,
+                        reps=reps, n_stream_cores=n_stream_cores,
+                        size=message_size, series=key,
+                        with_gpu=with_gpu))
+            for with_gpu in (False, True)]
+    SweepGuard(result, journal).run_specs(specs)
+    _observe_shipped(result)
+
+    def observations():
+        lat, bw = result["latency"], result["bandwidth"]
+        result.observe("latency_ratio", lat.at(1) / lat.at(0))
+        result.observe("bandwidth_ratio", bw.at(0) / bw.at(1))
+    _guarded_observations(result, observations)
     return result
 
 

@@ -1,21 +1,15 @@
 """Declarative experiment registry: one source of truth for figures.
 
-Before this module existed, adding an experiment meant editing five
-hand-synced structures in ``cli.py`` (the name->function table, the
-``--fast`` parameter table, the journal-capability set, the bench
-subset, and a ``fig5`` special case at every call site).  Now each
-experiment module decorates its entry points with :func:`experiment`
-and self-registers an :class:`ExperimentDef` at import; every consumer
-— CLI dispatch, ``--fast`` profiles, ``--journal``/``--jobs``
-capability checks, rendering, the EXPERIMENTS.md
-record and the scenario layer (:mod:`repro.core.scenario`) — reads the
-registry instead of maintaining its own table.
+Each experiment module decorates its entry points with
+:func:`experiment` and self-registers an :class:`ExperimentDef` at
+import; every consumer — CLI dispatch, ``--fast`` profiles, rendering,
+the EXPERIMENTS.md record and the scenario layer
+(:mod:`repro.core.scenario`) — reads the registry instead of
+maintaining its own table.
 
-Every experiment is journal-capable (equivalently ``--jobs``-,
-``--resume``- and ``--trials``-capable — all ride on
-:class:`~repro.core.executor.PointSpec` sweeps) unless it declares
-``journal=False``: fig2, fig3bc and gpu_vs_network are each one
-continuous simulation with no point boundary to journal at.
+Every entry point takes a ``journal`` keyword and runs its points as
+:class:`~repro.core.executor.PointSpec` sweeps, so ``--journal``,
+``--resume``, ``--jobs`` and ``--trials`` apply to every experiment.
 
 This module itself imports only the standard library.  The first
 registry access calls :func:`load`, which imports every module in
@@ -100,7 +94,6 @@ class ExperimentDef:
     doc: str = ""
     tags: Tuple[str, ...] = ()
     fast_kwargs: Mapping[str, object] = field(default_factory=dict)
-    journal_capable: bool = True      # == parallel/resume-capable
     multi_result: bool = False        # returns {key: ExperimentResult}
     plot_capable: bool = True         # --plot can chart the result
     in_all: bool = True               # included in `repro run all`
@@ -123,15 +116,7 @@ class ExperimentDef:
         kwargs = dict(self.fast_kwargs) if fast else {}
         if overrides:
             kwargs.update(overrides)
-        if journal is not None:
-            if self.journal_capable:
-                kwargs["journal"] = journal
-            else:
-                import logging
-                logging.getLogger(__name__).warning(
-                    "experiment %s is not journal-capable; running "
-                    "without checkpointing", self.name)
-        return self.runner(spec=spec, **kwargs)
+        return self.runner(spec=spec, journal=journal, **kwargs)
 
     # -- rendering --------------------------------------------------------
     def render(self, result) -> str:
@@ -152,8 +137,6 @@ class ExperimentDef:
     def capabilities(self) -> Tuple[str, ...]:
         """Flag names for listings/snapshots (drift-diffable)."""
         caps: List[str] = ["fast"] if self.fast_kwargs else []
-        if self.journal_capable:
-            caps.append("journal")
         if self.multi_result:
             caps.append("multi")
         if self.plot_capable:
@@ -215,13 +198,11 @@ def experiment(name: Optional[str] = None, *, title: str,
                plot: bool = True, in_all: bool = True,
                index_key: Optional[str] = None,
                renderer: Optional[object] = None,
-               journal: bool = True,
                params: Sequence[str] = ()) -> Callable:
     """Decorator: register the function as a named experiment.
 
     The entry point takes a ``journal`` keyword (directly or through
-    ``**kwargs``) and runs its points as a sweep; pass ``journal=False``
-    for an experiment that is one continuous simulation.
+    ``**kwargs``) and runs its points as a sweep.
     """
     def wrap(func: Callable) -> Callable:
         exp_name = name or func.__name__
@@ -229,7 +210,6 @@ def experiment(name: Optional[str] = None, *, title: str,
             name=exp_name, runner=func, title=title,
             doc=inspect.getdoc(func) or "", tags=tuple(tags),
             fast_kwargs=dict(fast or {}),
-            journal_capable=journal,
             multi_result=multi_result, plot_capable=plot, in_all=in_all,
             index_key=index_key or exp_name, renderer=renderer,
             scenario_params=tuple(params)))

@@ -9,11 +9,9 @@ figure/table with metadata and derived observations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
-
-from repro.analysis.stats import summarize
 
 __all__ = ["Series", "ExperimentResult"]
 
@@ -30,14 +28,6 @@ class Series:
     xlabel: str = ""
     ylabel: str = ""
 
-    def add(self, x: float, samples: Sequence[float]) -> None:
-        """Append a point from raw samples (median + decile band)."""
-        stats = summarize(samples)
-        self.x.append(float(x))
-        self.median.append(stats.median)
-        self.p10.append(stats.p10)
-        self.p90.append(stats.p90)
-
     def add_value(self, x: float, value: float) -> None:
         """Append a deterministic point (degenerate band)."""
         self.x.append(float(x))
@@ -51,14 +41,6 @@ class Series:
             raise ValueError(f"series {self.label!r} is empty")
         idx = int(np.argmin(np.abs(np.asarray(self.x) - x)))
         return self.median[idx]
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self.median)
-
-    @property
-    def xs(self) -> np.ndarray:
-        return np.asarray(self.x)
 
     def __len__(self) -> int:
         return len(self.x)

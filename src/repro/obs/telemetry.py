@@ -421,7 +421,10 @@ class Telemetry:
             self.tracer._events.extend(shifted)  # noqa: SLF001
         transfers = payload.get("transfers")
         if transfers:
-            self.transfers.extend(transfers)
+            if self.transfers:
+                self.transfers.extend(transfers)
+            else:   # adopt the first log: a copy doubles peak memory
+                self.transfers = transfers
         if metrics and self.registry is not None:
             self.registry.merge_delta(metrics)
         self._n_clusters += payload.get("n_clusters", 0)

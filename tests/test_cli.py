@@ -42,7 +42,7 @@ def test_run_fig9_renders(capsys):
 def test_list_long_shows_capabilities(capsys):
     assert main(["list", "--long"]) == 0
     out = capsys.readouterr().out
-    assert "journal" in out
+    assert "fast,plot" in out and "fast,multi" in out
     assert "Constant frequencies vs latency" in out
 
 
@@ -132,10 +132,23 @@ def test_trials_flag_validated(capsys):
     assert "trials" in capsys.readouterr().err
 
 
-def test_trials_note_for_non_sweep_experiment(capsys):
+def test_trials_reach_the_trace_experiments(capsys):
+    """fig2 is a one-point sweep, so --trials fans it out like any
+    other experiment."""
     assert main(["run", "fig2", "--fast", "--trials", "2"]) == 0
-    assert "--trials only affects sweep experiments" \
-        in capsys.readouterr().err
+    assert "(2 seeded trials per point;" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3bc", "gpu_vs_network"])
+def test_ping_pong_failure_is_a_failed_point(capsys, name):
+    """A fail-stop node ends the ping-pong with a transport error, which
+    the report names instead of a traceback or a partial latency."""
+    assert main(["run", name, "--fast", "--fault",
+                 "fail_stop:node=1,at=0.0001", "--fault-seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "Failed points (fault injection):" in out
+    assert "destination node failed" in out
+    assert "latency_together_s" not in out
 
 
 def test_output_paths_in_missing_directories_are_created(capsys, tmp_path):
@@ -256,20 +269,36 @@ def test_missing_journal_creates_no_output_directory(capsys, tmp_path):
 
 
 def test_locked_journal_is_a_usage_error(capsys, tmp_path):
-    """A journal another writer holds exits 2 naming it, and its
-    records stay on disk."""
+    """A journal another writer holds exits 2 naming it, before any
+    other output directory is created, and its records stay on disk."""
     from repro.core.campaign import CampaignJournal
     path = tmp_path / "live.jsonl"
     with CampaignJournal(path) as holder:
         holder.record("fig1a", "size=4", "ok")
         before = path.read_bytes()
         with pytest.raises(SystemExit) as exc:
-            main(["run", "fig1a", "--fast", "--journal", str(path)])
+            main(["run", "fig1a", "--fast", "--journal", str(path),
+                  "--out", str(tmp_path / "d" / "R.md")])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert f"campaign journal {path} is locked by another process" \
             in err
         assert out == "" and path.read_bytes() == before
+        assert not (tmp_path / "d").exists()
+
+
+def test_bad_output_flag_leaves_the_journal_as_found(capsys, tmp_path):
+    """A usage error in another output flag exits 2 before the journal
+    is truncated."""
+    path = tmp_path / "j.jsonl"
+    assert main(["run", "fig1a", "--fast", "--journal", str(path)]) == 0
+    before = path.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "fig1a", "--fast", "--journal", str(path),
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"--out {tmp_path}: is a directory" in capsys.readouterr().err
+    assert path.read_bytes() == before
 
 
 def test_spec_lookup_is_case_insensitive(capsys):

@@ -62,7 +62,7 @@ def test_compute_core_ids_skip_comm_core():
 
 def test_series_add_and_at():
     s = Series(label="test")
-    s.add(1.0, [1.0, 2.0, 3.0])
+    s.add_value(1.0, 2.0)
     s.add_value(2.0, 5.0)
     assert len(s) == 2
     assert s.median == [2.0, 5.0]

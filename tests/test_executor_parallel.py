@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.cli import main, run_experiment
+from repro.cli import main
 from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import (ExecutionPolicy, PointSpec, SweepExecutor,
                                  build_env, executor_context,
@@ -62,13 +62,6 @@ def test_fig10_api_identical_under_pool():
         p = pooled.series[key]
         assert (s.x, s.median, s.p10, s.p90) == \
             (p.x, p.median, p.p10, p.p90)
-
-
-def test_non_sweep_experiment_unaffected_by_executor():
-    serial = run_experiment("fig2", fast=True)
-    with executor_context(2):
-        pooled = run_experiment("fig2", fast=True)
-    assert serial.observations == pooled.observations
 
 
 def test_fault_campaign_identical_at_any_jobs(tmp_path, capsys):
@@ -254,23 +247,22 @@ def _invariant_sweep(spec="henri", journal=None):
     return result
 
 
-def _invariant_plain(spec="henri"):
+def _invariant_plain(spec="henri", journal=None):
     raise InvariantViolation("component 0 broke")
 
 
-def _register(monkeypatch, name, runner, journal_capable):
+def _register(monkeypatch, name, runner):
     from repro.core import registry
 
     registry.load()
     monkeypatch.setitem(registry._REGISTRY, name,  # noqa: SLF001
                         registry.ExperimentDef(
-                            name=name, runner=runner, title="t",
-                            journal_capable=journal_capable))
+                            name=name, runner=runner, title="t"))
     monkeypatch.setitem(registry._ORDER, name, (99, 0))  # noqa: SLF001
 
 
 def test_invariant_violation_fails_the_run(tmp_path, capsys, monkeypatch):
-    _register(monkeypatch, "inv_sweep", _invariant_sweep, True)
+    _register(monkeypatch, "inv_sweep", _invariant_sweep)
     md = tmp_path / "r.md"
     journal = tmp_path / "j.jsonl"
     assert main(["run", "inv_sweep", "--out", str(md),
@@ -287,7 +279,7 @@ def test_invariant_violation_fails_the_run(tmp_path, capsys, monkeypatch):
 
 
 def test_invariant_violation_outside_a_sweep_is_named(capsys, monkeypatch):
-    _register(monkeypatch, "inv_plain", _invariant_plain, False)
+    _register(monkeypatch, "inv_plain", _invariant_plain)
     assert main(["run", "inv_plain"]) == 1
     assert "InvariantViolation in inv_plain: component 0 broke" in \
         capsys.readouterr().err

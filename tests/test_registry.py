@@ -47,24 +47,15 @@ def test_every_experiment_has_title_and_doc():
         assert defn.doc, f"{defn.name}'s entry point lacks a docstring"
 
 
-def test_journal_capability_matches_signature():
-    """journal_capable must track the entry point's actual signature."""
+def test_every_entry_point_accepts_journal():
+    """Every experiment runs as a sweep: its entry point takes the
+    journal the registry always passes."""
     import inspect
     for defn in ALL_DEFS:
         params = inspect.signature(defn.runner).parameters
-        accepts = "journal" in params or any(
+        assert "journal" in params or any(
             p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in params.values())
-        if defn.journal_capable:
-            assert accepts, \
-                f"{defn.name} claims journal support but takes no journal"
-
-
-def test_only_continuous_simulations_are_not_journal_capable():
-    """Every experiment runs as a point sweep except the three that are
-    one continuous simulation each."""
-    assert {d.name for d in ALL_DEFS if not d.journal_capable} \
-        == {"fig2", "fig3bc", "gpu_vs_network"}
+            for p in params.values()), f"{defn.name} takes no journal"
 
 
 def test_ablations_are_registered_but_not_in_all():

@@ -37,7 +37,7 @@ def test_render_table_empty():
 
 def test_render_series():
     s = Series(label="latency", xlabel="cores", ylabel="s")
-    s.add(1, [1e-6, 2e-6])
+    s.add_value(1, 1.5e-6)
     text = render_series(s, unit="s")
     assert "latency" in text
     assert "cores" in text

@@ -7,8 +7,8 @@ The manifest maps ``<run>/<kind>`` to the sha256 of one artifact of one
 * ``<run>`` is every registry experiment (``repro list``), plus
   :data:`FAULT_RUN`, a fig1a campaign under message loss;
 * ``<kind>`` is ``out`` (the ``--out`` report), ``metrics``, ``trace``
-  and, for journal-capable experiments, ``journal``.  The fault
-  campaign records ``out`` and ``journal`` only.
+  and ``journal``.  The fault campaign records ``out`` and ``journal``
+  only.
 
 Each run is a ``python -m repro run`` child process in its own
 temporary directory, with every ``REPRO_*`` variable cleared and
@@ -62,12 +62,8 @@ def runs() -> List[Run]:
         sys.path.insert(0, str(ROOT / "src"))
     from repro.core import registry
 
-    out: List[Run] = []
-    for name in registry.names():
-        kinds = ("out", "metrics", "trace")
-        if registry.get(name).journal_capable:
-            kinds += ("journal",)
-        out.append((name, name, (), kinds))
+    out: List[Run] = [(name, name, (), tuple(ARTIFACTS))
+                      for name in registry.names()]
     run, experiment, flags = FAULT_RUN
     out.append((run, experiment, flags, ("out", "journal")))
     return out
