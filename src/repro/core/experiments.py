@@ -31,8 +31,7 @@ source of truth for names, ``--fast`` profiles, and capabilities.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Generator, Iterable, List, Optional,
-                    Sequence)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,20 +39,18 @@ from repro.analysis.fitting import crossover_index, detect_ridge
 from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import PointSpec, stat_row, value_row
 from repro.core.placement import (
-    ALL_PLACEMENTS, Placement, comm_core_for, compute_core_ids,
-    data_numa_for,
+    ALL_PLACEMENTS, Placement, comm_core_for, data_numa_for,
 )
 from repro.core.registry import experiment
 from repro.core.results import ExperimentResult, Series
 from repro.core.sidebyside import (
-    SideBySideConfig, build_world, run_duration_protocol,
-    run_throughput_protocol,
+    SideBySideConfig, run_duration_protocol, run_throughput_protocol,
+    start_kernels,
 )
 from repro.hardware.presets import MachineSpec, get_preset
 from repro.hardware.topology import Cluster
 from repro.kernels.avx import avx_kernel
 from repro.kernels.prime import prime_kernel
-from repro.kernels.roofline import run_kernel
 from repro.kernels.stream import (
     intensity_of_cursor, triad_kernel, tunable_triad,
 )
@@ -178,13 +175,15 @@ def fig1(spec: MachineSpec | str = "henri",
 def _guarded_observations(result: ExperimentResult,
                           body: Callable[[], None]) -> None:
     """Compute derived observations; when sweep points failed (fault
-    injection) the inputs may be missing — degrade to a recorded failure
-    instead of losing the figure."""
+    injection) the inputs may be missing — note why in
+    ``meta["observations_error"]`` (the report prints it) instead of
+    losing the figure.  The note is not a point failure."""
     if result.failures:
         try:
             body()
         except Exception as err:
-            result.record_failure("__observations__", err)
+            result.meta["observations_error"] = \
+                f"{type(err).__name__}: {err}"
     else:
         body()
 
@@ -259,34 +258,6 @@ def _traced_world(spec: MachineSpec | str, sample_period: float):
     return world, sampler
 
 
-def _start_kernels(world: CommWorld, n_compute: int,
-                   kernel_factory: Callable, sweeps: Optional[int]) -> list:
-    """Kernel runs on *n_compute* cores of each node, beside its comm
-    thread."""
-    comm_cores = {r.node_id: r.comm_core for r in world.ranks}
-    return [run_kernel(machine, core, kernel_factory(), data_numa=0,
-                       sweeps=sweeps)
-            for machine in world.cluster.machines
-            for core in compute_core_ids(machine, n_compute,
-                                         comm_cores[machine.node_id])]
-
-
-def _pingpong_while(pingpong: PingPong, running: Callable[[], bool],
-                    out: List[float]) -> Generator:
-    """Latency ping-pongs while ``running()`` holds, appending one-way
-    latencies to *out* (the fig2/fig3bc trace phases)."""
-    world = pingpong.world
-    buf_a, buf_b = pingpong._buffers(LATENCY_SIZE)  # noqa: SLF001
-    a, b = pingpong.rank_a, pingpong.rank_b
-    while running():
-        for src, sbuf, dst, dbuf in ((a, buf_a, b, buf_b),
-                                     (b, buf_b, a, buf_a)):
-            rec = yield world.sim.process(world.engine.half_transfer(
-                src.node_id, src.comm_core, sbuf, dst.node_id,
-                dst.comm_core, dbuf, LATENCY_SIZE))
-            out.append(rec.duration)
-
-
 def _fig2_point(params: dict) -> dict:
     """Phases A (comm only), B (idle), C (comm + prime on n cores)."""
     phase = params["phase_seconds"]
@@ -297,8 +268,9 @@ def _fig2_point(params: dict) -> dict:
     lat_c: List[float] = []
 
     # Phase A: communications only.
-    proc = sim.process(_pingpong_while(
-        pingpong, lambda: sim.now < phase, lat_a))
+    proc = sim.process(pingpong.process(
+        LATENCY_SIZE, 0, out=lat_a, warmup=0,
+        more=lambda _it: sim.now < phase))
     sim.run(until=phase)
     sim.run(until=proc)
     if not proc.ok:   # re-raise the ping-pong's transport failure
@@ -316,9 +288,11 @@ def _fig2_point(params: dict) -> dict:
 
     # Phase C: communications + prime counting on n_compute cores.
     t_c0 = sim.now
-    runs = _start_kernels(world, params["n_compute"], prime_kernel, None)
-    proc = sim.process(_pingpong_while(
-        pingpong, lambda: sim.now < t_c0 + phase, lat_c))
+    runs = start_kernels(world.cluster.machines, world.comm_cores,
+                         params["n_compute"], prime_kernel, 0, None)
+    proc = sim.process(pingpong.process(
+        LATENCY_SIZE, 0, out=lat_c, warmup=0,
+        more=lambda _it: sim.now < t_c0 + phase))
     sim.run(until=t_c0 + phase)
     sim.run(until=proc)
     if not proc.ok:
@@ -427,11 +401,12 @@ def _fig3bc_point(params: dict) -> dict:
     """AVX kernels on n cores per node beside latency ping-pongs."""
     world, sampler = _traced_world(params["spec"], params["sample_period"])
     sim = world.sim
-    runs = _start_kernels(world, params["n_compute"], avx_kernel, 1)
+    runs = start_kernels(world.cluster.machines, world.comm_cores,
+                         params["n_compute"], avx_kernel, 0, 1)
     lats: List[float] = []
-    proc = sim.process(_pingpong_while(
-        PingPong(world), lambda: any(not r.process.triggered for r in runs),
-        lats))
+    proc = sim.process(PingPong(world).process(
+        LATENCY_SIZE, 0, out=lats, warmup=0,
+        more=lambda _it: any(not r.process.triggered for r in runs)))
     for r in runs:
         sim.run(until=r.process)
     trace = sampler.stop()

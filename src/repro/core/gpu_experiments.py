@@ -20,14 +20,13 @@ from typing import Generator, List, Optional, Sequence
 from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import PointSpec, stat_row
 from repro.core.experiments import (_OBS, _guarded_observations,
-                                    _observe_shipped, _start_kernels)
-from repro.core.placement import compute_core_ids
+                                    _observe_shipped)
 from repro.core.registry import experiment
 from repro.core.results import ExperimentResult
+from repro.core.sidebyside import start_kernels
 from repro.hardware.gpu import GPU, GPUSpec, V100, attach_gpu
 from repro.hardware.presets import MachineSpec
 from repro.hardware.topology import Cluster
-from repro.kernels.roofline import run_kernel
 from repro.kernels.stream import triad_kernel
 from repro.mpi.comm import CommWorld
 from repro.mpi.pingpong import BANDWIDTH_SIZE, LATENCY_SIZE, PingPong
@@ -50,8 +49,8 @@ def _gpu_network_point(params: dict) -> dict:
     key, with_gpu = params["series"], params["with_gpu"]
     cluster = Cluster(params["spec"], n_nodes=2)
     world = CommWorld(cluster, comm_placement="far")
-    runs = _start_kernels(world, params["n_stream_cores"], triad_kernel,
-                          None)
+    runs = start_kernels(cluster.machines, world.comm_cores,
+                         params["n_stream_cores"], triad_kernel, 0, None)
     copies: List[float] = []
     stop = {"stop": False}
     if with_gpu:
@@ -124,9 +123,7 @@ def _gpu_stream_point(params: dict) -> dict:
     cluster = Cluster(params["spec"], n_nodes=1)
     machine = cluster.machine(0)
     gpu = attach_gpu(machine, params["gpu_spec"])
-    runs = [run_kernel(machine, core, triad_kernel(), data_numa=0,
-                       sweeps=None)
-            for core in compute_core_ids(machine, n, comm_core=-1)]
+    runs = start_kernels([machine], {}, n, triad_kernel, 0, None)
     bws: List[float] = []
 
     def copies() -> Generator:

@@ -59,8 +59,7 @@ class MultiPairResult:
 
 
 def run_multipair(n_pairs: int, size: int, reps: int = 10,
-                  spec: MachineSpec | str = "henri",
-                  seed: int = 0) -> MultiPairResult:
+                  spec: MachineSpec | str = "henri") -> MultiPairResult:
     """Run *n_pairs* concurrent ping-pongs between two nodes."""
     s = get_preset(spec) if isinstance(spec, str) else spec
     if n_pairs < 1:
@@ -68,7 +67,7 @@ def run_multipair(n_pairs: int, size: int, reps: int = 10,
     max_pairs = s.cores_per_numa * s.numa_per_socket  # one socket's worth
     if n_pairs > max_pairs:
         raise ValueError(f"at most {max_pairs} pairs on {s.name}")
-    cluster = Cluster(s, n_nodes=2, seed=seed)
+    cluster = Cluster(s, n_nodes=2)
     # Pair i's comm threads on core i of the NIC socket, on both nodes.
     world = CommWorld(cluster, comm_cores={0: 0, 1: 0})
     from repro.hardware.frequency import CoreActivity

@@ -30,11 +30,11 @@ from typing import Callable, List, Optional, Sequence
 from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import PointSpec, value_row
 from repro.core.experiments import _guarded_observations
-from repro.core.placement import Placement, compute_core_ids, data_numa_for
+from repro.core.placement import Placement, data_numa_for
 from repro.core.registry import experiment
 from repro.core.results import ExperimentResult
-from repro.core.sidebyside import SideBySideConfig, build_world
-from repro.kernels.roofline import Kernel, run_kernel
+from repro.core.sidebyside import SideBySideConfig, build_world, start_kernels
+from repro.kernels.roofline import Kernel, KernelRun
 from repro.kernels.stream import triad_kernel, tunable_triad
 
 __all__ = ["OverlapResult", "measure_overlap", "overlap_experiment"]
@@ -75,24 +75,20 @@ def _transfer_once(world, pingpong, size) -> float:
     return proc.value.duration
 
 
-def _compute_once(cluster, config, world) -> float:
-    comm_cores = {r.node_id: r.comm_core for r in world.ranks}
-    machine = cluster.machine(0)
-    cores = compute_core_ids(machine, config.n_compute_cores,
-                             comm_cores[0])
-    data_numa = data_numa_for(machine, config.placement.data)
-    runs = [run_kernel(machine, core, config.kernel_factory(),
-                       data_numa=data_numa, sweeps=config.sweeps)
-            for core in cores]
-    cluster.sim.run()
-    return max(r.stats.duration for r in runs)
+def _node0_kernels(world, config) -> List[KernelRun]:
+    """The configured kernel on node 0's compute cores."""
+    machines = world.cluster.machines[:1]
+    return start_kernels(
+        machines, world.comm_cores, config.n_compute_cores,
+        config.kernel_factory,
+        data_numa_for(machines[0], config.placement.data), config.sweeps)
 
 
 def measure_overlap(message_size: int, n_compute_cores: int = 8,
                     kernel_factory: Callable[[], Kernel] = None,
                     sweeps: int = 1,
                     placement: Optional[Placement] = None,
-                    spec="henri", seed: int = 0) -> OverlapResult:
+                    spec="henri") -> OverlapResult:
     """Measure comm-alone, comp-alone, and overlapped durations."""
     if kernel_factory is None:
         kernel_factory = lambda: triad_kernel(elems=2_000_000)  # noqa: E731
@@ -101,7 +97,7 @@ def measure_overlap(message_size: int, n_compute_cores: int = 8,
     config = SideBySideConfig(
         spec=spec, n_compute_cores=n_compute_cores, placement=placement,
         kernel_factory=kernel_factory, message_size=message_size,
-        sweeps=sweeps, seed=seed)
+        sweeps=sweeps)
 
     # Message alone (registration warmed first).
     cluster, world, pingpong = build_world(config)
@@ -110,7 +106,9 @@ def measure_overlap(message_size: int, n_compute_cores: int = 8,
 
     # Computation alone.
     cluster, world, _ = build_world(config)
-    t_comp = _compute_once(cluster, config, world)
+    runs = _node0_kernels(world, config)
+    cluster.sim.run()
+    t_comp = max(r.stats.duration for r in runs)
 
     # Overlapped: post the send, compute, wait for both.
     cluster, world, pingpong = build_world(config)
@@ -127,13 +125,7 @@ def measure_overlap(message_size: int, n_compute_cores: int = 8,
     comm_proc = world.sim.process(engine.half_transfer(
         a.node_id, a.comm_core, buf_a, b.node_id, b.comm_core, buf_b,
         message_size))
-    comm_cores = {r.node_id: r.comm_core for r in world.ranks}
-    machine = cluster.machine(0)
-    cores = compute_core_ids(machine, n_compute_cores, comm_cores[0])
-    data_numa = data_numa_for(machine, placement.data)
-    runs = [run_kernel(machine, core, kernel_factory(),
-                       data_numa=data_numa, sweeps=sweeps)
-            for core in cores]
+    _node0_kernels(world, config)
     cluster.sim.run()
     t_overlap = cluster.sim.now - t0
 

@@ -81,6 +81,10 @@ def render_experiment(result: ExperimentResult) -> str:
             if isinstance(value, float):
                 value = format_si(value)
             out.write(f"  {key}: {value}\n")
+    not_derived = result.meta.get("observations_error")
+    if not_derived:
+        out.write(f"\nObservations not derived (points failed): "
+                  f"{not_derived}\n")
     if result.failures:
         by_kind: Dict[str, Dict[str, dict]] = {
             "simulated": {}, "invariant": {}, "harness": {}}

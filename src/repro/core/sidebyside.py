@@ -12,13 +12,17 @@ Two orchestrations cover the paper's experiments:
   §3 (frequency effects).
 
 Each protocol step runs on a *fresh* cluster so steps cannot contaminate
-each other, and every step is deterministic given the config seed.
+each other, and every step is deterministic.
+
+This module is the one side-by-side harness: every §2.1-style
+experiment launches its computing cores with :func:`start_kernels` and
+loops its ping-pongs with :meth:`~repro.mpi.pingpong.PingPong.process`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from repro.mpi.pingpong import LATENCY_SIZE, PingPong, PingPongResult
 
 __all__ = ["SideBySideConfig", "ThroughputOutcome", "DurationOutcome",
            "run_throughput_protocol", "run_duration_protocol",
-           "build_world"]
+           "build_world", "start_kernels"]
 
 
 @dataclass
@@ -49,8 +53,6 @@ class SideBySideConfig:
     message_size: int = LATENCY_SIZE
     reps: int = 30
     warmup_reps: int = 3
-    seed: int = 0
-    compute_on_both_nodes: bool = True
     # Throughput protocol: measurement window for kernel bandwidth.
     window: float = 0.08
     window_warmup: float = 0.02
@@ -108,7 +110,7 @@ def build_world(config: SideBySideConfig) -> Tuple[Cluster, CommWorld,
                                                    PingPong]:
     """Fresh 2-node cluster + comm world + ping-pong for *config*."""
     spec = config.resolved_spec()
-    cluster = Cluster(spec, n_nodes=2, seed=config.seed)
+    cluster = Cluster(spec, n_nodes=2)
     comm_cores = {m.node_id: comm_core_for(m, config.placement.comm_thread)
                   for m in cluster.machines}
     world = CommWorld(cluster, comm_cores=comm_cores)
@@ -118,31 +120,40 @@ def build_world(config: SideBySideConfig) -> Tuple[Cluster, CommWorld,
     return cluster, world, pingpong
 
 
-def _start_kernels(cluster: Cluster, config: SideBySideConfig,
-                   comm_cores: Dict[int, int],
-                   sweeps: Optional[int]) -> List[KernelRun]:
-    """Launch the configured kernel on n compute cores of each node."""
-    runs: List[KernelRun] = []
-    nodes = cluster.machines if config.compute_on_both_nodes \
-        else cluster.machines[:1]
-    for machine in nodes:
-        data_numa = data_numa_for(machine, config.placement.data)
-        cores = compute_core_ids(machine, config.n_compute_cores,
-                                 comm_cores[machine.node_id])
-        for core in cores:
-            runs.append(run_kernel(machine, core, config.kernel_factory(),
-                                   data_numa=data_numa, sweeps=sweeps))
-    return runs
+def start_kernels(machines: Sequence[Machine], comm_cores: Mapping[int, int],
+                  n: int, kernel_factory: Callable[[], Kernel],
+                  data_numa: int, sweeps: Optional[int]) -> List[KernelRun]:
+    """Launch a fresh ``kernel_factory()`` on *n* compute cores of each
+    of *machines*, streaming from *data_numa*.
+
+    ``comm_cores`` maps a node id to its comm-thread core, which the
+    kernels skip; a node without an entry computes on its first *n*
+    cores.  ``sweeps=None`` loops until each run's ``request_stop``.
+    """
+    return [run_kernel(machine, core, kernel_factory(),
+                       data_numa=data_numa, sweeps=sweeps)
+            for machine in machines
+            for core in compute_core_ids(
+                machine, n, comm_cores.get(machine.node_id, -1))]
 
 
-def _window_bandwidths(machine_runs: List[Tuple[Machine, KernelRun]],
-                       snapshots: Dict[int, dict],
+def _protocol_kernels(world: CommWorld, config: SideBySideConfig,
+                      sweeps: Optional[int]) -> List[KernelRun]:
+    """The configured kernel on n compute cores of both nodes."""
+    machines = world.cluster.machines
+    return start_kernels(
+        machines, world.comm_cores, config.n_compute_cores,
+        config.kernel_factory,
+        data_numa_for(machines[0], config.placement.data), sweeps)
+
+
+def _window_bandwidths(runs: List[KernelRun], snapshots: dict,
                        window: float) -> List[float]:
     """Per-core achieved DRAM bandwidth over the measurement window."""
     out: List[float] = []
-    for machine, run in machine_runs:
-        before = snapshots[id(run)]
-        delta = machine.counters.delta(before, cores=[run.stats.core_id])
+    for run in runs:
+        delta = run.machine.counters.delta(snapshots[id(run)],
+                                           cores=[run.stats.core_id])
         out.append(delta.bytes_moved / window if window > 0 else 0.0)
     return out
 
@@ -165,14 +176,11 @@ def run_throughput_protocol(config: SideBySideConfig) -> ThroughputOutcome:
     if config.n_compute_cores > 0:
         # Step 1 — computation without communication.
         cluster, world, _ = build_world(config)
-        comm_cores = {r.node_id: r.comm_core for r in world.ranks}
-        runs = _start_kernels(cluster, config, comm_cores, sweeps=None)
-        machine_runs = _machine_runs(cluster, runs, config)
+        runs = _protocol_kernels(world, config, sweeps=None)
         cluster.sim.run(until=config.window_warmup)
-        snaps = {id(run): m.counters.snapshot() for m, run in machine_runs}
+        snaps = {id(run): run.machine.counters.snapshot() for run in runs}
         cluster.sim.run(until=config.window_warmup + config.window)
-        compute_alone = _window_bandwidths(machine_runs, snaps,
-                                           config.window)
+        compute_alone = _window_bandwidths(runs, snaps, config.window)
         for run in runs:
             run.request_stop()
         cluster.sim.run()
@@ -182,37 +190,20 @@ def run_throughput_protocol(config: SideBySideConfig) -> ThroughputOutcome:
         # measurement window, so the kernels' windowed bandwidth is
         # meaningful even for microsecond-scale latency messages.
         cluster, world, pingpong = build_world(config)
-        comm_cores = {r.node_id: r.comm_core for r in world.ranks}
-        runs = _start_kernels(cluster, config, comm_cores, sweeps=None)
-        machine_runs = _machine_runs(cluster, runs, config)
+        runs = _protocol_kernels(world, config, sweeps=None)
         cluster.sim.run(until=config.window_warmup)
-        snaps = {id(run): m.counters.snapshot() for m, run in machine_runs}
+        snaps = {id(run): run.machine.counters.snapshot() for run in runs}
         t0 = cluster.sim.now
         t_end = t0 + config.window
         latencies: List[float] = []
-
-        def pp_loop():
-            engine = world.engine
-            buf_a, buf_b = pingpong._buffers(config.message_size)  # noqa: SLF001
-            a, b = pingpong.rank_a, pingpong.rank_b
-            it = 0
-            while it < config.warmup_reps + config.reps \
-                    or cluster.sim.now < t_end:
-                rec = yield cluster.sim.process(engine.half_transfer(
-                    a.node_id, a.comm_core, buf_a,
-                    b.node_id, b.comm_core, buf_b, config.message_size))
-                rec2 = yield cluster.sim.process(engine.half_transfer(
-                    b.node_id, b.comm_core, buf_b,
-                    a.node_id, a.comm_core, buf_a, config.message_size))
-                if it >= config.warmup_reps:
-                    latencies.append(rec.duration)
-                    latencies.append(rec2.duration)
-                it += 1
-
-        proc = cluster.sim.process(pp_loop())
+        enough = config.warmup_reps + config.reps
+        proc = cluster.sim.process(pingpong.process(
+            config.message_size, config.reps, out=latencies,
+            warmup=config.warmup_reps,
+            more=lambda it: it < enough or cluster.sim.now < t_end))
         cluster.sim.run(until=proc)
         window = cluster.sim.now - t0
-        compute_together = _window_bandwidths(machine_runs, snaps, window)
+        compute_together = _window_bandwidths(runs, snaps, window)
         for run in runs:
             run.request_stop()
         cluster.sim.run()
@@ -228,20 +219,6 @@ def run_throughput_protocol(config: SideBySideConfig) -> ThroughputOutcome:
     )
 
 
-def _machine_runs(cluster: Cluster, runs: List[KernelRun],
-                  config: SideBySideConfig):
-    """Pair each kernel run with its machine (runs are created node by
-    node in `_start_kernels` order)."""
-    nodes = cluster.machines if config.compute_on_both_nodes \
-        else cluster.machines[:1]
-    per_node = len(runs) // len(nodes) if nodes else 0
-    pairs = []
-    for i, run in enumerate(runs):
-        machine = nodes[i // per_node] if per_node else nodes[0]
-        pairs.append((machine, run))
-    return pairs
-
-
 def run_duration_protocol(config: SideBySideConfig) -> DurationOutcome:
     """Fixed-work protocol: kernel completion time vs ping-pong latency."""
     if config.n_compute_cores <= 0:
@@ -254,8 +231,7 @@ def run_duration_protocol(config: SideBySideConfig) -> DurationOutcome:
 
     # Step 1 — computation without communication.
     cluster, world, _ = build_world(config)
-    comm_cores = {r.node_id: r.comm_core for r in world.ranks}
-    runs = _start_kernels(cluster, config, comm_cores, sweeps=config.sweeps)
+    runs = _protocol_kernels(world, config, sweeps=config.sweeps)
     cluster.sim.run()
     compute_alone = float(np.median([r.stats.duration for r in runs]))
     alone_makespan = max(r.stats.duration for r in runs)
@@ -264,29 +240,17 @@ def run_duration_protocol(config: SideBySideConfig) -> DurationOutcome:
     # Latencies are only recorded while *every* computing core is still
     # working, so stragglers do not dilute the contended measurements.
     cluster, world, pingpong = build_world(config)
-    comm_cores = {r.node_id: r.comm_core for r in world.ranks}
-    runs = _start_kernels(cluster, config, comm_cores, sweeps=config.sweeps)
+    runs = _protocol_kernels(world, config, sweeps=config.sweeps)
     latencies: List[float] = []
 
-    def pingpong_loop():
-        engine = world.engine
-        buf_a, buf_b = pingpong._buffers(config.message_size)  # noqa: SLF001
-        a, b = pingpong.rank_a, pingpong.rank_b
-        it = 0
-        while any(not run.process.triggered for run in runs):
-            rec_ab = yield world.sim.process(engine.half_transfer(
-                a.node_id, a.comm_core, buf_a,
-                b.node_id, b.comm_core, buf_b, config.message_size))
-            rec_ba = yield world.sim.process(engine.half_transfer(
-                b.node_id, b.comm_core, buf_b,
-                a.node_id, a.comm_core, buf_a, config.message_size))
-            all_running = all(not run.process.triggered for run in runs)
-            if it >= config.warmup_reps and all_running:
-                latencies.append(rec_ab.duration)
-                latencies.append(rec_ba.duration)
-            it += 1
+    def all_running() -> bool:
+        return all(not run.process.triggered for run in runs)
 
-    world.sim.process(pingpong_loop())
+    world.sim.process(pingpong.process(
+        config.message_size, config.reps, out=latencies,
+        warmup=config.warmup_reps,
+        more=lambda _it: any(not run.process.triggered for run in runs),
+        keep=all_running))
     cluster.sim.run()
     compute_together = float(np.median([r.stats.duration for r in runs]))
     together_makespan = max(r.stats.duration for r in runs)

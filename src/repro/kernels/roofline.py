@@ -133,6 +133,7 @@ class KernelRun:
     """Handle for a kernel launched with :func:`run_kernel`."""
 
     stats: KernelStats
+    machine: Machine = field(repr=False)
     stop: Event = field(repr=False)
     process: object = field(default=None, repr=False)
 
@@ -155,7 +156,7 @@ def run_kernel(machine: Machine, core_id: int, kernel: Kernel,
     if kernel.streaming and not (0 <= data_numa < len(machine.numa_nodes)):
         raise ValueError(f"no NUMA node {data_numa}")
     stats = KernelStats(core_id=core_id)
-    run = KernelRun(stats=stats, stop=machine.sim.event())
+    run = KernelRun(stats=stats, machine=machine, stop=machine.sim.event())
     run.process = machine.sim.process(
         _kernel_body(machine, core_id, kernel, data_numa, sweeps, run,
                      noise))

@@ -102,6 +102,11 @@ class CommWorld:
         return self.ranks[index]
 
     @property
+    def comm_cores(self) -> Dict[int, int]:
+        """Each rank's node id -> its comm-thread core."""
+        return {r.node_id: r.comm_core for r in self.ranks}
+
+    @property
     def nodes(self) -> List[int]:
         """The rank->node placement, world order."""
         return [r.node_id for r in self.ranks]

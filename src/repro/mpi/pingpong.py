@@ -13,7 +13,7 @@ exactly as the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import Callable, Generator, List, Optional
 
 import numpy as np
 
@@ -108,27 +108,36 @@ class PingPong:
 
     def process(self, size: int, reps: int,
                 out: Optional[List[float]] = None,
-                warmup: int = 2) -> Generator:
-        """Simulation process running *reps* ping-pongs of *size* bytes.
+                warmup: int = 2,
+                more: Optional[Callable[[int], bool]] = None,
+                keep: Optional[Callable[[], bool]] = None) -> Generator:
+        """Simulation process running ping-pongs of *size* bytes.
 
-        Appends one one-way latency per half ping-pong to *out* (warmup
-        iterations excluded).  Returns the list.
+        Iteration ``it`` starts while ``more(it)`` holds (default: ``it <
+        warmup + reps``).  Each iteration past the first *warmup* appends
+        its two one-way latencies to *out*, unless ``keep()``, asked once
+        the iteration finishes, is false.  Returns the list.
         """
         if out is None:
             out = []
+        if more is None:
+            def more(it: int) -> bool:
+                return it < warmup + reps
         engine = self.world.engine
         buf_a, buf_b = self._buffers(size)
         a, b = self.rank_a, self.rank_b
-        for it in range(warmup + reps):
+        it = 0
+        while more(it):
             rec_ab = yield self.world.sim.process(engine.half_transfer(
                 a.node_id, a.comm_core, buf_a,
                 b.node_id, b.comm_core, buf_b, size))
             rec_ba = yield self.world.sim.process(engine.half_transfer(
                 b.node_id, b.comm_core, buf_b,
                 a.node_id, a.comm_core, buf_a, size))
-            if it >= warmup:
+            if it >= warmup and (keep is None or keep()):
                 out.append(rec_ab.duration)
                 out.append(rec_ba.duration)
+            it += 1
         return out
 
     def run(self, size: int, reps: int = 25,

@@ -407,7 +407,8 @@ class Telemetry:
 
         Trace-event pids are shifted by the clusters already registered
         here, so the point's pid blocks land exactly where a serial run
-        would have allocated them; the internal cluster counter advances
+        would have allocated them, and its ``c<k>.`` lane names are
+        renumbered the same way; the internal cluster counter advances
         by the point's cluster count to keep later allocations aligned.
         """
         offset = _PID_BLOCK * self._n_clusters
@@ -417,6 +418,10 @@ class Telemetry:
             for event in events:
                 event = dict(event)
                 event["pid"] = event["pid"] + offset
+                if event["name"] == "process_name":
+                    index, rest = event["args"]["name"][1:].split(".", 1)
+                    event["args"] = {
+                        "name": f"c{int(index) + self._n_clusters}.{rest}"}
                 shifted.append(event)
             self.tracer._events.extend(shifted)  # noqa: SLF001
         transfers = payload.get("transfers")

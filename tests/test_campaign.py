@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import PointSpec
-from repro.core.experiments import fig1
+from repro.core.experiments import fig1, fig2
+from repro.core.report import render_experiment
 from repro.core.results import ExperimentResult
 from repro.faults import FaultPlan, TransportError, fault_context
 
@@ -99,7 +100,7 @@ def test_fig1_fail_stop_degrades_then_resumes(tmp_path):
             faulted = fig1(journal=journal, **FAST)
 
     assert faulted.failures
-    failed_keys = [k for k in faulted.failures if k != "__observations__"]
+    failed_keys = list(faulted.failures)
     assert failed_keys                        # some points died...
     for key in failed_keys:
         assert key.endswith("size=65536")     # ...only the long ones
@@ -123,6 +124,24 @@ def test_fig1_fail_stop_degrades_then_resumes(tmp_path):
         res = resumed.series[k]
         for x, med in zip(s.x, s.median):
             assert res.median[res.x.index(x)] == med
+
+
+def test_underivable_observations_are_not_a_failed_point():
+    """fig2's only point dies under fail-stop, so its latency
+    observations cannot be derived: the report says so, but the one
+    failed point is the only entry in ``failures``."""
+    plan = FaultPlan(seed=7).fail_stop(node=1, at=1e-4)
+    with fault_context(plan):
+        res = fig2(phase_seconds=0.04)
+    assert list(res.failures) == ["n=20"]
+    assert "series 'latency' is empty" in res.meta["observations_error"]
+    report = render_experiment(res)
+    assert "Observations not derived (points failed): ValueError: " \
+        "series 'latency' is empty" in report
+    failed = report.split("Failed points (fault injection):\n")[1]
+    assert failed.splitlines() == [
+        "  n=20: destination node failed (src=0, dst=1, size=4, "
+        "retries=0, timeouts=0)"]
 
 
 def test_resume_past_a_torn_tail(tmp_path):

@@ -1,4 +1,5 @@
-"""Tests for the §2.1 side-by-side protocol and placement helpers."""
+"""Tests for the §2.1 side-by-side harness (protocols, ping-pong loop)
+and its placement helpers."""
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.core.sidebyside import (
 )
 from repro.hardware import Cluster, HENRI
 from repro.kernels import prime_kernel, triad_kernel
+from repro.mpi import CommWorld, PingPong
 from repro.mpi.pingpong import BANDWIDTH_SIZE, LATENCY_SIZE
 
 
@@ -84,9 +86,43 @@ def test_experiment_result_series_management():
     assert res.observations["k"] == 42
 
 
+# -- the ping-pong loop -----------------------------------------------------
+
+def _latencies(**kw):
+    """One-way latencies of 4 B ping-pongs on a fresh two-node world."""
+    world = CommWorld(Cluster(HENRI, 2))
+    out = []
+    proc = world.sim.process(PingPong(world).process(
+        LATENCY_SIZE, out=out, **kw))
+    world.sim.run()
+    assert proc.value is out
+    return out
+
+
+def test_pingpong_process_warmup_more_and_keep():
+    every = _latencies(reps=8, warmup=0)
+    assert len(every) == 16
+    # Warmup iterations run but are not recorded.
+    assert _latencies(reps=6, warmup=2) == every[4:]
+    # A caller condition keeps it looping past `reps`.
+    assert _latencies(reps=2, warmup=0, more=lambda it: it < 8) == every
+    # The record filter, asked after each iteration, drops iterations.
+    kept = iter([True, False, False, True] * 2)
+    assert _latencies(reps=8, warmup=0, keep=lambda: next(kept)) == \
+        every[0:2] + every[6:10] + every[14:16]
+
+
 # -- protocols ----------------------------------------------------------
 
 def test_build_world_respects_placement():
+    cluster, world, _ = build_world(SideBySideConfig())
+    assert len(cluster.machines) == 2
+    assert len(world.ranks) == 2
+    # The default far comm thread sits on the other socket from the NIC.
+    m = cluster.machine(0)
+    assert m.numa_of_core(world.rank(0).comm_core).socket_id != \
+        m.nic_numa.socket_id
+
     cfg = SideBySideConfig(placement=Placement("far", "near"))
     cluster, world, pingpong = build_world(cfg)
     m = cluster.machine(0)
@@ -100,6 +136,9 @@ def test_throughput_protocol_no_compute():
     out = run_throughput_protocol(cfg)
     assert out.comm_together is None
     assert out.compute_alone_bw_per_core == []
+    assert out.compute_together_bw_per_core == []
+    assert out.compute_alone_bw == 0.0
+    assert out.comm_alone.size == LATENCY_SIZE
     assert 1e-6 < out.comm_alone.median_latency < 3e-6
 
 
@@ -108,12 +147,15 @@ def test_throughput_protocol_with_compute():
         n_compute_cores=5, reps=5, window=0.02, window_warmup=0.005,
         kernel_factory=lambda: triad_kernel(elems=1_000_000))
     out = run_throughput_protocol(cfg)
-    assert len(out.compute_alone_bw_per_core) == 10  # 5 cores x 2 nodes
+    # Both nodes compute: one bandwidth sample per core per node.
+    assert len(out.compute_alone_bw_per_core) == 10
+    assert len(out.compute_together_bw_per_core) == 10
     assert out.compute_alone_bw > 1e9
     # Latency messages barely touch STREAM (§4.2).
     assert out.compute_together_bw == pytest.approx(
         out.compute_alone_bw, rel=0.1)
     assert out.comm_together is not None
+    assert len(out.comm_together.latencies) >= 2 * cfg.reps
 
 
 def test_throughput_protocol_bandwidth_contention():
@@ -128,8 +170,19 @@ def test_throughput_protocol_bandwidth_contention():
     assert out.comm_together.median_latency > out.comm_alone.median_latency
 
 
+def test_throughput_contention_degrades_latency():
+    """The §4 shape: once streaming cores reach the comm thread's
+    socket (35 of henri's 36 cores), ping-pong latency inflates."""
+    loaded = run_throughput_protocol(SideBySideConfig(
+        n_compute_cores=35, reps=6, warmup_reps=1, window=0.02,
+        window_warmup=0.005,
+        kernel_factory=lambda: triad_kernel(elems=200_000)))
+    assert loaded.comm_together.median_latency \
+        > 1.5 * loaded.comm_alone.median_latency
+
+
 def test_duration_protocol_requires_compute():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="computing cores"):
         run_duration_protocol(SideBySideConfig(n_compute_cores=0))
 
 
@@ -139,6 +192,7 @@ def test_duration_protocol_cpu_bound_kernel():
         kernel_factory=lambda: prime_kernel(n=400_000), sweeps=1)
     out = run_duration_protocol(cfg)
     assert out.compute_alone_duration > 0
+    assert out.compute_alone_makespan >= out.compute_alone_duration
     # CPU-bound compute does not degrade latency (§3.2) - if anything the
     # uncore ramp improves it slightly.
     assert out.comm_together.median_latency <= \
@@ -150,7 +204,7 @@ def test_duration_protocol_cpu_bound_kernel():
 
 
 def test_protocol_determinism():
-    cfg = SideBySideConfig(n_compute_cores=3, reps=4, seed=5,
+    cfg = SideBySideConfig(n_compute_cores=3, reps=4,
                            window=0.01, window_warmup=0.002,
                            kernel_factory=lambda: triad_kernel(
                                elems=500_000))
@@ -158,6 +212,7 @@ def test_protocol_determinism():
     b = run_throughput_protocol(cfg)
     assert a.comm_alone.median_latency == b.comm_alone.median_latency
     assert a.compute_alone_bw == b.compute_alone_bw
+    assert a.compute_together_bw_per_core == b.compute_together_bw_per_core
 
 
 def test_config_spec_resolution():
