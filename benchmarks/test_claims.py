@@ -27,8 +27,8 @@ BENCH_RUNS = {
     "fig1b": dict(sizes=_FIG1_SIZES, reps=6),
     "fig2": dict(n_compute=20, phase_seconds=0.1),
     "fig3a": dict(core_counts=(2, 4, 8, 12, 16, 20), reps=8),
-    "fig3bc": dict(n_compute=4, phase_seconds=0.15),
-    "fig3bc/n20": dict(n_compute=20, phase_seconds=0.25),
+    "fig3bc": dict(n_compute=4),
+    "fig3bc/n20": dict(n_compute=20),
     "fig4a": dict(core_counts=_FIG4_CORES, reps=6),
     "fig4b": dict(core_counts=_FIG4_CORES, reps=5),
     # Full-machine STREAM on the other clusters (billy and pyxis have 64

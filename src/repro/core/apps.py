@@ -24,10 +24,6 @@ Patterns (all recycle buffers, NetPIPE-style):
 ``uniform``
     Every rank sends ``reps`` messages round-robin over all other ranks
     — an all-to-all-ish background load.
-
-Task-graph applications (GEMM/CG on the task runtime) co-locate on a
-shared cluster through the same placement mechanism: ``run_gemm`` /
-``run_cg`` accept ``cluster=``/``nodes=`` (see repro.runtime.apps).
 """
 
 from __future__ import annotations

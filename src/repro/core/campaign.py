@@ -272,8 +272,7 @@ class SweepGuard:
                 statuses[label] = "replayed"
                 if measurer is not None:
                     measurer.on_point(result.name, spec.key, spec.trial,
-                                      "replayed", None,
-                                      cached.get("metrics"))
+                                      "replayed", None)
                 continue
             entry = next(entries)
             wall = entry.pop("wall", None)
@@ -303,8 +302,7 @@ class SweepGuard:
                                         trial=spec.trial)
             if measurer is not None:
                 measurer.on_point(result.name, spec.key, spec.trial,
-                                  statuses[label], wall,
-                                  entry.get("metrics"))
+                                  statuses[label], wall)
         for spec in specs:
             done = [collected[(spec.key, t)] for t in range(trials)
                     if (spec.key, t) in collected]

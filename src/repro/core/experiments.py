@@ -424,9 +424,8 @@ def _fig3bc_point(params: dict) -> dict:
 
 @experiment(title="Frequency traces under AVX load",
             tags=("paper", "frequency"), index_key="fig3b/c",
-            fast=dict(phase_seconds=0.05))
+            fast=dict(n_compute=4))
 def fig3bc(spec: MachineSpec | str = "henri", n_compute: int = 4,
-           phase_seconds: float = 0.2,
            sample_period: float = 2e-3,
            journal: Optional[CampaignJournal] = None) -> ExperimentResult:
     """Frequency trace while AVX computations run beside communications."""
@@ -898,7 +897,6 @@ def _runtime_latency_point(params: dict) -> dict:
     NIC; without it, plain MPI.
     """
     from repro.runtime.mpi_layer import RuntimeComm
-    from repro.runtime.runtime import RuntimeSystem
 
     s = _spec(params["spec"])
     reps = params["reps"]
@@ -907,8 +905,7 @@ def _runtime_latency_point(params: dict) -> dict:
         m.node_id: comm_core_for(m, params["thread"])
         for m in cluster.machines})
     if params["runtime"]:
-        runtimes = {r: RuntimeSystem(world, r, n_workers=0) for r in (0, 1)}
-        comm = RuntimeComm(world, runtimes)
+        comm = RuntimeComm(world, n_workers=0)
         numa_a, numa_b = (data_numa_for(m, params["data"])
                           for m in cluster.machines)
         lats = _runtime_pingpong(world, comm, LATENCY_SIZE, reps,
@@ -979,7 +976,6 @@ def fig8(spec: MachineSpec | str = "henri",
 def _fig9_point(params: dict) -> dict:
     """One (backoff, size) point of the polling-interference sweep."""
     from repro.runtime.mpi_layer import RuntimeComm
-    from repro.runtime.runtime import RuntimeSystem
     from repro.runtime.scheduler import PollingSpec
 
     backoff = params["backoff"]
@@ -991,15 +987,13 @@ def _fig9_point(params: dict) -> dict:
     s = _spec(params["spec"])
     cluster = Cluster(s, n_nodes=2)
     world = CommWorld(cluster, comm_placement="far")
-    runtimes = {r: RuntimeSystem(world, r, polling=polling)
-                for r in (0, 1)}
-    comm = RuntimeComm(world, runtimes)
-    for rt in runtimes.values():
+    comm = RuntimeComm(world, polling=polling)
+    for rt in comm.runtimes.values():
         rt.start()
     numa = cluster.machine(0).nic_numa.id
     lats = _runtime_pingpong(world, comm, size, params["reps"],
                              numa, numa)
-    for rt in runtimes.values():
+    for rt in comm.runtimes.values():
         rt.shutdown()
     return {params["series"]: [stat_row(size, lats)]}
 

@@ -1,15 +1,11 @@
-"""Incremental campaign measurer: live progress + running aggregates.
+"""Incremental campaign measurer: live progress of a campaign.
 
 fuzzbench splits experiment execution into a dispatcher (runs trials)
-and a measurer (folds results into analysis-ready aggregates *as they
-land*, not post-hoc).  This module is the measurer half for campaign
+and a measurer (folds results in *as they land*, not post-hoc).  This module is the measurer half for campaign
 journals: the CLI attaches a :class:`CampaignMeasurer` to the journal,
 ``SweepGuard.run_specs`` calls :meth:`begin_sweep` / :meth:`on_point`
 as records land, and the measurer
 
-* folds every per-point metrics delta into a running
-  :class:`~repro.obs.metrics.MetricsRegistry` (so mid-campaign metric
-  aggregates exist without re-reading the journal);
 * tracks per-experiment progress (done / replayed / failed counts and
   mean observed point duration → a pending-work ETA);
 * mirrors that state into an atomically-replaced JSON *sidecar* next to
@@ -52,13 +48,11 @@ def sidecar_path(journal_path) -> Path:
 
 
 class CampaignMeasurer:
-    """Folds per-point deltas into running aggregates as records land."""
+    """Tracks per-sweep progress as records land."""
 
     def __init__(self, journal_path, sidecar: bool = True):
-        from repro.obs.metrics import MetricsRegistry
         self.path = Path(journal_path)
         self.sidecar = sidecar_path(journal_path) if sidecar else None
-        self.registry = MetricsRegistry()
         # experiment -> running tallies (insertion order = sweep order)
         self._sweeps: Dict[str, dict] = {}
         # time.monotonic() of the last sidecar write
@@ -82,8 +76,7 @@ class CampaignMeasurer:
         self._write_sidecar()
 
     def on_point(self, experiment: str, key: str, trial: int,
-                 status: str, wall_s: Optional[float],
-                 metrics: Optional[dict]) -> None:
+                 status: str, wall_s: Optional[float]) -> None:
         sweep = self._sweeps[experiment]
         if status == "failed":
             sweep["failed"] += 1
@@ -98,8 +91,6 @@ class CampaignMeasurer:
             # (a warm resume with only replays so far reports no ETA).
             sweep["wall_sum"] += wall_s
             sweep["wall_n"] += 1
-        if metrics:
-            self.registry.merge_delta(metrics)
         if self.sidecar is not None and (
                 self.pending(experiment) == 0
                 or time.monotonic() - self._sidecar_written

@@ -21,42 +21,18 @@ links.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from functools import partial
+from typing import List, Optional
 
 from repro.hardware.memory import allocate
 from repro.hardware.presets import MachineSpec, get_preset
-from repro.hardware.topology import Cluster
 from repro.kernels.blas import DOUBLE, axpy_cost, dot_cost, gemv_tile_cost
-from repro.mpi.comm import CommWorld
+from repro.runtime.apps.harness import TwoRankResult, run_two_ranks
 from repro.runtime.mpi_layer import RuntimeComm
 from repro.runtime.runtime import RuntimeSpec, RuntimeSystem
-from repro.runtime.scheduler import PollingSpec
 from repro.runtime.task import AccessMode, DataHandle, Task
 
-__all__ = ["CGResult", "run_cg"]
-
-
-@dataclass
-class CGResult:
-    """Measured outcome of one CG run."""
-
-    n: int
-    iterations: int
-    n_workers: int
-    duration: float
-    sending_bandwidth: float          # §6 metric, bytes/s (avg both nodes)
-    stall_fraction: float             # memory-stalled share of busy cycles
-    bytes_sent: float
-    messages: int
-
-    def summary(self) -> str:
-        return (f"CG n={self.n} workers={self.n_workers}: "
-                f"{self.duration*1e3:.1f} ms, "
-                f"send bw {self.sending_bandwidth/1e9:.2f} GB/s, "
-                f"stalls {self.stall_fraction*100:.0f}%")
+__all__ = ["run_cg"]
 
 
 def _build_rank_data(machine, rank: int, n: int, tile_rows: int):
@@ -90,12 +66,13 @@ def _build_rank_data(machine, rank: int, n: int, tile_rows: int):
     return a_handles, y_handles, p_local, p_remote, scalar
 
 
-def _driver(rank: int, other: int, rt: RuntimeSystem, comm: RuntimeComm,
-            data, n: int, tile_rows: int, iterations: int):
+def _driver(rt: RuntimeSystem, comm: RuntimeComm, data, n: int,
+            tile_rows: int, iterations: int):
     """Main-thread process of one rank: submit tasks, exchange vectors."""
     a_handles, y_handles, p_local, p_remote, scalar = data
     half = n // 2
-    sim = rt.sim
+    rank = rt.rank_id
+    other = 1 - rank
 
     for _it in range(iterations):
         # Vector exchange, overlapped with the local-column GEMVs.
@@ -151,75 +128,22 @@ def _driver(rank: int, other: int, rt: RuntimeSystem, comm: RuntimeComm,
 def run_cg(spec: MachineSpec | str = "henri", n: int = 120_000,
            tile_rows: Optional[int] = None, iterations: int = 3,
            n_workers: Optional[int] = None,
-           polling: Optional[PollingSpec] = None,
-           seed: int = 0,
-           cluster: Optional[Cluster] = None,
-           nodes: Sequence[int] = (0, 1),
-           runtime: Optional[RuntimeSpec] = None) -> CGResult:
+           runtime: Optional[RuntimeSpec] = None) -> TwoRankResult:
     """Run distributed CG on two simulated nodes; returns §6's metrics.
 
     ``tile_rows`` defaults to a partition fine enough to feed every
     worker of the machine (StarPU applications tile for the full core
-    count regardless of how many workers are enabled).  Pass an existing
-    *cluster* (and a two-node *nodes* placement) to run on a shared
-    fabric next to other applications (see repro.core.apps).
-    *runtime* replaces the machine's calibrated
+    count regardless of how many workers are enabled).  *runtime*
+    replaces the machine's calibrated
     :class:`~repro.runtime.runtime.RuntimeSpec` (mechanism ablations).
     """
     if n % 2:
         raise ValueError("n must be even (block-row distribution)")
-    nodes = tuple(nodes)
-    if len(nodes) != 2:
-        raise ValueError("CG is two-rank: nodes must name 2 nodes")
-    if cluster is None:
-        machine_spec = get_preset(spec) if isinstance(spec, str) else spec
-        cluster = Cluster(machine_spec, n_nodes=max(nodes) + 1, seed=seed)
-    else:
-        machine_spec = cluster.spec
+    machine_spec = get_preset(spec) if isinstance(spec, str) else spec
     if tile_rows is None:
         tile_rows = max(200, (n // 2) // (2 * machine_spec.n_cores))
-    world = CommWorld(cluster, comm_placement="far", nodes=nodes)
-    runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers,
-                                 polling=polling, spec=runtime)
-                for r in (0, 1)}
-    comm = RuntimeComm(world, runtimes)
-    for rt in runtimes.values():
-        rt.start()
-
-    data = {r: _build_rank_data(world.rank(r).machine, r, n, tile_rows)
-            for r in (0, 1)}
-    snapshots = {r: world.rank(r).machine.counters.snapshot()
-                 for r in (0, 1)}
-    t0 = cluster.sim.now
-    drivers = [cluster.sim.process(
-        _driver(r, 1 - r, runtimes[r], comm, data[r], n, tile_rows,
-                iterations)) for r in (0, 1)]
-    cluster.sim.run()
-    for d in drivers:
-        if not d.ok:  # surface driver errors
-            _ = d.value
-    duration = cluster.sim.now - t0
-    for rt in runtimes.values():
-        rt.shutdown()
-    cluster.sim.run()
-
-    worker_cores = [w.core_id for rt in runtimes.values()
-                    for w in rt.workers]
-    stalls = []
-    for r in (0, 1):
-        machine = world.rank(r).machine
-        agg = machine.counters.delta(snapshots[r])
-        denom = duration * len(machine.cores)
-        if denom > 0:
-            stalls.append(agg.mem_stall / denom)
-    total_sent = sum(s.bytes_sent for s in comm.send_stats.values())
-    total_msgs = sum(s.messages for s in comm.send_stats.values())
-    return CGResult(
-        n=n, iterations=iterations,
-        n_workers=len(runtimes[0].workers),
-        duration=duration,
-        sending_bandwidth=comm.sending_bandwidth(),
-        stall_fraction=float(np.mean(stalls)) if stalls else 0.0,
-        bytes_sent=total_sent,
-        messages=total_msgs,
-    )
+    return run_two_ranks(
+        machine_spec,
+        partial(_driver, n=n, tile_rows=tile_rows, iterations=iterations),
+        n_workers=n_workers, runtime=runtime,
+        rank_data=partial(_build_rank_data, n=n, tile_rows=tile_rows))

@@ -13,42 +13,18 @@ memory-stall cycles and ~20 % sending-bandwidth loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from functools import partial
+from typing import List, Optional
 
 from repro.hardware.memory import allocate
-from repro.hardware.presets import MachineSpec, get_preset
-from repro.hardware.topology import Cluster
+from repro.hardware.presets import MachineSpec
 from repro.kernels.blas import DOUBLE, gemm_tile_cost
-from repro.mpi.comm import CommWorld
+from repro.runtime.apps.harness import TwoRankResult, run_two_ranks
 from repro.runtime.mpi_layer import RuntimeComm
 from repro.runtime.runtime import RuntimeSpec, RuntimeSystem
-from repro.runtime.scheduler import PollingSpec
 from repro.runtime.task import AccessMode, DataHandle, Task
 
-__all__ = ["GEMMResult", "run_gemm"]
-
-
-@dataclass
-class GEMMResult:
-    """Measured outcome of one distributed GEMM run."""
-
-    n: int
-    tile: int
-    n_workers: int
-    duration: float
-    sending_bandwidth: float
-    stall_fraction: float
-    bytes_sent: float
-    messages: int
-
-    def summary(self) -> str:
-        return (f"GEMM n={self.n} b={self.tile} workers={self.n_workers}: "
-                f"{self.duration*1e3:.1f} ms, "
-                f"send bw {self.sending_bandwidth/1e9:.2f} GB/s, "
-                f"stalls {self.stall_fraction*100:.0f}%")
+__all__ = ["run_gemm"]
 
 
 def _tile_handles(machine, rank: int, n_tiles: int, tile_bytes: int,
@@ -63,11 +39,12 @@ def _tile_handles(machine, rank: int, n_tiles: int, tile_bytes: int,
     return handles
 
 
-def _driver(rank: int, other: int, rt: RuntimeSystem, comm: RuntimeComm,
-            n: int, b: int):
+def _driver(rt: RuntimeSystem, comm: RuntimeComm, _data, n: int, b: int):
     """Submit C-tile tasks; stream the remote B half row-block by
     row-block, overlapping with the local-half GEMMs."""
     machine = rt.machine
+    rank = rt.rank_id
+    other = 1 - rank
     half = n // 2
     rows_i = max(1, half // b)          # C row tiles on this rank
     cols_j = max(1, n // b)             # C column tiles
@@ -119,62 +96,14 @@ def _driver(rank: int, other: int, rt: RuntimeSystem, comm: RuntimeComm,
 
 def run_gemm(spec: MachineSpec | str = "henri", n: int = 4096,
              tile: int = 128, n_workers: Optional[int] = None,
-             polling: Optional[PollingSpec] = None,
-             seed: int = 0,
-             cluster: Optional[Cluster] = None,
-             nodes: Sequence[int] = (0, 1),
-             runtime: Optional[RuntimeSpec] = None) -> GEMMResult:
+             runtime: Optional[RuntimeSpec] = None) -> TwoRankResult:
     """Run distributed GEMM on two simulated nodes; returns §6 metrics.
 
-    Pass an existing *cluster* (and a two-node *nodes* placement) to run
-    on a shared fabric — e.g. one rank pair of a larger topology, next
-    to other applications (see repro.core.apps).  *runtime* replaces the
-    machine's calibrated :class:`~repro.runtime.runtime.RuntimeSpec`
+    Each rank allocates its tiles inside its driver.  *runtime* replaces
+    the machine's calibrated :class:`~repro.runtime.runtime.RuntimeSpec`
     (mechanism ablations).
     """
     if n % 2 or n % tile:
         raise ValueError("n must be even and a multiple of the tile size")
-    nodes = tuple(nodes)
-    if len(nodes) != 2:
-        raise ValueError("GEMM is two-rank: nodes must name 2 nodes")
-    if cluster is None:
-        machine_spec = get_preset(spec) if isinstance(spec, str) else spec
-        cluster = Cluster(machine_spec, n_nodes=max(nodes) + 1, seed=seed)
-    world = CommWorld(cluster, comm_placement="far", nodes=nodes)
-    runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers,
-                                 polling=polling, spec=runtime)
-                for r in (0, 1)}
-    comm = RuntimeComm(world, runtimes)
-    for rt in runtimes.values():
-        rt.start()
-
-    snapshots = {r: world.rank(r).machine.counters.snapshot()
-                 for r in (0, 1)}
-    t0 = cluster.sim.now
-    drivers = [cluster.sim.process(
-        _driver(r, 1 - r, runtimes[r], comm, n, tile)) for r in (0, 1)]
-    cluster.sim.run()
-    for d in drivers:
-        if not d.ok:
-            _ = d.value
-    duration = cluster.sim.now - t0
-    for rt in runtimes.values():
-        rt.shutdown()
-    cluster.sim.run()
-
-    stalls = []
-    for r in (0, 1):
-        machine = world.rank(r).machine
-        agg = machine.counters.delta(snapshots[r])
-        denom = duration * len(machine.cores)
-        if denom > 0:
-            stalls.append(agg.mem_stall / denom)
-    total_sent = sum(s.bytes_sent for s in comm.send_stats.values())
-    total_msgs = sum(s.messages for s in comm.send_stats.values())
-    return GEMMResult(
-        n=n, tile=tile, n_workers=len(runtimes[0].workers),
-        duration=duration,
-        sending_bandwidth=comm.sending_bandwidth(),
-        stall_fraction=float(np.mean(stalls)) if stalls else 0.0,
-        bytes_sent=total_sent, messages=total_msgs,
-    )
+    return run_two_ranks(spec, partial(_driver, n=n, b=tile),
+                         n_workers=n_workers, runtime=runtime)

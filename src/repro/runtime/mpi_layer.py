@@ -17,12 +17,13 @@ sent divided by the time the sending side spent in sends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.mpi.comm import CommWorld
 from repro.mpi.p2p import P2PContext, Request
-from repro.runtime.runtime import RuntimeSystem
+from repro.runtime.runtime import RuntimeSpec, RuntimeSystem
+from repro.runtime.scheduler import PollingSpec
 
 __all__ = ["SendStats", "RuntimeComm"]
 
@@ -44,17 +45,23 @@ class SendStats:
 
 
 class RuntimeComm(P2PContext):
-    """Point-to-point messaging through the task runtime's comm thread."""
+    """Point-to-point messaging through the task runtime's comm thread.
 
-    def __init__(self, world: CommWorld,
-                 runtimes: Dict[int, RuntimeSystem]):
+    Builds one :class:`RuntimeSystem` per rank of *world* (in rank
+    order, before the matching engine) from the same *n_workers*,
+    *polling* and *spec*; they are not started.
+    """
+
+    def __init__(self, world: CommWorld, n_workers: Optional[int] = None,
+                 polling: Optional[PollingSpec] = None,
+                 spec: Optional[RuntimeSpec] = None):
+        self.runtimes: Dict[int, RuntimeSystem] = {
+            r: RuntimeSystem(world, r, n_workers=n_workers,
+                             polling=polling, spec=spec)
+            for r in range(len(world.ranks))}
         super().__init__(world)
-        self.runtimes = dict(runtimes)
         self.send_stats: Dict[int, SendStats] = {
             node: SendStats() for node in self.runtimes}
-
-    def _runtime(self, node: int) -> RuntimeSystem:
-        return self.runtimes[node]
 
     @staticmethod
     def _memory_pressure(machine) -> float:
@@ -66,8 +73,8 @@ class RuntimeComm(P2PContext):
 
     def _transfer_job(self, send_req: Request, recv_req: Request,
                       size: int):
-        src_rt = self._runtime(send_req.src)
-        dst_rt = self._runtime(send_req.dst)
+        src_rt = self.runtimes[send_req.src]
+        dst_rt = self.runtimes[send_req.dst]
         sim = self.world.sim
         start = sim.now
 
@@ -113,17 +120,8 @@ class RuntimeComm(P2PContext):
         stats.messages += 1
         return record
 
-    # -- convenience --------------------------------------------------------
-    def reset_stats(self) -> None:
-        for stats in self.send_stats.values():
-            stats.bytes_sent = 0.0
-            stats.time_in_send = 0.0
-            stats.messages = 0
-
-    def sending_bandwidth(self, node: Optional[int] = None) -> float:
-        """Average §6 sending bandwidth (over one node or all nodes)."""
-        if node is not None:
-            return self.send_stats[node].sending_bandwidth
+    def sending_bandwidth(self) -> float:
+        """Average §6 sending bandwidth over the nodes that sent."""
         values = [s.sending_bandwidth for s in self.send_stats.values()
                   if s.messages > 0]
         return sum(values) / len(values) if values else 0.0

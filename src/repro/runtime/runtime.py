@@ -1,4 +1,4 @@
-"""Runtime façade: core reservation, submission, graph execution.
+"""Runtime façade: core reservation, task submission and completion.
 
 Resource usage follows §5.1 of the paper: on each node one core is
 reserved for the communication thread, one for the main (submission)
@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from repro.hardware.presets import MachineSpec
 from repro.mpi.comm import CommWorld
 from repro.runtime.scheduler import EagerScheduler, PollingSpec
-from repro.runtime.task import Task, TaskGraph
+from repro.runtime.task import Task
 from repro.runtime.worker import Worker
 from repro.sim import Event
 
@@ -187,8 +187,7 @@ class RuntimeSystem:
 
     # -- submission --------------------------------------------------------
     def submit(self, task: Task) -> None:
-        """Submit one task (dependencies must already be resolved via a
-        :class:`TaskGraph` or set manually)."""
+        """Submit one task; its ``deps`` must already be set."""
         self._n_pending += 1
         for dep in task.deps:
             if not dep.done:
@@ -196,11 +195,6 @@ class RuntimeSystem:
         task.n_waiting = sum(1 for d in task.deps if not d.done)
         if task.n_waiting == 0:
             self._make_ready(task)
-
-    def submit_graph(self, graph: TaskGraph) -> None:
-        for task in graph.tasks:
-            if task.rank == self.rank_id:
-                self.submit(task)
 
     def _make_ready(self, task: Task) -> None:
         self.scheduler.push(task)

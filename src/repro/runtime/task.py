@@ -1,10 +1,8 @@
-"""Tasks, data handles and dependency inference.
+"""Tasks, data handles and access modes.
 
-Applications are modelled as a task graph (§5.1): each :class:`Task`
-declares the data handles it accesses and with which mode; dependencies
-are inferred with StarPU's sequential-consistency rule (a reader depends
-on the last writer; a writer depends on the last writer *and* all
-readers since).
+Each :class:`Task` declares the data handles it accesses and with which
+mode (§5.1); the scheduler places it by its dominant handle's NUMA node.
+Applications set ``deps`` by hand before submitting a task.
 """
 
 from __future__ import annotations
@@ -12,12 +10,12 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.hardware.memory import Buffer
 from repro.kernels.blas import TileCost
 
-__all__ = ["AccessMode", "DataHandle", "Task", "TaskGraph"]
+__all__ = ["AccessMode", "DataHandle", "Task"]
 
 _handle_ids = itertools.count()
 _task_ids = itertools.count()
@@ -102,55 +100,3 @@ class Task:
 
     def __hash__(self) -> int:
         return self.id
-
-
-class TaskGraph:
-    """Builds dependencies with the sequential-consistency rule."""
-
-    def __init__(self):
-        self.tasks: List[Task] = []
-        self._last_writer: Dict[int, Task] = {}
-        self._readers_since: Dict[int, List[Task]] = {}
-
-    def add(self, task: Task) -> Task:
-        """Insert *task*, inferring dependencies from its accesses."""
-        deps: List[Task] = []
-        for handle, mode in task.accesses:
-            hid = handle.id
-            if mode.reads:
-                writer = self._last_writer.get(hid)
-                if writer is not None:
-                    deps.append(writer)
-            if mode.writes:
-                writer = self._last_writer.get(hid)
-                if writer is not None:
-                    deps.append(writer)
-                deps.extend(self._readers_since.get(hid, ()))
-        # Deduplicate while preserving order.
-        seen = set()
-        task.deps = [d for d in deps
-                     if d.id not in seen and not seen.add(d.id)]
-        task.n_waiting = len(task.deps)
-        for handle, mode in task.accesses:
-            hid = handle.id
-            if mode.writes:
-                self._last_writer[hid] = task
-                self._readers_since[hid] = []
-            elif mode.reads:
-                self._readers_since.setdefault(hid, []).append(task)
-        self.tasks.append(task)
-        return task
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
-
-    def roots(self) -> List[Task]:
-        return [t for t in self.tasks if t.n_waiting == 0]
-
-    def validate_acyclic(self) -> bool:
-        """Sanity check: sequential-consistency graphs are DAGs by
-        construction (deps always point to earlier insertions)."""
-        order = {t.id: i for i, t in enumerate(self.tasks)}
-        return all(order[d.id] < order[t.id]
-                   for t in self.tasks for d in t.deps)

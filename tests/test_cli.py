@@ -151,6 +151,21 @@ def test_ping_pong_failure_is_a_failed_point(capsys, name):
     assert "latency_together_s" not in out
 
 
+def test_fig10_fail_stop_names_the_transport_error(capsys):
+    """Under fail-stop one rank's driver fails while the other still
+    waits on it; every fig10 point reports the failed rank's transport
+    error, never the waiting rank's unfinished driver."""
+    assert main(["run", "fig10", "--fast", "--fault",
+                 "fail_stop:node=1,at=0.0001", "--fault-seed", "7"]) == 0
+    out = capsys.readouterr().out
+    section = out.split("Failed points (fault injection):\n")[1]
+    failed = [line for line in section.splitlines()
+              if line.startswith("  ")]
+    assert len(failed) == 5
+    assert all("destination node failed" in line for line in failed)
+    assert "read before trigger" not in out
+
+
 def test_output_paths_in_missing_directories_are_created(capsys, tmp_path):
     """Every output flag creates its missing parent directories, the
     rule --journal always followed."""

@@ -3,13 +3,15 @@
 ``tools/golden_digests.py`` regenerates the manifest from every
 ``--fast`` artifact, and CI fails when the regenerated file differs from
 the committed one.  Tier-1 checks the cheap half of that contract: the
-manifest covers exactly what the registry runs, fig1a still regenerates
-to its committed digests, and the diff names what changed.
+manifest covers exactly what the registry runs, three cheap runs still
+regenerate to their committed digests, and the diff names what changed.
 """
 
 import importlib.util
 import json
 import pathlib
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -32,10 +34,13 @@ def test_manifest_covers_the_registry():
     assert "fig2/journal" in expected
 
 
-def test_fig1a_regenerates_to_the_committed_digests():
-    run = next(r for r in golden.runs() if r[0] == "fig1a")
+@pytest.mark.parametrize("name", ["fig1a", "fig9", "no_scheduler_locality"])
+def test_run_regenerates_to_the_committed_digests(name):
+    """fig1a pins the MPI layer; fig9 and no_scheduler_locality pin the
+    task runtime (its comm layer and its two-rank CG/GEMM harness)."""
+    run = next(r for r in golden.runs() if r[0] == name)
     committed = {key: digest for key, digest in MANIFEST.items()
-                 if key.startswith("fig1a/")}
+                 if key.startswith(f"{name}/")}
     assert len(committed) == 4
     assert golden.digest_run(run) == committed
 

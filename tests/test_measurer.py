@@ -1,6 +1,6 @@
 """Incremental measurer + `repro status`: live progress over journals.
 
-Covers the dispatcher/measurer split: running aggregates fold in as
+Covers the dispatcher/measurer split: progress counts fold in as
 records land, the sidecar is atomically replaced, and ``repro status``
 stays read-only — it must work on a journal another process holds an
 exclusive ``flock`` on, including one with a half-written line.
@@ -20,9 +20,9 @@ def _measurer(tmp_path, **kw):
 def test_measurer_counts_and_eta(tmp_path):
     m = _measurer(tmp_path)
     m.begin_sweep("fig1", total=4, trials=2, cached=1, jobs=2)
-    m.on_point("fig1", "k1", 0, "replayed", None, None)
-    m.on_point("fig1", "k1", 1, "ok", 2.0, None)
-    m.on_point("fig1", "k2", 0, "failed", 4.0, None)
+    m.on_point("fig1", "k1", 0, "replayed", None)
+    m.on_point("fig1", "k1", 1, "ok", 2.0)
+    m.on_point("fig1", "k2", 0, "failed", 4.0)
     assert m.pending("fig1") == 1
     # 1 pending x mean(2, 4) / 2 jobs
     assert m.eta_seconds("fig1") == 1.5
@@ -30,17 +30,8 @@ def test_measurer_counts_and_eta(tmp_path):
     assert doc["state"] == "running"
     exp = doc["experiments"]["fig1"]
     assert (exp["done"], exp["replayed"], exp["failed"]) == (1, 1, 1)
-    m.on_point("fig1", "k2", 1, "ok", 2.0, None)
+    m.on_point("fig1", "k2", 1, "ok", 2.0)
     assert m.progress()["state"] == "complete"
-
-
-def test_measurer_folds_metric_deltas(tmp_path):
-    m = _measurer(tmp_path)
-    m.begin_sweep("fig1", total=2, trials=1, cached=0, jobs=1)
-    delta = {"net.bytes": {"type": "counter", "value": 10.0}}
-    m.on_point("fig1", "k1", 0, "ok", 0.1, delta)
-    m.on_point("fig1", "k2", 0, "ok", 0.1, delta)
-    assert m.registry.counter("net.bytes").value == 20.0
 
 
 def test_sidecar_written_atomically(tmp_path):
@@ -51,7 +42,7 @@ def test_sidecar_written_atomically(tmp_path):
     assert not side.with_name(side.name + ".tmp").exists()
     doc = json.loads(side.read_text())
     assert doc["experiments"]["fig1"]["pending"] == 1
-    m.on_point("fig1", "k", 0, "ok", 1.0, None)
+    m.on_point("fig1", "k", 0, "ok", 1.0)
     assert json.loads(side.read_text())["state"] == "complete"
 
 
@@ -67,23 +58,23 @@ def test_sidecar_rewrites_are_throttled_mid_sweep(tmp_path, monkeypatch):
     monkeypatch.setattr(measurer_mod, "SIDECAR_INTERVAL_S", 3600.0)
     m = _measurer(tmp_path)
     m.begin_sweep("fig1", total=3, trials=1, cached=0, jobs=1)
-    m.on_point("fig1", "k1", 0, "ok", 1.0, None)
-    m.on_point("fig1", "k2", 0, "ok", 1.0, None)
+    m.on_point("fig1", "k1", 0, "ok", 1.0)
+    m.on_point("fig1", "k2", 0, "ok", 1.0)
     assert pending() == 3                  # throttled: still the start
-    m.on_point("fig1", "k3", 0, "ok", 1.0, None)
+    m.on_point("fig1", "k3", 0, "ok", 1.0)
     assert pending() == 0
     assert json.loads(side.read_text())["state"] == "complete"
 
     monkeypatch.setattr(measurer_mod, "SIDECAR_INTERVAL_S", 0.0)
     m.begin_sweep("fig1", total=2, trials=1, cached=0, jobs=1)
-    m.on_point("fig1", "k1", 0, "ok", 1.0, None)
+    m.on_point("fig1", "k1", 0, "ok", 1.0)
     assert pending() == 1                  # interval elapsed: rewritten
 
 
 def test_measurer_without_sidecar_writes_nothing(tmp_path):
     m = _measurer(tmp_path, sidecar=False)
     m.begin_sweep("fig1", total=1, trials=1, cached=0, jobs=1)
-    m.on_point("fig1", "k", 0, "ok", 1.0, None)
+    m.on_point("fig1", "k", 0, "ok", 1.0)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -161,11 +152,11 @@ def test_eta_excludes_cache_replays(tmp_path):
     duration (and hence the ETA) toward zero."""
     m = _measurer(tmp_path)
     m.begin_sweep("fig1", total=4, trials=1, cached=2, jobs=1)
-    m.on_point("fig1", "k1", 0, "replayed", 0.001, None)
-    m.on_point("fig1", "k2", 0, "replayed", 0.002, None)
+    m.on_point("fig1", "k1", 0, "replayed", 0.001)
+    m.on_point("fig1", "k2", 0, "replayed", 0.002)
     # Only cache hits so far: no duration estimate, no ETA.
     assert m.eta_seconds("fig1") is None
     assert m.progress()["experiments"]["fig1"]["mean_point_s"] is None
-    m.on_point("fig1", "k3", 0, "ok", 3.0, None)
+    m.on_point("fig1", "k3", 0, "ok", 3.0)
     # 1 pending x mean(3.0) / 1 job — the replays' walls are excluded.
     assert m.eta_seconds("fig1") == 3.0

@@ -172,16 +172,14 @@ def _traced_runtime(n_workers=4):
     """Two-node task runtime built under an active trace sink."""
     from repro.hardware import HENRI
     from repro.mpi import CommWorld
-    from repro.runtime import RuntimeComm, RuntimeSystem
+    from repro.runtime import RuntimeComm
 
     cluster = Cluster(HENRI, 2)
     world = CommWorld(cluster, comm_placement="far")
-    runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers)
-                for r in (0, 1)}
-    comm = RuntimeComm(world, runtimes)
-    for rt in runtimes.values():
+    comm = RuntimeComm(world, n_workers=n_workers)
+    for rt in comm.runtimes.values():
         rt.start()
-    return cluster, world, runtimes, comm
+    return cluster, world, comm.runtimes, comm
 
 
 def _cpu_task(name):
@@ -238,12 +236,12 @@ def test_discarded_simulation_teardown_is_silent():
     from repro.hardware import HENRI
     from repro.kernels.blas import TileCost
     from repro.mpi import CommWorld
-    from repro.runtime import RuntimeComm, RuntimeSystem, Task
+    from repro.runtime import RuntimeComm, Task
 
     cluster = Cluster(HENRI, 2)
     world = CommWorld(cluster, comm_placement="far")
-    runtimes = {r: RuntimeSystem(world, r, n_workers=4) for r in (0, 1)}
-    comm = RuntimeComm(world, runtimes)
+    comm = RuntimeComm(world, n_workers=4)
+    runtimes = comm.runtimes
     for rt in runtimes.values():
         rt.start()
     runtimes[0].submit(Task(name="t", cost=TileCost("cpu", 1e7, 0.0),

@@ -1,4 +1,4 @@
-"""Tests for the runtime system: workers, graph execution, comm layer."""
+"""Tests for the runtime system: workers, dependencies, comm layer."""
 
 import numpy as np
 import pytest
@@ -8,20 +8,18 @@ from repro.hardware import Cluster, HENRI, allocate
 from repro.kernels.blas import TileCost, gemv_tile_cost
 from repro.mpi import CommWorld
 from repro.runtime import (
-    AccessMode, DataHandle, PollingSpec, RuntimeComm, RuntimeSystem, Task,
-    TaskGraph, runtime_spec_for,
+    AccessMode, DataHandle, RuntimeComm, RuntimeSystem, Task,
+    runtime_spec_for,
 )
 
 
 def make_setup(n_workers=4, polling=None):
     cluster = Cluster(HENRI, 2)
     world = CommWorld(cluster, comm_placement="far")
-    runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers,
-                                 polling=polling) for r in (0, 1)}
-    comm = RuntimeComm(world, runtimes)
-    for rt in runtimes.values():
+    comm = RuntimeComm(world, n_workers=n_workers, polling=polling)
+    for rt in comm.runtimes.values():
         rt.start()
-    return cluster, world, runtimes, comm
+    return cluster, world, comm.runtimes, comm
 
 
 def cpu_task(ms=1.0, rank=0, name="t"):
@@ -61,12 +59,13 @@ def test_dependencies_respected():
     cluster, world, runtimes, _ = make_setup()
     machine = cluster.machine(0)
     h = DataHandle(buffer=allocate(machine, 0, 64))
-    g = TaskGraph()
-    first = g.add(Task(name="w", cost=TileCost("c", 1e7, 0.0),
-                       accesses=[(h, AccessMode.W)], rank=0))
-    second = g.add(Task(name="r", cost=TileCost("c", 1e7, 0.0),
-                        accesses=[(h, AccessMode.R)], rank=0))
-    runtimes[0].submit_graph(g)
+    first = Task(name="w", cost=TileCost("c", 1e7, 0.0),
+                 accesses=[(h, AccessMode.W)], rank=0)
+    second = Task(name="r", cost=TileCost("c", 1e7, 0.0),
+                  accesses=[(h, AccessMode.R)], rank=0)
+    second.deps = [first]
+    runtimes[0].submit(first)
+    runtimes[0].submit(second)
     runtimes[0].wait_all()
     cluster.sim.run()
     assert first.end_time <= second.start_time + 1e-12
@@ -203,8 +202,6 @@ def test_send_stats_accumulate():
     assert stats.time_in_send > 0
     assert comm.sending_bandwidth() == pytest.approx(
         stats.sending_bandwidth)
-    comm.reset_stats()
-    assert comm.send_stats[0].messages == 0
 
 
 def test_numa_mismatch_penalty():

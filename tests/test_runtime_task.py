@@ -1,19 +1,8 @@
-"""Tests for tasks, data handles and dependency inference."""
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+"""Tests for tasks, data handles and access modes."""
 
 from repro.hardware import Cluster, HENRI, allocate
 from repro.kernels.blas import TileCost
-from repro.runtime import AccessMode, DataHandle, Task, TaskGraph
-
-
-@pytest.fixture
-def handles():
-    machine = Cluster(HENRI, 1).machine(0)
-    return [DataHandle(buffer=allocate(machine, 0, 64), label=f"h{i}")
-            for i in range(4)]
+from repro.runtime import AccessMode, DataHandle, Task
 
 
 def make_task(name, accesses, rank=0):
@@ -27,66 +16,6 @@ def test_access_mode_semantics():
     assert AccessMode.RW.reads and AccessMode.RW.writes
 
 
-def test_raw_dependency(handles):
-    g = TaskGraph()
-    w = g.add(make_task("w", [(handles[0], AccessMode.W)]))
-    r = g.add(make_task("r", [(handles[0], AccessMode.R)]))
-    assert r.deps == [w]
-    assert w.deps == []
-
-
-def test_war_dependency(handles):
-    g = TaskGraph()
-    w0 = g.add(make_task("w0", [(handles[0], AccessMode.W)]))
-    r1 = g.add(make_task("r1", [(handles[0], AccessMode.R)]))
-    r2 = g.add(make_task("r2", [(handles[0], AccessMode.R)]))
-    w3 = g.add(make_task("w3", [(handles[0], AccessMode.W)]))
-    # The second writer waits for the previous writer AND all readers.
-    assert set(w3.deps) == {w0, r1, r2}
-
-
-def test_readers_do_not_depend_on_each_other(handles):
-    g = TaskGraph()
-    g.add(make_task("w", [(handles[0], AccessMode.W)]))
-    r1 = g.add(make_task("r1", [(handles[0], AccessMode.R)]))
-    r2 = g.add(make_task("r2", [(handles[0], AccessMode.R)]))
-    assert r1 not in r2.deps and r2 not in r1.deps
-
-
-def test_rw_chains_serialize(handles):
-    g = TaskGraph()
-    t1 = g.add(make_task("t1", [(handles[0], AccessMode.RW)]))
-    t2 = g.add(make_task("t2", [(handles[0], AccessMode.RW)]))
-    t3 = g.add(make_task("t3", [(handles[0], AccessMode.RW)]))
-    assert t2.deps == [t1]
-    assert t3.deps == [t2]
-
-
-def test_independent_handles_no_dependency(handles):
-    g = TaskGraph()
-    a = g.add(make_task("a", [(handles[0], AccessMode.RW)]))
-    b = g.add(make_task("b", [(handles[1], AccessMode.RW)]))
-    assert a.deps == [] and b.deps == []
-
-
-def test_deduplicated_dependencies(handles):
-    g = TaskGraph()
-    w = g.add(make_task("w", [(handles[0], AccessMode.W),
-                              (handles[1], AccessMode.W)]))
-    r = g.add(make_task("r", [(handles[0], AccessMode.R),
-                              (handles[1], AccessMode.R)]))
-    assert r.deps == [w]  # not [w, w]
-
-
-def test_roots_and_counts(handles):
-    g = TaskGraph()
-    w = g.add(make_task("w", [(handles[0], AccessMode.W)]))
-    r = g.add(make_task("r", [(handles[0], AccessMode.R)]))
-    assert g.roots() == [w]
-    assert g.n_tasks == 2
-    assert r.n_waiting == 1
-
-
 def test_data_numa_picks_dominant_handle():
     machine = Cluster(HENRI, 1).machine(0)
     small = DataHandle(buffer=allocate(machine, 1, 10))
@@ -95,23 +24,3 @@ def test_data_numa_picks_dominant_handle():
     assert t.data_numa() == 3
     empty = make_task("e", [])
     assert empty.data_numa() is None
-
-
-@settings(max_examples=50, deadline=None)
-@given(ops=st.lists(
-    st.tuples(st.integers(min_value=0, max_value=3),
-              st.sampled_from([AccessMode.R, AccessMode.W, AccessMode.RW])),
-    min_size=1, max_size=30))
-def test_sequential_consistency_graph_is_acyclic(ops):
-    machine = Cluster(HENRI, 1).machine(0)
-    handles = [DataHandle(buffer=allocate(machine, 0, 64))
-               for _ in range(4)]
-    g = TaskGraph()
-    for i, (h, mode) in enumerate(ops):
-        g.add(make_task(f"t{i}", [(handles[h], mode)]))
-    assert g.validate_acyclic()
-    # Serial execution order (insertion order) must satisfy all deps.
-    done = set()
-    for task in g.tasks:
-        assert all(d.id in done for d in task.deps)
-        done.add(task.id)

@@ -9,16 +9,14 @@ from repro.hardware import Cluster, HENRI
 from repro.kernels.blas import TileCost
 from repro.mpi import CommWorld
 from repro.obs import telemetry_context, validate_chrome_trace
-from repro.runtime import RuntimeComm, RuntimeSystem, Task
+from repro.runtime import RuntimeComm, Task
 
 
 def make_traced(n_workers=4):
     """Two-node task runtime; call under an active ``telemetry_context``."""
     cluster = Cluster(HENRI, 2)
     world = CommWorld(cluster, comm_placement="far")
-    runtimes = {r: RuntimeSystem(world, r, n_workers=n_workers)
-                for r in (0, 1)}
-    RuntimeComm(world, runtimes)
+    runtimes = RuntimeComm(world, n_workers=n_workers).runtimes
     for rt in runtimes.values():
         rt.start()
     return cluster, runtimes

@@ -176,6 +176,15 @@ def test_var_kw_experiments_reject_unknown_params():
             '[scenario]\nexperiment = "fig4a"\n[params]\nnope = 1\n')
 
 
+def test_fig3bc_rejects_phase_seconds():
+    """fig3bc's run length is its AVX kernels' single sweep; a phase
+    length it would ignore is not one of its parameters."""
+    with pytest.raises(ScenarioError, match="'phase_seconds' is not a "
+                       "parameter of experiment 'fig3bc'"):
+        parse_scenario('[scenario]\nexperiment = "fig3bc"\n'
+                       '[params]\nphase_seconds = 5.0\n')
+
+
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
 def test_example_scenarios_validate(path):
     scen = load_scenario(str(path))
