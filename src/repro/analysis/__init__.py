@@ -4,14 +4,14 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".stats": (
-        "NonFiniteSampleWarning", "SummaryStats", "summarize", "median",
-        "decile_band", "bootstrap_ci",
+        "NonFiniteSampleWarning", "SummaryStats", "summarize", "mean",
+        "median", "quantile", "decile_band",
     ),
     ".fitting": ("detect_ridge", "crossover_index"),
 })
 
 __all__ = [
-    "NonFiniteSampleWarning", "SummaryStats", "summarize", "median",
-    "decile_band", "bootstrap_ci",
+    "NonFiniteSampleWarning", "SummaryStats", "summarize", "mean",
+    "median", "quantile", "decile_band",
     "detect_ridge", "crossover_index",
 ]

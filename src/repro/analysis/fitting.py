@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 __all__ = ["detect_ridge", "crossover_index"]
 
 
@@ -47,14 +45,14 @@ def detect_ridge(intensities: Sequence[float], values: Sequence[float],
     Assumes the sweep is ordered by increasing intensity and that the
     last point is fully CPU-bound.
     """
-    intens = np.asarray(intensities, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if intens.size != vals.size or intens.size < 2:
+    intens = [float(x) for x in intensities]
+    vals = [float(v) for v in values]
+    if len(intens) != len(vals) or len(intens) < 2:
         raise ValueError("need >= 2 matching points")
     plateau = vals[-1]
     if plateau <= 0:
         return None
     for x, v in zip(intens, vals):
         if v >= plateau * recovered_fraction:
-            return float(x)
+            return x
     return None

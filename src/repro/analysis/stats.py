@@ -10,8 +10,14 @@ one sweep point, :class:`CampaignResults` loads every trial set out of
 a campaign journal (mirroring fuzzbench's ``ExperimentResults`` as a
 lazily-derived view over raw trial records), and
 :func:`mann_whitney_u` / :func:`a12_effect_size` compare two campaigns
-point by point without assuming normality.  Everything here is pure
-``numpy`` + stdlib — no scipy.
+point by point without assuming normality.
+
+Everything here is stdlib only.  :func:`mean`, :func:`median` and
+:func:`quantile` return bit for bit what ``numpy.mean``,
+``numpy.median`` and ``numpy.quantile`` (linear method) return, so the
+run path needs no numpy and its bytes match the numpy-era ones.  The
+HTML report's bootstrap (``repro.core.htmlreport``) is the one numpy
+user.
 """
 
 from __future__ import annotations
@@ -23,10 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
-__all__ = ["SummaryStats", "summarize", "median", "decile_band",
-           "bootstrap_ci", "aggregate_trial_series",
+__all__ = ["SummaryStats", "summarize", "mean", "median", "quantile",
+           "decile_band", "aggregate_trial_series",
            "mann_whitney_u", "a12_effect_size", "MannWhitneyResult",
            "NonFiniteSampleWarning",
            "TrialSet", "CampaignResults", "Comparison",
@@ -37,7 +41,7 @@ class NonFiniteSampleWarning(UserWarning):
     """Non-finite samples were dropped before summarizing.
 
     A journal record can carry a NaN/inf metric delta (e.g. a rate
-    sampled across a division-by-zero window); ``np.median`` would
+    sampled across a division-by-zero window); a median would
     silently propagate it into every derived number and ultimately the
     HTML report.  Mirroring ``attribution_report``'s
     ``insufficient_data`` treatment, the offending samples are dropped
@@ -65,6 +69,90 @@ class SummaryStats:
         return self.p90 - self.p10
 
 
+def _pairwise_sum(values: Sequence[float], lo: int, n: int) -> float:
+    """numpy's pairwise float64 sum of ``values[lo:lo + n]``: in order
+    below 8 values, 8 running lanes up to 128, halves above.  Explicit
+    loops, because ``sum()`` is compensated from Python 3.12 on."""
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        end = lo + n - n % 8
+        lanes = []
+        for j in range(lo, lo + 8):
+            lane = values[j]
+            for v in values[j + 8:end:8]:
+                lane += v
+            lanes.append(lane)
+        r0, r1, r2, r3, r4, r5, r6, r7 = lanes
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) \
+        + _pairwise_sum(values, lo + half, n - half)
+
+
+def _nonempty(values: Sequence[float], what: str) -> List[float]:
+    values = list(map(float, values))
+    if not values:
+        raise ValueError(f"cannot take the {what} of an empty sample")
+    return values
+
+
+def mean(values: Sequence[float]) -> float:
+    """``numpy.mean`` of *values*, bit for bit."""
+    values = _nonempty(values, "mean")
+    # numpy's add.reduce starts from its identity, 0.0 (so -0.0 -> 0.0).
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def _median_sorted(s: List[float]) -> float:
+    mid = len(s) // 2
+    if len(s) % 2:
+        return s[mid]
+    return (s[mid - 1] + s[mid]) / 2
+
+
+def _quantile_sorted(s: List[float], q: float) -> float:
+    """numpy's linear-method quantile of the sorted sample *s*."""
+    v = (len(s) - 1) * q
+    if v >= len(s) - 1:
+        return s[-1]
+    i = int(v)
+    t = v - i
+    a, b = s[i], s[i + 1]
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
+
+
+def _sorted(values: Sequence[float], what: str) -> Optional[List[float]]:
+    """*values* sorted, or None when one is NaN (numpy then says NaN)."""
+    values = _nonempty(values, what)
+    for v in values:
+        if v != v:
+            return None
+    return sorted(values)
+
+
+def median(values: Sequence[float]) -> float:
+    """``numpy.median`` of *values*, bit for bit."""
+    s = _sorted(values, "median")
+    return math.nan if s is None else _median_sorted(s)
+
+
+def quantile(values: Sequence[float], q: float) -> float:
+    """``numpy.quantile(values, q)`` (linear method), bit for bit."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1]")
+    s = _sorted(values, "quantile")
+    return math.nan if s is None else _quantile_sorted(s, q)
+
+
 def summarize(samples: Sequence[float]) -> SummaryStats:
     """Median + first/last decile of *samples*.
 
@@ -73,51 +161,28 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
     all-non-finite sample raises ``ValueError`` rather than summarize
     nothing.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
+    values = list(map(float, samples))
+    if not values:
         raise ValueError("cannot summarize an empty sample")
-    finite = np.isfinite(arr)
-    dropped = int(arr.size - int(finite.sum()))
+    finite = list(filter(math.isfinite, values))
+    dropped = len(values) - len(finite)
     if dropped:
-        if dropped == arr.size:
+        if not finite:
             raise ValueError(
-                f"cannot summarize: all {arr.size} samples are non-finite")
+                f"cannot summarize: all {dropped} samples are non-finite")
         warnings.warn(
-            f"dropped {dropped} non-finite of {arr.size} samples",
+            f"dropped {dropped} non-finite of {len(values)} samples",
             NonFiniteSampleWarning, stacklevel=2)
-        arr = arr[finite]
-    return SummaryStats(
-        median=float(np.median(arr)),
-        p10=float(np.quantile(arr, 0.1)),
-        p90=float(np.quantile(arr, 0.9)),
-        n=int(arr.size),
-        dropped=dropped,
-    )
-
-
-def median(samples: Sequence[float]) -> float:
-    return summarize(samples).median
+    s = sorted(finite)
+    return SummaryStats(median=_median_sorted(s),
+                        p10=_quantile_sorted(s, 0.1),
+                        p90=_quantile_sorted(s, 0.9),
+                        n=len(s), dropped=dropped)
 
 
 def decile_band(samples: Sequence[float]) -> Tuple[float, float]:
     s = summarize(samples)
     return (s.p10, s.p90)
-
-
-def bootstrap_ci(samples: Sequence[float], confidence: float = 0.95,
-                 n_boot: int = 2000, seed: int = 0) -> Tuple[float, float]:
-    """Bootstrap confidence interval on the median."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot bootstrap an empty sample")
-    if not (0 < confidence < 1):
-        raise ValueError("confidence must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_boot, arr.size))
-    medians = np.median(arr[idx], axis=1)
-    lo = (1 - confidence) / 2
-    return (float(np.quantile(medians, lo)),
-            float(np.quantile(medians, 1 - lo)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +202,7 @@ def aggregate_trial_series(series_by_trial: Sequence[Mapping[str, list]]
 
     Trial rows carrying a non-finite median or band edge are dropped
     (with one :class:`NonFiniteSampleWarning` per series) before
-    folding — ``np.median``/``min``/``max`` would otherwise propagate
+    folding — the median, ``min`` and ``max`` would otherwise propagate
     the NaN into the aggregate.  A point whose rows are *all*
     non-finite raises ``ValueError``.
     """
@@ -171,7 +236,7 @@ def aggregate_trial_series(series_by_trial: Sequence[Mapping[str, list]]
                         f"are non-finite")
                 dropped += bad
             rows.append([x,
-                         float(np.median([r[1] for r in finite])),
+                         median([r[1] for r in finite]),
                          min(r[2] for r in finite),
                          max(r[3] for r in finite)])
         if dropped:
@@ -314,7 +379,7 @@ class TrialSet:
     series: str
     x: float
     values: Tuple[float, ...]
-    # Per-trial decile bands, for a band fallback when n == 1.
+    # Per-trial decile bands: the report's CI when n == 1.
     bands: Tuple[Tuple[float, float], ...] = ()
 
     @property
@@ -323,25 +388,11 @@ class TrialSet:
 
     @property
     def mean(self) -> float:
-        return float(np.mean(self.values))
+        return mean(self.values)
 
     @property
     def median(self) -> float:
-        return float(np.median(self.values))
-
-    def ci(self, confidence: float = 0.95,
-           n_boot: int = 2000) -> Tuple[float, float]:
-        """Bootstrap CI on the median of the trial medians.
-
-        With a single trial there is nothing to resample: fall back to
-        that trial's own decile band (or a degenerate interval).
-        """
-        if self.n == 1:
-            if self.bands:
-                return self.bands[0]
-            return (self.values[0], self.values[0])
-        return bootstrap_ci(self.values, confidence=confidence,
-                            n_boot=n_boot)
+        return median(self.values)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
+from repro.analysis.stats import median
 from repro.hardware.topology import Cluster
 from repro.mpi.comm import CommWorld
 
@@ -96,14 +95,13 @@ class AppResult:
     pattern: str
     nodes: Tuple[int, ...]
     size: int
-    latencies: np.ndarray            # per-message one-way durations (s)
+    latencies: List[float]           # per-message one-way durations (s)
     bytes_moved: float               # payload bytes incl. warmup
     duration: float                  # first start -> last completion (s)
 
     @property
     def median_latency(self) -> float:
-        return float(np.median(self.latencies)) if len(self.latencies) \
-            else 0.0
+        return median(self.latencies) if self.latencies else 0.0
 
     @property
     def bandwidth(self) -> float:
@@ -213,7 +211,7 @@ class Application:
         return AppResult(
             name=self.spec.name, pattern=self.spec.pattern,
             nodes=self.spec.nodes, size=self.spec.size,
-            latencies=np.asarray(self._latencies, dtype=float),
+            latencies=list(self._latencies),
             bytes_moved=self._bytes,
             duration=self._t_end - self._t0)
 

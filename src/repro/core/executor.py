@@ -53,17 +53,19 @@ import logging
 import os
 import time
 from bisect import insort
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import wait as _futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator,
+                    List, Optional, Tuple)
 
 from repro.analysis.stats import summarize
 from repro.faults.reliability import backoff_delay as _backoff
+
+if TYPE_CHECKING:  # the pool modules load only when a pool is built
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "PointSpec", "ExecutionPolicy", "PointTimeout", "WorkerCrash",
@@ -424,6 +426,7 @@ class SweepExecutor:
             self.close()
         if self._pool is None:
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX fallback
@@ -481,6 +484,7 @@ class SweepExecutor:
 
     def _map_parallel(self, tasks: List[Tuple[PointSpec, dict]]
                       ) -> Iterator[dict]:
+        from concurrent.futures.process import BrokenProcessPool
         policy = self.policy
         n = len(tasks)
         width = min(self.jobs, n)

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from repro.analysis.fitting import crossover_index, detect_ridge
 from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import PointSpec, stat_row, value_row
@@ -106,7 +104,8 @@ def _fig1_point(params: dict) -> dict:
     res = PingPong(world).run(size, reps=params["reps"])
     corner = params["corner"]
     return {f"latency_{corner}": [stat_row(size, res.latencies)],
-            f"bandwidth_{corner}": [stat_row(size, size / res.latencies)]}
+            f"bandwidth_{corner}": [
+                stat_row(size, [size / t for t in res.latencies])]}
 
 
 def fig1(spec: MachineSpec | str = "henri",
@@ -658,9 +657,10 @@ def _size_point(params: dict) -> dict:
         reps=params["reps"])
     out = run_throughput_protocol(cfg)
     return {
-        "comm_alone": [stat_row(size, size / out.comm_alone.latencies)],
+        "comm_alone": [
+            stat_row(size, [size / t for t in out.comm_alone.latencies])],
         "comm_together": [
-            stat_row(size, size / out.comm_together.latencies)],
+            stat_row(size, [size / t for t in out.comm_together.latencies])],
         "compute_alone": [stat_row(size, out.compute_alone_bw_per_core)],
         "compute_together": [
             stat_row(size, out.compute_together_bw_per_core)],
@@ -861,7 +861,7 @@ def fig7b(spec: MachineSpec | str = "henri", **kw) -> ExperimentResult:
 
 def _runtime_pingpong(world: CommWorld, comm, size: int, reps: int,
                       data_numa_a: int, data_numa_b: int,
-                      warmup: int = 2) -> np.ndarray:
+                      warmup: int = 2) -> List[float]:
     """Ping-pong through the runtime comm layer; one-way latencies."""
     sim = world.sim
     buf_a = world.rank(0).buffer(size, data_numa_a, "rt_pp_a")
@@ -885,7 +885,7 @@ def _runtime_pingpong(world: CommWorld, comm, size: int, reps: int,
     sim.run()
     if not proc.ok:  # pragma: no cover
         _ = proc.value
-    return np.asarray(lats)
+    return lats
 
 
 def _runtime_latency_point(params: dict) -> dict:
@@ -1113,6 +1113,8 @@ def fig10(spec: MachineSpec | str = "henri",
             raw = result.series[key]
             norm = result.new_series(key + "_norm", xlabel="workers",
                                      ylabel="normalized")
+            if not raw.median:
+                raise ValueError(f"series {key!r} is empty")
             peak = max(raw.median)
             for x, v in zip(raw.x, raw.median):
                 norm.add_value(x, v / peak if peak > 0 else 0.0)

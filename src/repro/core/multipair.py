@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
+from repro.analysis.stats import median
 from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import PointSpec, value_row
 from repro.core.experiments import _guarded_observations
@@ -42,11 +41,12 @@ class MultiPairResult:
 
     n_pairs: int
     size: int
-    per_pair_latencies: List[np.ndarray]
+    per_pair_latencies: List[List[float]]
 
     @property
     def median_latency(self) -> float:
-        return float(np.median(np.concatenate(self.per_pair_latencies)))
+        return median([lat for pair in self.per_pair_latencies
+                       for lat in pair])
 
     @property
     def per_pair_bandwidth(self) -> float:
@@ -98,7 +98,7 @@ def run_multipair(n_pairs: int, size: int, reps: int = 10,
             _ = p.value
     return MultiPairResult(
         n_pairs=n_pairs, size=size,
-        per_pair_latencies=[np.asarray(l) for l in latencies])
+        per_pair_latencies=latencies)
 
 
 def _multipair_point(params: dict) -> dict:

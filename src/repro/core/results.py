@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 __all__ = ["Series", "ExperimentResult"]
 
 
@@ -39,7 +37,7 @@ class Series:
         """Median value at the x closest to *x*."""
         if not self.x:
             raise ValueError(f"series {self.label!r} is empty")
-        idx = int(np.argmin(np.abs(np.asarray(self.x) - x)))
+        idx = min(range(len(self.x)), key=lambda i: abs(self.x[i] - x))
         return self.median[idx]
 
     def __len__(self) -> int:

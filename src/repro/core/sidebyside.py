@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.analysis.stats import median
 from repro.core.placement import (
     Placement, comm_core_for, compute_core_ids, data_numa_for,
 )
@@ -75,12 +74,12 @@ class ThroughputOutcome:
 
     @property
     def compute_alone_bw(self) -> float:
-        return float(np.median(self.compute_alone_bw_per_core)) \
+        return median(self.compute_alone_bw_per_core) \
             if self.compute_alone_bw_per_core else 0.0
 
     @property
     def compute_together_bw(self) -> float:
-        return float(np.median(self.compute_together_bw_per_core)) \
+        return median(self.compute_together_bw_per_core) \
             if self.compute_together_bw_per_core else 0.0
 
 
@@ -208,7 +207,7 @@ def run_throughput_protocol(config: SideBySideConfig) -> ThroughputOutcome:
             run.request_stop()
         cluster.sim.run()
         comm_together = PingPongResult(size=config.message_size,
-                                       latencies=np.asarray(latencies))
+                                       latencies=latencies)
 
     return ThroughputOutcome(
         config=config,
@@ -233,7 +232,7 @@ def run_duration_protocol(config: SideBySideConfig) -> DurationOutcome:
     cluster, world, _ = build_world(config)
     runs = _protocol_kernels(world, config, sweeps=config.sweeps)
     cluster.sim.run()
-    compute_alone = float(np.median([r.stats.duration for r in runs]))
+    compute_alone = median([r.stats.duration for r in runs])
     alone_makespan = max(r.stats.duration for r in runs)
 
     # Step 3 — both together: ping-pong loops while the kernels run.
@@ -252,10 +251,10 @@ def run_duration_protocol(config: SideBySideConfig) -> DurationOutcome:
         more=lambda _it: any(not run.process.triggered for run in runs),
         keep=all_running))
     cluster.sim.run()
-    compute_together = float(np.median([r.stats.duration for r in runs]))
+    compute_together = median([r.stats.duration for r in runs])
     together_makespan = max(r.stats.duration for r in runs)
     comm_together = PingPongResult(size=config.message_size,
-                                   latencies=np.asarray(latencies)) \
+                                   latencies=latencies) \
         if latencies else None
 
     return DurationOutcome(

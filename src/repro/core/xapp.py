@@ -128,7 +128,8 @@ def _xapp_point(params: dict) -> dict:
     results = run_apps(cluster, specs)
     victim_res = results[specs[0].name]
     rows = {
-        "victim_bw": [stat_row(k, victim_res.size / victim_res.latencies)],
+        "victim_bw": [stat_row(k, [victim_res.size / t
+                                   for t in victim_res.latencies])],
         "victim_latency": [stat_row(k, victim_res.latencies)],
         "aggressor_bw": [value_row(k, sum(
             r.aggregate_bandwidth for name, r in results.items()

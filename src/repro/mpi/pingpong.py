@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, List, Optional
 
-import numpy as np
-
+from repro.analysis.stats import median, quantile
 from repro.hardware.memory import Buffer
 from repro.mpi.comm import CommWorld
 
@@ -31,19 +30,19 @@ class PingPongResult:
     """Per-iteration one-way latencies for one message size."""
 
     size: int
-    latencies: np.ndarray            # seconds, one entry per half ping-pong
+    latencies: List[float]           # seconds, one entry per half ping-pong
 
     @property
     def median_latency(self) -> float:
-        return float(np.median(self.latencies))
+        return median(self.latencies)
 
     @property
     def p10_latency(self) -> float:
-        return float(np.quantile(self.latencies, 0.1))
+        return quantile(self.latencies, 0.1)
 
     @property
     def p90_latency(self) -> float:
-        return float(np.quantile(self.latencies, 0.9))
+        return quantile(self.latencies, 0.9)
 
     @property
     def bandwidth(self) -> float:
@@ -149,4 +148,4 @@ class PingPong:
         self.world.sim.run()
         if not proc.ok:  # pragma: no cover - surfacing process errors
             _ = proc.value
-        return PingPongResult(size=size, latencies=np.asarray(latencies))
+        return PingPongResult(size=size, latencies=latencies)

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
-import numpy as np
-
+from repro.analysis.stats import mean
 from repro.hardware.presets import MachineSpec, get_preset
 from repro.hardware.topology import Cluster
 from repro.mpi.comm import CommWorld
@@ -94,7 +93,7 @@ def run_two_ranks(spec: MachineSpec | str, driver: Driver,
         n_workers=len(runtimes[0].workers),
         duration=duration,
         sending_bandwidth=comm.sending_bandwidth(),
-        stall_fraction=float(np.mean(stalls)) if stalls else 0.0,
+        stall_fraction=mean(stalls) if stalls else 0.0,
         bytes_sent=sum(s.bytes_sent for s in comm.send_stats.values()),
         messages=sum(s.messages for s in comm.send_stats.values()),
     )

@@ -26,14 +26,6 @@ class AccessMode(enum.Enum):
     W = "W"
     RW = "RW"
 
-    @property
-    def writes(self) -> bool:
-        return self in (AccessMode.W, AccessMode.RW)
-
-    @property
-    def reads(self) -> bool:
-        return self in (AccessMode.R, AccessMode.RW)
-
 
 @dataclass
 class DataHandle:

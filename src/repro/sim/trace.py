@@ -27,7 +27,7 @@ registered listeners.  A :class:`PeriodicSampler` given
 * **batch mode** (no telemetry sink): no heap events at all.  The
   sampler registers as an epoch listener; right before a source
   mutates, it emits every pending tick of the closing epoch as one
-  vectorized numpy append (constant value, the exact tick-time chain
+  block append (constant value, the exact tick-time chain
   ``t += period`` the event path would have produced).  ``stop()``
   flushes the tail.  Tick mode stays available because removing the
   per-tick heap events changes the engine's dispatched-event count,
@@ -46,10 +46,11 @@ exactly as before PR 9.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from array import array
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
-import numpy as np
-
+from repro.analysis.stats import mean as _mean
 from repro.obs import context as _obs_context
 
 __all__ = ["Trace", "PeriodicSampler", "EpochSource"]
@@ -87,10 +88,11 @@ class Trace:
 
     Series are created lazily on first append and stored as ordered
     *legs*: a leg is either a plain list of ``(time, value)`` points
-    (scalar :meth:`record` appends) or a pair of numpy arrays (one
-    :meth:`record_block` append).  Appends must be chronological per
+    (scalar :meth:`record` appends) or a ``(times, value)`` block of
+    samples that all hold one value (one :meth:`record_block` append;
+    the times are an ``array('d')``).  Appends must be chronological per
     series — true for any single producer — and the read API presents
-    the concatenation.
+    the concatenation as lists.
     """
 
     __slots__ = ("_legs",)
@@ -105,42 +107,31 @@ class Trace:
         else:
             legs.append([(time, float(value))])
 
-    def record_block(self, name: str, times: np.ndarray,
-                     values: np.ndarray) -> None:
-        """Append a chronological block of samples in one shot."""
-        if len(times) != len(values):
-            raise ValueError("times/values length mismatch")
+    def record_block(self, name: str, times: Sequence[float],
+                     value: float) -> None:
+        """Append chronological samples at *times* that all read
+        *value*, in one shot."""
         if len(times):
             self._legs.setdefault(name, []).append(
-                (np.asarray(times, dtype=float),
-                 np.asarray(values, dtype=float)))
+                (array("d", times), float(value)))
 
-    def _arrays(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        legs = self._legs.get(name)
-        if not legs:
-            empty = np.array([])
-            return empty, empty
-        times: List[np.ndarray] = []
-        values: List[np.ndarray] = []
-        for leg in legs:
+    def _points(self, name: str) -> Iterator[Tuple[float, float]]:
+        for leg in self._legs.get(name, ()):
             if type(leg) is list:
-                times.append(np.array([t for t, _ in leg]))
-                values.append(np.array([v for _, v in leg]))
+                yield from leg
             else:
-                times.append(leg[0])
-                values.append(leg[1])
-        if len(times) == 1:
-            return times[0], values[0]
-        return np.concatenate(times), np.concatenate(values)
+                times, value = leg
+                for t in times:
+                    yield t, value
 
     def names(self) -> List[str]:
         return sorted(self._legs)
 
-    def times(self, name: str) -> np.ndarray:
-        return self._arrays(name)[0]
+    def times(self, name: str) -> List[float]:
+        return [t for t, _ in self._points(name)]
 
-    def values(self, name: str) -> np.ndarray:
-        return self._arrays(name)[1]
+    def values(self, name: str) -> List[float]:
+        return [v for _, v in self._points(name)]
 
     def last(self, name: str) -> Optional[float]:
         legs = self._legs.get(name)
@@ -149,21 +140,19 @@ class Trace:
         tail = legs[-1]
         if type(tail) is list:
             return tail[-1][1]
-        return float(tail[1][-1])
+        return tail[1]
 
-    def window(self, name: str, t0: float, t1: float) -> np.ndarray:
+    def window(self, name: str, t0: float, t1: float) -> List[float]:
         """Values of *name* with ``t0 <= t < t1``."""
-        times, values = self._arrays(name)
-        if not times.size:
-            return values
-        return values[(times >= t0) & (times < t1)]
+        return [v for t, v in self._points(name) if t0 <= t < t1]
 
     def mean(self, name: str, t0: float = 0.0,
              t1: float = float("inf")) -> float:
+        """Mean of :meth:`window`, bit for bit ``numpy.mean``'s."""
         window = self.window(name, t0, t1)
-        if window.size == 0:
+        if not window:
             raise ValueError(f"no samples for {name!r} in [{t0}, {t1})")
-        return float(window.mean())
+        return _mean(window)
 
 
 class PeriodicSampler:
@@ -252,10 +241,9 @@ class PeriodicSampler:
             ticks.append(t)
             t += period
         self._next_time = t
-        arr = np.array(ticks)
         trace = self.trace
         for name, value in zip(self._names, values):
-            trace.record_block(name, arr, np.full(len(ticks), value))
+            trace.record_block(name, ticks, value)
 
     # -- tick mode ----------------------------------------------------------
     def _run(self):

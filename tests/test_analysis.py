@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
-    SummaryStats, bootstrap_ci, crossover_index, decile_band, detect_ridge,
-    median, summarize,
+    SummaryStats, crossover_index, decile_band, detect_ridge, median,
+    summarize,
 )
+from repro.core.htmlreport import bootstrap_ci
 
 
 # -- stats ----------------------------------------------------------------

@@ -164,6 +164,10 @@ def test_fig10_fail_stop_names_the_transport_error(capsys):
     assert len(failed) == 5
     assert all("destination node failed" in line for line in failed)
     assert "read before trigger" not in out
+    # With every point failed, the observations name the empty series.
+    assert "Observations not derived (points failed): ValueError: " \
+        "series 'cg_sending_bw' is empty" in out
+    assert "max() arg" not in out
 
 
 def test_output_paths_in_missing_directories_are_created(capsys, tmp_path):

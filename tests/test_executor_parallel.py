@@ -369,9 +369,8 @@ def test_pool_is_sized_to_the_sweep(monkeypatch):
     """A fork pool starts all its workers up front, so a huge --jobs
     must not fork more workers than the sweep has points.  The pool
     class is faked: no test starts the processes."""
+    import concurrent.futures
     from concurrent.futures import Future
-
-    import repro.core.executor as executor_mod
 
     widths = []
 
@@ -388,7 +387,9 @@ def test_pool_is_sized_to_the_sweep(monkeypatch):
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", RecordingPool)
+    # The executor imports the pool class when it builds a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
 
     def sweep(n):
         return [(PointSpec(experiment="figX", key=f"size={i}",

@@ -6,6 +6,7 @@ long since imported everything.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -129,6 +130,43 @@ assert main(sys.argv[1:]) == 0
     assert "repro.cli" in loaded
     assert _simulator_modules(loaded) == []
     assert not set(loaded) & {"repro.core.registry", *PROVIDER_MODULES}
+
+
+# -- no numpy on the run path -------------------------------------------------
+
+#: Makes every later ``import numpy`` raise ImportError.
+_NO_NUMPY = 'import sys\nsys.modules["numpy"] = None\n'
+
+_golden_spec = importlib.util.spec_from_file_location(
+    "golden_digests", Path(SRC).parent / "tools" / "golden_digests.py")
+golden = importlib.util.module_from_spec(_golden_spec)
+_golden_spec.loader.exec_module(golden)
+
+
+def test_registry_and_a_fig10_point_run_without_numpy():
+    code = _NO_NUMPY + """
+from repro.core import registry
+from repro.core.executor import resolve_runner
+registry.load()
+import repro.runtime.apps, repro.hardware.frequency
+rows = resolve_runner("repro.core.experiments:_fig10_point")(
+    dict(spec="henri", nw=8, cg_kwargs={}, gemm_kwargs={}))
+assert rows["cg_sending_bw"][0][1] > 0, rows
+"""
+    assert "repro.runtime.apps.harness" in _fresh(code)
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig2"])
+def test_runs_need_no_numpy_and_keep_their_digests(name):
+    """With numpy unimportable, a ``--fast`` run still writes exactly
+    the artifacts the identity manifest pins."""
+    run = next(r for r in golden.runs() if r[0] == name)
+    launcher = ("-c", _NO_NUMPY + "import runpy\n"
+                "runpy.run_module('repro', run_name='__main__')")
+    committed = json.loads(golden.MANIFEST.read_text())
+    assert golden.digest_run(run, launcher) == \
+        {key: digest for key, digest in committed.items()
+         if key.startswith(f"{name}/")}
 
 
 # -- reachability -----------------------------------------------------------

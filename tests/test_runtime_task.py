@@ -10,12 +10,6 @@ def make_task(name, accesses, rank=0):
                 accesses=accesses, rank=rank)
 
 
-def test_access_mode_semantics():
-    assert AccessMode.R.reads and not AccessMode.R.writes
-    assert AccessMode.W.writes and not AccessMode.W.reads
-    assert AccessMode.RW.reads and AccessMode.RW.writes
-
-
 def test_data_numa_picks_dominant_handle():
     machine = Cluster(HENRI, 1).machine(0)
     small = DataHandle(buffer=allocate(machine, 1, 10))

@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.stats import (CampaignResults, TrialSet,
                                   a12_effect_size, aggregate_trial_series,
                                   mann_whitney_u, read_journal_entries)
+from repro.core.htmlreport import trial_ci
 
 
 # -- aggregate_trial_series -------------------------------------------------
@@ -88,7 +89,7 @@ def test_trialset_ci_brackets_median():
     ts = TrialSet(experiment="e", series="s", x=1.0,
                   values=(10.0, 12.0, 11.0, 13.0, 9.0),
                   bands=((9.0, 14.0),))
-    lo, hi = ts.ci()
+    lo, hi = trial_ci(ts)
     assert lo <= ts.median <= hi
     assert ts.n == 5
     assert ts.mean == pytest.approx(11.0)
@@ -97,7 +98,7 @@ def test_trialset_ci_brackets_median():
 def test_trialset_single_trial_ci_falls_back_to_band():
     ts = TrialSet(experiment="e", series="s", x=1.0,
                   values=(10.0,), bands=((8.0, 12.0),))
-    assert ts.ci() == (8.0, 12.0)
+    assert trial_ci(ts) == (8.0, 12.0)
 
 
 # -- CampaignResults --------------------------------------------------------

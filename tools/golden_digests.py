@@ -77,11 +77,13 @@ def _child_env() -> Dict[str, str]:
     return env
 
 
-def digest_run(run: Run) -> Dict[str, str]:
-    """Run one manifest entry in a child process; its digests by key."""
+def digest_run(run: Run, launcher: Tuple[str, ...] = ("-m", "repro")
+               ) -> Dict[str, str]:
+    """Run one manifest entry in a child process; its digests by key.
+    *launcher* is the interpreter arguments that start the CLI."""
     name, experiment, flags, kinds = run
     with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
-        cmd = [sys.executable, "-m", "repro", "run", experiment, "--fast",
+        cmd = [sys.executable, *launcher, "run", experiment, "--fast",
                "--jobs", "1", *flags]
         for kind in kinds:
             cmd += ARTIFACTS[kind]
