@@ -78,6 +78,7 @@ def test_ablation_scheduler_locality_shields_gemm(benchmark):
     base = obs["baseline_stall_fraction"]
     blind = obs["ablated_stall_fraction"]
     note(benchmark, with_mechanism=base, without=blind)
-    # A locality-blind scheduler pushes ~3/4 of accesses cross-socket;
-    # GEMM's stalls inflate well past the paper's ~20 %.
+    # A locality-blind scheduler sends about half the bytes across a
+    # socket (and about 3/4 off the local NUMA node); GEMM's stalls
+    # inflate well past the paper's ~20 %.
     assert blind > base * 1.3

@@ -17,7 +17,11 @@ of the paper's effect that mechanism carries:
   memory pressure → CG's §6 sending-bandwidth collapse shrinks towards
   GEMM's.
 * ``no_scheduler_locality`` — locality-blind eager list → GEMM's memory
-  stalls inflate (every other access crosses a socket).
+  stalls inflate once workers span both sockets (about half the bytes
+  cross a socket, 3/4 leave the local NUMA node).  At ``--fast``'s 8
+  workers, all on NUMA node 0, it inverts: locality only orders the
+  hand-out (NUMA-0 tiles first), so demand piles onto one memory
+  controller at a time and the baseline stalls more.
 
 A mechanism is switched off as plain data: the §4 ablations run the
 Figure 4 sweep on a :class:`~repro.hardware.presets.MachineSpec` with

@@ -287,8 +287,7 @@ def _fig2_point(params: dict) -> dict:
 
     # Phase C: communications + prime counting on n_compute cores.
     t_c0 = sim.now
-    runs = start_kernels(world.cluster.machines, world.comm_cores,
-                         params["n_compute"], prime_kernel, 0, None)
+    runs = start_kernels(world, params["n_compute"], prime_kernel, 0, None)
     proc = sim.process(pingpong.process(
         LATENCY_SIZE, 0, out=lat_c, warmup=0,
         more=lambda _it: sim.now < t_c0 + phase))
@@ -400,8 +399,7 @@ def _fig3bc_point(params: dict) -> dict:
     """AVX kernels on n cores per node beside latency ping-pongs."""
     world, sampler = _traced_world(params["spec"], params["sample_period"])
     sim = world.sim
-    runs = start_kernels(world.cluster.machines, world.comm_cores,
-                         params["n_compute"], avx_kernel, 0, 1)
+    runs = start_kernels(world, params["n_compute"], avx_kernel, 0, 1)
     lats: List[float] = []
     proc = sim.process(PingPong(world).process(
         LATENCY_SIZE, 0, out=lats, warmup=0,

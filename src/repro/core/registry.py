@@ -41,9 +41,6 @@ __all__ = [
 # consumer picks it up through the registry.
 PROVIDER_MODULES: Tuple[str, ...] = (
     "repro.core.experiments",
-    "repro.core.overlap",
-    "repro.core.multipair",
-    "repro.core.gpu_experiments",
     "repro.core.ablations",
     "repro.core.xapp",
 )

@@ -22,14 +22,14 @@ loops its ping-pongs with :meth:`~repro.mpi.pingpong.PingPong.process`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.analysis.stats import median
 from repro.core.placement import (
     Placement, comm_core_for, compute_core_ids, data_numa_for,
 )
 from repro.hardware.presets import MachineSpec, get_preset
-from repro.hardware.topology import Cluster, Machine
+from repro.hardware.topology import Cluster
 from repro.kernels.roofline import Kernel, KernelRun, run_kernel
 from repro.kernels.stream import triad_kernel
 from repro.mpi.comm import CommWorld
@@ -119,31 +119,31 @@ def build_world(config: SideBySideConfig) -> Tuple[Cluster, CommWorld,
     return cluster, world, pingpong
 
 
-def start_kernels(machines: Sequence[Machine], comm_cores: Mapping[int, int],
-                  n: int, kernel_factory: Callable[[], Kernel],
+def start_kernels(world: CommWorld, n: int,
+                  kernel_factory: Callable[[], Kernel],
                   data_numa: int, sweeps: Optional[int]) -> List[KernelRun]:
     """Launch a fresh ``kernel_factory()`` on *n* compute cores of each
-    of *machines*, streaming from *data_numa*.
+    of *world*'s machines, streaming from *data_numa*.
 
-    ``comm_cores`` maps a node id to its comm-thread core, which the
-    kernels skip; a node without an entry computes on its first *n*
-    cores.  ``sweeps=None`` loops until each run's ``request_stop``.
+    The kernels skip each node's comm-thread core
+    (``world.comm_cores``).  ``sweeps=None`` loops until each run's
+    ``request_stop``.
     """
+    comm_cores = world.comm_cores
     return [run_kernel(machine, core, kernel_factory(),
                        data_numa=data_numa, sweeps=sweeps)
-            for machine in machines
+            for machine in world.cluster.machines
             for core in compute_core_ids(
-                machine, n, comm_cores.get(machine.node_id, -1))]
+                machine, n, comm_cores[machine.node_id])]
 
 
 def _protocol_kernels(world: CommWorld, config: SideBySideConfig,
                       sweeps: Optional[int]) -> List[KernelRun]:
     """The configured kernel on n compute cores of both nodes."""
-    machines = world.cluster.machines
     return start_kernels(
-        machines, world.comm_cores, config.n_compute_cores,
-        config.kernel_factory,
-        data_numa_for(machines[0], config.placement.data), sweeps)
+        world, config.n_compute_cores, config.kernel_factory,
+        data_numa_for(world.cluster.machine(0), config.placement.data),
+        sweeps)
 
 
 def _window_bandwidths(runs: List[KernelRun], snapshots: dict,

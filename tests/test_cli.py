@@ -139,7 +139,7 @@ def test_trials_reach_the_trace_experiments(capsys):
     assert "(2 seeded trials per point;" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["fig2", "fig3bc", "gpu_vs_network"])
+@pytest.mark.parametrize("name", ["fig2", "fig3bc"])
 def test_ping_pong_failure_is_a_failed_point(capsys, name):
     """A fail-stop node ends the ping-pong with a transport error, which
     the report names instead of a traceback or a partial latency."""

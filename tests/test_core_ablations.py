@@ -111,8 +111,7 @@ def _run(tmp_path, name, tag, *extra):
     return (d / "r.md").read_bytes(), (d / "j.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["no_pio_colocation", "fig8", "fig2",
-                                  "gpu_vs_network"])
+@pytest.mark.parametrize("name", ["no_pio_colocation", "fig8", "fig2"])
 def test_ported_sweeps_identical_at_any_jobs_and_on_resume(tmp_path,
                                                            capsys, name):
     serial = _run(tmp_path, name, "serial")

@@ -44,4 +44,4 @@ def test_examples_present():
     names = {p.name for p in EXAMPLES}
     assert {"quickstart.py", "placement_study.py",
             "arithmetic_intensity.py", "runtime_interference.py",
-            "cg_vs_gemm.py", "gpu_transfers.py"} <= names
+            "cg_vs_gemm.py"} <= names

@@ -52,20 +52,20 @@ def test_fig1a_artifacts_identical_at_any_jobs(tmp_path, capsys):
 
 def test_multi_point_trace_lanes_are_distinct_at_any_jobs(tmp_path,
                                                          capsys):
-    """Every gpu_vs_stream point builds its own cluster; absorbing a
-    point renumbers its ``c<k>.`` lanes, so no two lanes share a name
-    and the pooled trace still equals the serial one."""
+    """Every fig1a point builds its own cluster; absorbing a point
+    renumbers its ``c<k>.`` lanes, so no two lanes share a name and the
+    pooled trace still equals the serial one."""
     traces = []
     for jobs in ("1", "2"):
         path = tmp_path / f"t{jobs}.json"
-        assert main(["run", "gpu_vs_stream", "--fast", "--trace",
+        assert main(["run", "fig1a", "--fast", "--trace",
                      str(path), "--jobs", jobs]) == 0
         traces.append(path.read_bytes())
     assert traces[0] == traces[1]
     names = [e["args"]["name"]
              for e in json.loads(traces[0])["traceEvents"]
              if e["name"] == "process_name"]
-    assert len(names) == len(set(names)) == 6
+    assert len(names) == len(set(names)) == 36
 
 
 def test_fig10_api_identical_under_pool():

@@ -23,7 +23,7 @@ SMOKE = ["fig1a", "fig2", "fig9", "runtime_overhead", "fig10"]
 def test_registry_is_populated_and_ordered():
     names = registry.names()
     assert names[0] == "fig1a"
-    assert "fig5" in names and "overlap" in names
+    assert "fig5" in names and "fig_xapp" in names
     assert len(names) == len(set(names))
 
 
