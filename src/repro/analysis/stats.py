@@ -14,10 +14,12 @@ point by point without assuming normality.
 
 Everything here is stdlib only.  :func:`mean`, :func:`median` and
 :func:`quantile` return bit for bit what ``numpy.mean``,
-``numpy.median`` and ``numpy.quantile`` (linear method) return, so the
-run path needs no numpy and its bytes match the numpy-era ones.  The
-HTML report's bootstrap (``repro.core.htmlreport``) is the one numpy
-user.
+``numpy.median`` and ``numpy.quantile`` (linear method) return, signed
+zeros and infinities included, so neither a run nor the HTML report's
+bootstrap (``repro.core.htmlreport``) needs numpy, and their bytes
+match the numpy-era ones.  The one exception is the sign of a
+quantile that falls between a ``0.0`` and a ``-0.0``: numpy's partition
+leaves equal zeros in no fixed order, so that sign cannot be copied.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["SummaryStats", "summarize", "mean", "median", "quantile",
+__all__ = ["SummaryStats", "summarize", "mean", "median",
+           "median_of_sorted", "quantile",
            "decile_band", "aggregate_trial_series",
            "mann_whitney_u", "a12_effect_size", "MannWhitneyResult",
            "NonFiniteSampleWarning",
@@ -111,21 +114,28 @@ def mean(values: Sequence[float]) -> float:
     return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
 
 
-def _median_sorted(s: List[float]) -> float:
+def median_of_sorted(s: List[float]) -> float:
+    """numpy's median of the sorted, NaN-free sample *s*: the mean of the
+    middle value(s), whose sum starts from 0.0 (so a -0.0 median is
+    0.0)."""
     mid = len(s) // 2
     if len(s) % 2:
-        return s[mid]
-    return (s[mid - 1] + s[mid]) / 2
+        return 0.0 + s[mid]
+    return (0.0 + s[mid - 1] + s[mid]) / 2
 
 
 def _quantile_sorted(s: List[float], q: float) -> float:
     """numpy's linear-method quantile of the sorted sample *s*."""
     v = (len(s) - 1) * q
     if v >= len(s) - 1:
-        return s[-1]
-    i = int(v)
-    t = v - i
-    a, b = s[i], s[i + 1]
+        # numpy clamps both neighbours to the last value and its weight
+        # to v + 1; the lerp then still runs (-0.0 -> 0.0, inf -> nan).
+        a = b = s[-1]
+        t = v + 1
+    else:
+        i = int(v)
+        t = v - i
+        a, b = s[i], s[i + 1]
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
@@ -142,7 +152,7 @@ def _sorted(values: Sequence[float], what: str) -> Optional[List[float]]:
 def median(values: Sequence[float]) -> float:
     """``numpy.median`` of *values*, bit for bit."""
     s = _sorted(values, "median")
-    return math.nan if s is None else _median_sorted(s)
+    return math.nan if s is None else median_of_sorted(s)
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -174,7 +184,7 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
             f"dropped {dropped} non-finite of {len(values)} samples",
             NonFiniteSampleWarning, stacklevel=2)
     s = sorted(finite)
-    return SummaryStats(median=_median_sorted(s),
+    return SummaryStats(median=median_of_sorted(s),
                         p10=_quantile_sorted(s, 0.1),
                         p90=_quantile_sorted(s, 0.9),
                         n=len(s), dropped=dropped)

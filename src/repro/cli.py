@@ -138,13 +138,8 @@ def _profile(args) -> int:
         with open(args.metrics, "w", encoding="utf-8") as fh:
             fh.write(reg.to_json(extra={"experiment": name,
                                         "spec": args.spec}))
-    try:
-        print(text)
-        print(f"wrote {out}")
-    except BrokenPipeError:
-        # stdout went to a pager/head that quit; the report file is
-        # already written, so a quiet exit is the right behaviour.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    print(text)
+    print(f"wrote {out}")
     return 0
 
 
@@ -321,6 +316,30 @@ def _apply_scenario(args, parser):
 
 
 def main(argv: Optional[list] = None) -> int:
+    parser = _parser()
+    command = None
+    try:
+        args = parser.parse_args(argv)
+        command = args.command
+        rc = _dispatch(args, parser)
+        # Flush here, not in the interpreter's exit, so a reader that
+        # quit early raises below rather than after main returns.
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # stdout went to a reader that quit early (``repro list | head``):
+        # no traceback.  stdout now points at /dev/null, so the final
+        # flush of what is still buffered cannot raise again.  A run
+        # lost its report text and may have stopped before writing
+        # --out, --trace and --metrics, so it fails; for the other
+        # commands the printed text is the whole effect (profile writes
+        # its file first), and a reader taking only its head is no
+        # failure.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1 if command == "run" else 0
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Reproduce the figures of 'Interferences between "
@@ -464,7 +483,10 @@ def main(argv: Optional[list] = None) -> int:
     faults.add_argument("--resume", action="store_true",
                         help="replay completed points from --journal and "
                         "re-run only failed/missing ones")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _dispatch(args, parser) -> int:
     _setup_logging(args.log_level)
     if getattr(args, "spec", None):
         # An unknown preset is a usage error naming the valid ones.

@@ -20,21 +20,23 @@ the journaled per-point metric deltas, aggregated campaign metrics
 
 Everything is deterministic: two renders of the same journal(s) are
 byte-identical (no wall clock, no randomness beyond the seeded
-bootstrap).  The vectorised bootstrap is the package's one numpy
-user; numpy is imported here, at module level, so its cost stays in
-the report and never reaches a run.
+bootstrap).  The bootstrap is pure Python and returns numpy's interval
+bit for bit (:func:`bootstrap_ci`, ``tests/test_randomness.py``), so
+the report needs no numpy.
 """
 
 from __future__ import annotations
 
 import html
 import math
+from collections import Counter
+from functools import lru_cache
 from html.parser import HTMLParser
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.analysis.stats import CampaignResults, Comparison, TrialSet
+from repro.analysis.rng import Generator
+from repro.analysis.stats import (CampaignResults, Comparison, TrialSet,
+                                  median, median_of_sorted, quantile)
 from repro.core.report import format_si
 
 __all__ = ["render_html_report", "write_html_report",
@@ -62,20 +64,46 @@ figcaption { font-size: .85em; color: #567; text-align: center; }
 """
 
 
+@lru_cache(maxsize=8)
+def _resample_rows(n: int, n_boot: int,
+                   seed: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """numpy's ``default_rng(seed).integers(0, n, size=(n_boot, n))``,
+    drawn row by row as numpy fills it, with each row reduced to its
+    sorted index multiset and the number of rows that share it.
+
+    A row's median depends only on that multiset, and the index matrix
+    only on ``(n, n_boot, seed)``; a 3-trial point has at most 10
+    distinct rows of its 2,000.
+    """
+    draw = Generator(seed).integers
+    rows = Counter(tuple(sorted([draw(0, n) for _ in range(n)]))
+                   for _ in range(n_boot))
+    return tuple(rows.items())
+
+
 def bootstrap_ci(samples: Sequence[float], confidence: float = 0.95,
                  n_boot: int = 2000, seed: int = 0) -> Tuple[float, float]:
-    """Bootstrap confidence interval on the median."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
+    """Bootstrap confidence interval on the median: bit for bit numpy's
+    ``quantile(median(a[default_rng(seed).integers(0, n, (n_boot, n))],
+    axis=1), [lo, 1 - lo])``."""
+    values = [float(v) for v in samples]
+    if not values:
         raise ValueError("cannot bootstrap an empty sample")
     if not (0 < confidence < 1):
         raise ValueError("confidence must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_boot, arr.size))
-    medians = np.median(arr[idx], axis=1)
+    get = values.__getitem__
+    if any(map(math.isnan, values)):
+        # numpy's median of a row that draws a NaN is NaN.
+        def row_median(row: Tuple[int, ...]) -> float:
+            return median(list(map(get, row)))
+    else:
+        def row_median(row: Tuple[int, ...]) -> float:
+            return median_of_sorted(sorted(map(get, row)))
+    medians: List[float] = []
+    for row, count in _resample_rows(len(values), n_boot, seed):
+        medians += [row_median(row)] * count
     lo = (1 - confidence) / 2
-    return (float(np.quantile(medians, lo)),
-            float(np.quantile(medians, 1 - lo)))
+    return quantile(medians, lo), quantile(medians, 1 - lo)
 
 
 def trial_ci(ts: TrialSet) -> Tuple[float, float]:
@@ -112,9 +140,11 @@ def _axis_pos(values: Sequence[float], span: float, pad: float,
 
 
 def _svg_series_chart(label: str, points: List[TrialSet],
+                      cis: List[Tuple[float, float]],
                       width: int = 440, height: int = 220) -> str:
-    """One series as an inline SVG: median line + CI whiskers."""
-    pts = [(ts.x, ts.median, *trial_ci(ts)) for ts in points]
+    """One series as an inline SVG: median line + CI whiskers (*cis*,
+    one per point)."""
+    pts = [(ts.x, ts.median, *ci) for ts, ci in zip(points, cis)]
     xs = [p[0] for p in pts]
     log_x = all(x > 0 for x in xs) and len(set(xs)) > 1 \
         and max(xs) / min(xs) >= 100
@@ -188,10 +218,13 @@ def _series_section(results: CampaignResults) -> List[str]:
                    f'{" (decile band at a single trial)" if trials == 1 else ""}.'
                    f'</p>')
         series = results.series_points(experiment)
+        # One bootstrap per point, shared by the chart and the table.
+        cis = {label: [trial_ci(ts) for ts in points]
+               for label, points in series.items()}
         out.append('<div class="chart-grid">')
         for label, points in series.items():
             out.append("<figure>")
-            out.append(_svg_series_chart(label, points))
+            out.append(_svg_series_chart(label, points, cis[label]))
             out.append(f"<figcaption>{_esc(label)}</figcaption>")
             out.append("</figure>")
         out.append("</div>")
@@ -200,8 +233,7 @@ def _series_section(results: CampaignResults) -> List[str]:
             out.append('<table class="series">')
             out.append("<tr><th>x</th><th>median</th><th>CI lo</th>"
                        "<th>CI hi</th><th>trials</th></tr>")
-            for ts in points:
-                lo, hi = trial_ci(ts)
+            for ts, (lo, hi) in zip(points, cis[label]):
                 out.append(
                     f"<tr><td>{_esc(format_si(ts.x))}</td>"
                     f"<td>{_esc(format_si(ts.median))}</td>"

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main, run_experiment
 
 
@@ -323,3 +328,53 @@ def test_bad_output_flag_leaves_the_journal_as_found(capsys, tmp_path):
 def test_spec_lookup_is_case_insensitive(capsys):
     assert main(["topology", "--spec", "HENRI"]) == 0
     assert capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def journal_and_trace(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pipe")
+    assert main(["run", "fig1a", "--fast", "--journal", str(d / "J.jsonl"),
+                 "--trace", str(d / "T.json")]) == 0
+    return d
+
+
+def _closed_stdout_run(argv, cwd):
+    """Run ``python -m repro *argv`` with stdout on a pipe whose read end
+    is closed before the child starts.  PYTHONUNBUFFERED is dropped, so
+    stdout is block-buffered as it is for most users and in CI, and the
+    EPIPE may first come at the final flush."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv], stdout=write,
+            stderr=subprocess.PIPE, cwd=cwd, env=env, text=True,
+            timeout=120)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("argv", [
+    ("list",), ("topology",), ("status", "J.jsonl"),
+    ("trace-summary", "T.json"),
+], ids=lambda argv: argv[0])
+def test_closed_stdout_is_a_quiet_exit(journal_and_trace, argv):
+    """``repro list | head``: a reader that is gone before the first
+    write ends the command quietly, with no BrokenPipeError traceback."""
+    proc = _closed_stdout_run(argv, journal_and_trace)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_closed_stdout_fails_a_run_without_a_traceback(tmp_path):
+    """A run whose stdout reader is gone lost its report text, so it
+    exits 1 -- but with no BrokenPipeError traceback."""
+    proc = _closed_stdout_run(("run", "fig1a", "--fast", "--out", "R.md"),
+                              tmp_path)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr

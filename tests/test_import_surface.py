@@ -106,10 +106,12 @@ else:
 
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
-    """A one-experiment journal and a Chrome trace to read back."""
+    """A two-trial journal, so the report bootstraps its intervals, and
+    a Chrome trace to read back."""
     d = tmp_path_factory.mktemp("campaign")
     from repro.cli import main
-    assert main(["run", "fig1a", "--fast", "--journal", str(d / "J.jsonl"),
+    assert main(["run", "fig1a", "--fast", "--trials", "2",
+                 "--journal", str(d / "J.jsonl"),
                  "--trace", str(d / "T.json")]) == 0
     return d
 
@@ -130,6 +132,9 @@ assert main(sys.argv[1:]) == 0
     assert "repro.cli" in loaded
     assert _simulator_modules(loaded) == []
     assert not set(loaded) & {"repro.core.registry", *PROVIDER_MODULES}
+    if argv[0] == "report":
+        # The bootstrap ran, on the generator outside repro.sim.
+        assert "repro.analysis.rng" in loaded
 
 
 # -- no numpy on the run path -------------------------------------------------
@@ -154,6 +159,20 @@ rows = resolve_runner("repro.core.experiments:_fig10_point")(
 assert rows["cg_sending_bw"][0][1] > 0, rows
 """
     assert "repro.runtime.apps.harness" in _fresh(code)
+
+
+def test_report_needs_no_numpy(campaign, tmp_path):
+    """``repro report`` bootstraps its intervals with numpy unimportable.
+    (That the interval is numpy's to the bit is
+    ``test_randomness.py::test_bootstrap_ci_is_numpy_bit_for_bit``.)"""
+    code = _NO_NUMPY + """
+import sys
+from repro.cli import main
+assert main(sys.argv[1:]) == 0
+"""
+    out = tmp_path / "R.html"
+    _fresh(code, "report", "J.jsonl", "-o", str(out), cwd=campaign)
+    assert 'class="ci-bar"' in out.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", ["fig1a", "fig2"])

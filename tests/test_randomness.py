@@ -1,14 +1,18 @@
-"""The pure-Python generator and order statistics against numpy.
+"""The pure-Python generator, order statistics and bootstrap against
+numpy.
 
-``repro.sim.randomness.Generator`` must draw exactly what numpy 2.x's
-``default_rng(seed)`` draws, and ``repro.analysis.stats``' ``mean``,
-``median`` and ``quantile`` must return exactly numpy's floats: every
-committed digest was produced with numpy.  numpy stays a test
-dependency for these comparisons.
+``repro.analysis.rng.Generator`` must draw exactly what numpy 2.x's
+``default_rng(seed)`` draws, ``repro.analysis.stats``' ``mean``,
+``median`` and ``quantile`` must return exactly numpy's floats, and
+``repro.core.htmlreport.bootstrap_ci`` exactly numpy's interval: every
+committed digest and the report goldens were produced with numpy.
+numpy stays a test dependency for these comparisons.
 """
 
 import hashlib
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import mean, median, quantile, summarize
+from repro.analysis.ziggurat import KI
+from repro.core.htmlreport import bootstrap_ci
 from repro.hardware.presets import available_presets, get_preset
 from repro.sim.randomness import Generator, RandomStreams, noisy
-from repro.sim.ziggurat import KI
 
 NAMES = ("net", "loss", "plan", "worker0", "worker33", "kernel.triad.5",
          "kernel.avx512.17")
@@ -150,16 +155,29 @@ def test_preset_noise_log1p_matches_numpy(name):
 QUANTILES = (0.0, 0.025, 0.1, 0.5, 0.9, 0.975, 1.0)
 
 
+def _bits(x: float) -> bytes:
+    """*x*'s IEEE bytes, so ``0.0`` and ``-0.0`` differ; every NaN
+    reads alike (numpy hands back the sample's own NaN)."""
+    return b"nan" if x != x else struct.pack("<d", x)
+
+
 def _assert_numpy_exact(values, q_extra=()):
     arr = np.asarray(values, dtype=float)
-    assert mean(values) == float(np.mean(arr))
-    assert median(values) == float(np.median(arr))
+    assert _bits(mean(values)) == _bits(float(np.mean(arr)))
+    assert _bits(median(values)) == _bits(float(np.median(arr)))
+    # numpy's partition leaves equal zeros of opposite sign in no fixed
+    # order, so a quantile between them has no fixed sign: with both
+    # zeros in the sample, quantiles compare as numbers.
+    signs = {math.copysign(1.0, v) for v in values if v == 0}
+    q_key = float if len(signs) == 2 else _bits
     for q in QUANTILES + tuple(q_extra):
-        assert quantile(values, q) == float(np.quantile(arr, q)), q
+        assert q_key(quantile(values, q)) == \
+            q_key(float(np.quantile(arr, q))), q
     s = summarize(values)
-    assert (s.median, s.p10, s.p90) == (float(np.median(arr)),
-                                        float(np.quantile(arr, 0.1)),
-                                        float(np.quantile(arr, 0.9)))
+    assert _bits(s.median) == _bits(float(np.median(arr)))
+    assert (q_key(s.p10), q_key(s.p90)) == \
+        (q_key(float(np.quantile(arr, 0.1))),
+         q_key(float(np.quantile(arr, 0.9))))
 
 
 _FLOATS = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False,
@@ -185,9 +203,68 @@ def test_order_statistics_at_block_edges(n):
     _assert_numpy_exact((rng.lognormal(0.0, 2.0, n) * 1e-6).tolist())
 
 
+def test_order_statistics_of_signed_zeros():
+    """numpy's median is the mean of the middle value(s), a sum that
+    starts from +0.0, so ``median([-0.0]) == 0.0`` down to the sign."""
+    for n in range(1, 5):
+        for row in itertools.product((0.0, -0.0, 1.0, -1.0), repeat=n):
+            _assert_numpy_exact(list(row))
+    assert _bits(median([-0.0])) == _bits(0.0)
+    assert _bits(median([-0.0, -0.0])) == _bits(0.0)
+
+
+def test_quantile_of_infinities_matches_numpy():
+    """The lerp runs at the clamped top too, as numpy's does, so a
+    sample ending in inf has a NaN 100th percentile (inf - inf)."""
+    inf = math.inf
+    with np.errstate(invalid="ignore"):
+        for row in ([inf], [-inf], [inf, inf], [-inf, inf], [1.0, inf],
+                    [-inf, -inf, 1.0], [-0.0], [2.0, -0.0, -0.0]):
+            for q in QUANTILES + (1 / 3,):
+                assert _bits(quantile(row, q)) == \
+                    _bits(float(np.quantile(np.asarray(row), q))), (row, q)
+
+
 def test_median_and_quantile_propagate_nan_and_reject_empty():
     assert math.isnan(median([1.0, float("nan"), 2.0]))
     assert math.isnan(quantile([float("nan"), 1.0], 0.5))
     for fn in (mean, median, lambda v: quantile(v, 0.5)):
         with pytest.raises(ValueError, match="empty"):
             fn([])
+
+
+# -- the report's bootstrap ---------------------------------------------------
+
+def _numpy_bootstrap_ci(samples, confidence=0.95, n_boot=2000, seed=0):
+    """The numpy bootstrap ``bootstrap_ci`` replaced: the reference."""
+    arr = np.asarray(samples, dtype=float)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, arr.size, size=(n_boot, arr.size))
+    medians = np.median(arr[idx], axis=1)
+    lo = (1 - confidence) / 2
+    return (float(np.quantile(medians, lo)),
+            float(np.quantile(medians, 1 - lo)))
+
+
+_SPECIAL = (0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("n", [*range(1, 12), 20, 50, 130])
+def test_bootstrap_ci_is_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(1000 + n)
+    samples = [
+        rng.lognormal(0.0, 1.0, n).tolist(),
+        rng.integers(0, 3, n).astype(float).tolist(),      # ties
+        rng.choice(_SPECIAL[:4], n).tolist(),              # +-0.0
+        rng.choice(_SPECIAL[:6], n).tolist(),              # +-inf
+        rng.choice(_SPECIAL, n).tolist(),                  # NaN too
+    ]
+    options = [{}, {"confidence": 0.8}, {"n_boot": 1},
+               {"n_boot": 37, "seed": 7},
+               {"confidence": 0.5, "n_boot": 500, "seed": 2**40 + 1}]
+    with np.errstate(invalid="ignore"):
+        for values, kwargs in itertools.product(samples, options):
+            got = bootstrap_ci(values, **kwargs)
+            want = _numpy_bootstrap_ci(values, **kwargs)
+            assert [_bits(x) for x in got] == [_bits(x) for x in want], \
+                (values, kwargs, got, want)
