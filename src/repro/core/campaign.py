@@ -11,9 +11,10 @@ campaign.  :class:`SweepGuard` wraps each point:
 * on failure, a structured failure annotation is recorded in
   ``ExperimentResult.failures`` (and journaled); a failed point merges
   no rows, so the series stay rectangular;
-* on resume, previously-``ok`` points are replayed from the journal
-  bit-identically (Python's ``json`` round-trips floats exactly) and
-  only failed/missing points are re-run.
+* a point the journal already holds as ``ok`` replays from it
+  bit-identically (Python's ``json`` round-trips floats exactly); only
+  failed/missing points run.  A fresh journal holds this run's own
+  points, so a sweep two experiments share (fig1) runs once.
 
 :meth:`SweepGuard.run_specs` takes the sweep as
 :class:`~repro.core.executor.PointSpec` data: points execute through
@@ -21,8 +22,8 @@ the ambient :class:`~repro.core.executor.SweepExecutor` (possibly a
 process pool) and merge back in submission order, so seeded runs are
 byte-identical at any ``--jobs`` level.  Journal entries carry a
 content fingerprint (``"fp"``) and double as a point-level result
-cache: on resume a point replays only while its parameters and the
-simulation code are unchanged.
+cache: a point replays only while its parameters and the simulation
+code are unchanged.
 
 Every registered experiment runs its points this way.  A point may
 ship scalars that are not curves (fig2's per-phase frequency means,
@@ -30,7 +31,7 @@ say) as one-row ``obs:<name>`` series, which the experiment turns back
 into observations.
 
 The journal is optional: with ``journal=None`` the guard still provides
-the error boundary, it just cannot resume.  Journal writes are
+the error boundary, it just cannot replay.  Journal writes are
 crash-safe: each record is flushed and fsynced, so a crash loses at
 most the in-flight point, and the torn line it may leave is cut on
 resume.  The file is exclusively locked before anything is truncated
@@ -70,8 +71,8 @@ class CampaignJournal:
 
     With ``resume=False`` (the default) an existing file is truncated
     and the campaign starts fresh; with ``resume=True`` prior entries
-    are loaded so :class:`SweepGuard` can replay ``ok`` points and
-    re-run only the failed/missing ones.
+    are loaded.  :class:`SweepGuard` replays a fingerprint-matching
+    ``ok`` entry either way, so a sweep two experiments share runs once.
 
     Every record is flushed and fsynced before :meth:`record` returns:
     a crash loses at most the in-flight point, never a journaled one.
@@ -235,7 +236,7 @@ class SweepGuard:
         for spec in expanded:
             fp = point_fingerprint(spec)
             cached = None
-            if self.journal is not None and self.journal.resume:
+            if self.journal is not None:
                 entry = self.journal.lookup(result.name, spec.key,
                                             spec.trial)
                 # Replay only a fingerprint match: an entry without

@@ -14,7 +14,7 @@ fig3a     AVX compute duration & latency vs computing cores
 fig3bc    frequency traces under AVX load (4 vs 20 cores)
 fig4a/b   STREAM contention vs latency / bandwidth (data near, thread far)
 fig5      all placement combinations × {latency, bandwidth}
-table1    qualitative placement summary derived from fig4/fig5
+table1    placement summary: a view of fig5's eight sweeps
 fig6a/b   message-size sweep at 5 / 35 computing cores
 fig7a/b   arithmetic-intensity sweep (cursor) vs latency / bandwidth
 runtime_overhead   §5.2 runtime-vs-MPI latency overhead
@@ -31,7 +31,7 @@ source of truth for names, ``--fast`` profiles, and capabilities.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.fitting import crossover_index, detect_ridge
 from repro.core.campaign import CampaignJournal, SweepGuard
@@ -568,79 +568,54 @@ def _fig4b_sweep(name: str, title: str, spec: MachineSpec | str = "henri",
             index_key="fig5a–f", params=("core_counts", "reps"),
             fast=dict(core_counts=[0, 5, 20, 35], reps=4))
 def fig5(spec: MachineSpec | str = "henri",
-         placements: Iterable[Placement] = ALL_PLACEMENTS,
          **kw) -> Dict[str, ExperimentResult]:
     """All placement combinations × {latency, bandwidth} (6 new panels +
     the two fig4 panels, as the paper lays them out)."""
     results: Dict[str, ExperimentResult] = {}
-    for placement in placements:
+    for placement in ALL_PLACEMENTS:
         for metric, size in (("latency", LATENCY_SIZE),
                              ("bandwidth", BANDWIDTH_SIZE)):
             key = f"{placement.key}_{metric}"
-            if metric == "latency":
-                results[key] = _contention_sweep(
-                    f"fig5_{key}",
-                    f"Latency, data {placement.data}, thread "
-                    f"{placement.comm_thread}",
-                    size, placement, spec, **kw)
-            else:
-                res = _contention_sweep(
-                    f"fig5_{key}",
-                    f"Bandwidth, data {placement.data}, thread "
-                    f"{placement.comm_thread}",
-                    size, placement, spec, **kw)
-                results[key] = res
+            results[key] = _contention_sweep(
+                f"fig5_{key}",
+                f"{metric.capitalize()}, data {placement.data}, thread "
+                f"{placement.comm_thread}",
+                size, placement, spec, **kw)
     return results
 
 
 @experiment(title="Placement impact summary (paper Table 1)",
             tags=("paper", "contention"), plot=False,
             renderer="repro.core.report:render_table1",
+            params=("core_counts", "reps"),
             fast=dict(core_counts=[0, 5, 20, 35], reps=4))
-def table1(spec: MachineSpec | str = "henri",
-           core_counts: Optional[Sequence[int]] = None,
-           reps: int = 8,
-           journal: Optional[CampaignJournal] = None) -> ExperimentResult:
-    """Qualitative summary of placement impact (paper Table 1).
+def table1(spec: MachineSpec | str = "henri", **kw) -> ExperimentResult:
+    """Qualitative summary of placement impact (paper Table 1): a view
+    of :func:`fig5`'s eight sweeps, one row per placement.
 
-    Each placement × metric sweep is journaled under its own name
-    (``table1_<placement>_<metric>``), so sweeps neither overwrite each
-    other's records nor share fault seeds.
+    The sweeps run under fig5's names, so on a journal that already
+    holds fig5's points every one of them replays instead of running.
     """
-    if core_counts is None:
-        core_counts = default_core_counts(spec)
+    parts = fig5(spec, **kw)
     result = ExperimentResult(name="table1",
                               title="Impact of data and communication "
                               "thread placement (summary)")
-    parts: Dict[str, ExperimentResult] = {}
-    for placement in ALL_PLACEMENTS:
-        for metric, size in (("latency", LATENCY_SIZE),
-                             ("bandwidth", BANDWIDTH_SIZE)):
-            key = f"{placement.key}_{metric}"
-            parts[key] = _contention_sweep(
-                f"table1_{key}", key, size, placement, spec,
-                core_counts=core_counts, reps=reps, journal=journal)
     _fold_sweeps(result, parts)
     rows = result.meta["rows"] = []
 
     def observations():
         for placement in ALL_PLACEMENTS:
-            lat = parts[f"{placement.key}_latency"]
+            lat = parts[f"{placement.key}_latency"].observations
             bw = parts[f"{placement.key}_bandwidth"]
-            base_lat = lat["comm_alone"].median[0]
-            lat_from = crossover_index(lat["comm_together"].x,
-                                       lat["comm_together"].median,
-                                       base_lat, 0.15, "above")
-            lat_ratio = max(lat["comm_together"].median) / base_lat
-            bw_lat = bw["comm_together"]
-            base_bw_lat = bw["comm_alone"].median[0]
-            bw_ratio = base_bw_lat / max(bw_lat.median)  # min bw ratio
             rows.append({
                 "data": placement.data,
                 "comm_thread": placement.comm_thread,
-                "latency_impact_from_cores": lat_from,
-                "latency_max_ratio": lat_ratio,
-                "bandwidth_min_ratio": bw_ratio,
+                "latency_impact_from_cores": lat["comm_impact_from_cores"],
+                "latency_max_ratio": lat["latency_max_ratio"],
+                # alone / slowest together latency = min bw ratio
+                "bandwidth_min_ratio":
+                    bw.observations["latency_baseline_s"]
+                    / max(bw["comm_together"].median),
             })
     _guarded_observations(result, observations)
     return result

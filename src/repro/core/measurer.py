@@ -57,6 +57,8 @@ class CampaignMeasurer:
         self._sweeps: Dict[str, dict] = {}
         # time.monotonic() of the last sidecar write
         self._sidecar_written = 0.0
+        # name of the sweep in progress when it is a repeat sighting
+        self._repeat: Optional[str] = None
 
     @classmethod
     def attach(cls, journal, sidecar: bool = True) -> "CampaignMeasurer":
@@ -68,15 +70,26 @@ class CampaignMeasurer:
     # -- hooks called by SweepGuard.run_specs ------------------------------
     def begin_sweep(self, experiment: str, total: int, trials: int,
                     cached: int, jobs: int) -> None:
-        self._sweeps[experiment] = {
-            "total": total, "trials": trials, "cached": cached,
-            "jobs": max(1, jobs), "done": 0, "replayed": 0,
-            "failed": 0, "wall_sum": 0.0, "wall_n": 0,
-        }
+        sweep = self._sweeps.get(experiment)
+        if sweep is None:
+            self._sweeps[experiment] = {
+                "total": total, "trials": trials, "cached": cached,
+                "jobs": max(1, jobs), "done": 0, "replayed": 0,
+                "failed": 0, "wall_sum": 0.0, "wall_n": 0,
+            }
+            self._repeat = None
+        else:
+            # The same sweep again in this campaign (fig1b after fig1a,
+            # table1 after fig5): the first sighting's tallies say what
+            # ran, so only the points this one runs afresh add to them.
+            sweep["total"] += total - cached
+            self._repeat = experiment
         self._write_sidecar()
 
     def on_point(self, experiment: str, key: str, trial: int,
                  status: str, wall_s: Optional[float]) -> None:
+        if status == "replayed" and experiment == self._repeat:
+            return
         sweep = self._sweeps[experiment]
         if status == "failed":
             sweep["failed"] += 1

@@ -177,3 +177,22 @@ def test_same_fault_seed_bit_identical():
         b = fig1(**FAST)
     assert _series_state(a) == _series_state(b)
     assert a.failures == b.failures
+
+
+def test_fresh_journal_runs_a_shared_sweep_once(tmp_path):
+    """fig1a and fig1b share the fig1 sweep: on one fresh journal fig1b
+    replays fig1a's points, so each point is journaled (and read back
+    by the report) once."""
+    from repro.analysis.stats import CampaignResults
+    from repro.core import registry
+    path = tmp_path / "j.jsonl"
+    with CampaignJournal(path) as journal:
+        registry.run_experiment("fig1a", fast=True, journal=journal)
+        fig1b = registry.run_experiment("fig1b", fast=True,
+                                        journal=journal)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == 12
+    assert len({(r["experiment"], r["key"]) for r in records}) == 12
+    assert fig1b.meta["sweep"]["replayed"] == 12
+    sets = CampaignResults.from_journal(path).trial_sets()
+    assert sets and all(len(ts.values) == 1 for ts in sets)

@@ -125,18 +125,30 @@ def test_ported_sweeps_identical_at_any_jobs_and_on_resume(tmp_path,
     assert registry.get(name).render(warm).rstrip().encode() in serial[0]
 
 
-def test_table1_sweeps_journal_under_distinct_names(tmp_path, capsys):
-    """One sweep per placement × metric, each under its own name: no
-    record overwrites another and no two sweeps share fault seeds."""
-    _, journal = _run(tmp_path, "table1", "t1")
-    records = [json.loads(line) for line in journal.splitlines()]
-    points = len(ALL_PLACEMENTS) * 2 \
-        * len(registry.get("table1").fast_kwargs["core_counts"])
-    assert len(records) == points == 32
+def test_table1_replays_fig5_sweeps_from_a_shared_journal(tmp_path):
+    """table1 is a view of fig5: on one fresh journal after fig5 it
+    replays all eight sweeps under fig5's names, records nothing new,
+    and renders as a journal-free table1 does."""
+    from repro.core.campaign import CampaignJournal
+    overrides = dict(core_counts=[0, 2], reps=2)
+    with CampaignJournal(tmp_path / "j.jsonl") as journal:
+        registry.run_experiment("fig5", journal=journal,
+                                overrides=overrides)
+        shared = registry.run_experiment("table1", journal=journal,
+                                         overrides=overrides)
+    records = [json.loads(line) for line in
+               (tmp_path / "j.jsonl").read_text().splitlines()]
+    points = len(ALL_PLACEMENTS) * 2 * len(overrides["core_counts"])
+    assert len(records) == points
     assert len({(r["experiment"], r["key"]) for r in records}) == points
     assert {r["experiment"] for r in records} == {
-        f"table1_{p.key}_{metric}" for p in ALL_PLACEMENTS
+        f"fig5_{p.key}_{metric}" for p in ALL_PLACEMENTS
         for metric in ("latency", "bandwidth")}
+    assert shared.meta["sweep"]["replayed"] \
+        == shared.meta["sweep"]["points"] == points
+    alone = registry.run_experiment("table1", overrides=overrides)
+    render = registry.get("table1").render
+    assert render(shared) == render(alone)
 
 
 @pytest.mark.slow

@@ -45,6 +45,12 @@ def test_run_regenerates_to_the_committed_digests(name):
     assert golden.digest_run(run) == committed
 
 
+def test_table1_journal_is_fig5s():
+    """table1 is a view of fig5: it journals fig5's sweeps, under
+    fig5's names, and nothing else."""
+    assert MANIFEST["table1/journal"] == MANIFEST["fig5/journal"]
+
+
 def test_diff_names_each_differing_entry():
     new = dict(MANIFEST)
     new["fig10/metrics"] = "0" * 64

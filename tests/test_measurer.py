@@ -147,6 +147,37 @@ def test_campaign_run_attaches_measurer_end_to_end(tmp_path):
     assert exp["pending"] == 0
 
 
+def test_status_counts_a_shared_sweep_once(tmp_path):
+    """fig1a and fig1b share the fig1 sweep: status shows what the
+    first sighting ran, fresh or on resume, not fig1b's replays."""
+    from repro.core import registry
+    from repro.core.campaign import CampaignJournal
+    path = tmp_path / "c.jsonl"
+    for resume, cached in ((False, 0), (True, 12)):
+        with CampaignJournal(path, resume=resume) as journal:
+            CampaignMeasurer.attach(journal)
+            for name in ("fig1a", "fig1b"):
+                registry.run_experiment(name, fast=True, journal=journal)
+        exp = read_status(path)["experiments"]["fig1"]
+        assert (exp["points"], exp["ok"], exp["cached"],
+                exp["pending"]) == (12, 12, cached, 0)
+
+
+def test_repeat_sweep_adds_only_its_fresh_points(tmp_path):
+    """A repeat sighting re-runs what it cannot replay (a point that
+    failed under fault injection): that work counts, its replays not."""
+    m = _measurer(tmp_path)
+    m.begin_sweep("fig1", total=2, trials=1, cached=0, jobs=1)
+    m.on_point("fig1", "k1", 0, "ok", 1.0)
+    m.on_point("fig1", "k2", 0, "ok", 1.0)
+    m.begin_sweep("fig1", total=2, trials=1, cached=1, jobs=1)
+    m.on_point("fig1", "k1", 0, "replayed", None)
+    assert m.pending("fig1") == 1
+    m.on_point("fig1", "k3", 0, "ok", 1.0)
+    exp = m.progress()["experiments"]["fig1"]
+    assert (exp["total"], exp["done"], exp["replayed"]) == (3, 3, 0)
+
+
 def test_eta_excludes_cache_replays(tmp_path):
     """Warm resume: ~0s cache replays must not drag the mean point
     duration (and hence the ETA) toward zero."""
