@@ -94,15 +94,16 @@ def _profile(args) -> int:
 
     from repro.core import registry
 
-    name = args.experiment
-    os.environ["REPRO_ENGINE_COUNTERS"] = "1"
     from repro.obs.telemetry import telemetry_context
+
+    name = args.experiment
     out = args.out if args.out else f"PROFILE_{name}.txt"
     top = args.top
     profiler = cProfile.Profile()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    with telemetry_context(trace=False, metrics=True) as tele:
+    with telemetry_context(trace=False, metrics=True,
+                           engine_counters=True) as tele:
         profiler.enable()
         registry.run_experiment(name, spec=args.spec, fast=True)
         profiler.disable()
@@ -264,55 +265,44 @@ def _check_inputs(args, parser) -> bool:
 
 
 def _apply_scenario(args, parser):
-    """Load --scenario and fold it into *args* (CLI flags win).
+    """Load --scenario and fill the run flags the command line left unset.
 
-    Returns the :class:`~repro.core.scenario.Scenario` (or None), with
-    ``args`` fully resolved either way.
+    Every run flag defaults to ``None``, so a scenario value lands only
+    where no flag was given; :func:`_dispatch` then checks the merged
+    ``args`` whichever source set them.  Returns the
+    :class:`~repro.core.scenario.Scenario` (or None).
     """
-    if not args.scenario:
-        if not args.experiment:
-            parser.error("an experiment name (or 'all') or --scenario "
-                         "is required")
-        args.spec = args.spec or "henri"
-        args.jobs = 1 if args.jobs is None else args.jobs
-        return None
-
-    from repro.core.scenario import ScenarioError, load_scenario
-    if args.experiment:
-        parser.error("give either an experiment name or --scenario, "
-                     "not both")
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as err:
-        parser.error(str(err))
-
-    args.experiment = scenario.experiment
-    args.spec = args.spec or scenario.spec
-    args.fast = args.fast or scenario.fast
+    scenario = None
+    if args.scenario:
+        from repro.core.scenario import ScenarioError, load_scenario
+        if args.experiment:
+            parser.error("give either an experiment name or --scenario, "
+                         "not both")
+        try:
+            scenario = load_scenario(args.scenario)
+        except ScenarioError as err:
+            parser.error(str(err))
+        args.experiment = scenario.experiment
+        for dest, value in scenario.options.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
+    elif not args.experiment:
+        parser.error("an experiment name (or 'all') or --scenario "
+                     "is required")
+    if args.spec is None:
+        args.spec = "henri"
     if args.jobs is None:
-        args.jobs = scenario.jobs if scenario.jobs is not None else 1
-    if args.trials is None:
-        args.trials = scenario.trials
-    args.out = args.out or scenario.report
-    args.plot = args.plot or scenario.plot
-    args.trace = args.trace or scenario.trace
-    args.metrics = args.metrics or scenario.metrics
-    args.fault = args.fault or list(scenario.fault_specs)
-    if args.fault_seed is None:
-        args.fault_seed = scenario.fault_seed
-    if args.timeout is None:
-        args.timeout = scenario.timeout
-    if args.max_retries is None:
-        args.max_retries = scenario.max_retries
-    args.journal = args.journal or scenario.journal
-    args.resume = args.resume or scenario.resume
-    if args.point_timeout is None:
-        args.point_timeout = scenario.point_timeout
-    if args.point_retries is None:
-        args.point_retries = scenario.point_retries
-    if args.keep_going is None:
-        args.keep_going = scenario.keep_going
+        args.jobs = 1
     return scenario
+
+
+def _check_spec(args, parser) -> None:
+    """An unknown preset is a usage error naming the valid ones."""
+    from repro.hardware.presets import get_preset
+    try:
+        get_preset(args.spec)
+    except KeyError as err:
+        parser.error(f"--spec: {err.args[0]}")
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -402,11 +392,11 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", default=None, metavar="TOML",
                      help="run a scenario file: base experiment + "
                      "parameter overrides + fault plan + outputs "
-                     "(docs/SCENARIOS.md); other flags override the "
-                     "file's values")
+                     "(docs/SCENARIOS.md); the file fills only the "
+                     "flags not given here")
     run.add_argument("--spec", default=None,
                      help="cluster preset (henri/bora/billy/pyxis)")
-    run.add_argument("--fast", action="store_true",
+    run.add_argument("--fast", action="store_true", default=None,
                      help="reduced sweeps, seconds per figure")
     run.add_argument("--jobs", type=int, default=None,
                      help="fan sweep points out over N worker processes "
@@ -448,7 +438,7 @@ def _parser() -> argparse.ArgumentParser:
                         "(env: REPRO_CHECK_INVARIANTS=1)")
     run.add_argument("--out", default=None,
                      help="write a markdown record to this path")
-    run.add_argument("--plot", action="store_true",
+    run.add_argument("--plot", action="store_true", default=None,
                      help="render the series as an ASCII chart")
     obs = run.add_argument_group(
         "observability", "cross-layer telemetry (see "
@@ -480,7 +470,7 @@ def _parser() -> argparse.ArgumentParser:
     faults.add_argument("--journal", default=None, metavar="PATH",
                         help="checkpoint sweep points to a JSON-lines "
                         "campaign journal")
-    faults.add_argument("--resume", action="store_true",
+    faults.add_argument("--resume", action="store_true", default=None,
                         help="replay completed points from --journal and "
                         "re-run only failed/missing ones")
     return parser
@@ -488,13 +478,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _dispatch(args, parser) -> int:
     _setup_logging(args.log_level)
-    if getattr(args, "spec", None):
-        # An unknown preset is a usage error naming the valid ones.
-        from repro.hardware.presets import get_preset
-        try:
-            get_preset(args.spec)
-        except KeyError as err:
-            parser.error(f"--spec: {err.args[0]}")
+    if args.command in ("profile", "topology"):
+        _check_spec(args, parser)
 
     if args.command == "profile":
         from repro.core import registry
@@ -530,6 +515,7 @@ def _dispatch(args, parser) -> int:
         return 0
 
     scenario = _apply_scenario(args, parser)
+    _check_spec(args, parser)
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0 (0 = one per CPU), "
                      f"got {args.jobs}")
@@ -549,15 +535,10 @@ def _dispatch(args, parser) -> int:
         parser.error(str(err))
 
     from repro.core.executor import ExecutionPolicy
-    policy_kwargs = {}
-    if args.point_timeout is not None:
-        policy_kwargs["point_timeout"] = args.point_timeout
-    if args.point_retries is not None:
-        policy_kwargs["point_retries"] = args.point_retries
-    if args.keep_going is not None:
-        policy_kwargs["keep_going"] = args.keep_going
-    if args.trials is not None:
-        policy_kwargs["trials"] = args.trials
+    policy_kwargs = {
+        dest: getattr(args, dest) for dest in
+        ("point_timeout", "point_retries", "keep_going", "trials")
+        if getattr(args, dest) is not None}
     try:
         policy = ExecutionPolicy(**policy_kwargs)
     except ValueError as err:
@@ -618,7 +599,7 @@ def _dispatch(args, parser) -> int:
                 return 1
             results[name] = result
             text = defn.render(result)
-            if getattr(args, "plot", False) and defn.plot_capable:
+            if args.plot and defn.plot_capable:
                 from repro.core.plotting import plot_experiment
                 text += "\n" + plot_experiment(result)
             sections[name] = text

@@ -11,10 +11,11 @@ campaign.  :class:`SweepGuard` wraps each point:
 * on failure, a structured failure annotation is recorded in
   ``ExperimentResult.failures`` (and journaled); a failed point merges
   no rows, so the series stay rectangular;
-* a point the journal already holds as ``ok`` replays from it
-  bit-identically (Python's ``json`` round-trips floats exactly); only
-  failed/missing points run.  A fresh journal holds this run's own
-  points, so a sweep two experiments share (fig1) runs once.
+* a point the journal already holds replays from it bit-identically
+  (Python's ``json`` round-trips floats exactly): an ``ok`` entry
+  always, a ``failed`` one only when this run recorded it.  A resumed
+  campaign re-runs its failed and missing points, and a sweep two
+  experiments share (fig1) runs once, failed points included.
 
 :meth:`SweepGuard.run_specs` takes the sweep as
 :class:`~repro.core.executor.PointSpec` data: points execute through
@@ -71,8 +72,9 @@ class CampaignJournal:
 
     With ``resume=False`` (the default) an existing file is truncated
     and the campaign starts fresh; with ``resume=True`` prior entries
-    are loaded.  :class:`SweepGuard` replays a fingerprint-matching
-    ``ok`` entry either way, so a sweep two experiments share runs once.
+    are loaded, ``failed`` ones excepted: those re-run.
+    :class:`SweepGuard` replays any fingerprint-matching entry the
+    journal holds, so a sweep two experiments share runs once.
 
     Every record is flushed and fsynced before :meth:`record` returns:
     a crash loses at most the in-flight point, never a journaled one.
@@ -133,8 +135,13 @@ class CampaignJournal:
         if end < len(data):
             self._fh.truncate(end)
         for entry in read_journal_entries(self.path):
-            self._entries[(entry["experiment"], entry["key"],
-                           int(entry.get("trial", 0)))] = entry
+            key = (entry["experiment"], entry["key"],
+                   int(entry.get("trial", 0)))
+            # The last line for a point wins; a failure re-runs.
+            if entry["status"] == "ok":
+                self._entries[key] = entry
+            else:
+                self._entries.pop(key, None)
 
     # -- queries -----------------------------------------------------------
     def lookup(self, experiment: str, key: str,
@@ -212,8 +219,9 @@ class SweepGuard:
         band = the envelope of the trial bands).
 
         Returns ``{scope_key: "replayed" | "ok" | "failed"}`` (the
-        scope key is the point key, ``#tN``-tagged past trial 0) and
-        stores tallies in ``result.meta["sweep"]``.
+        scope key is the point key, ``#tN``-tagged past trial 0; a
+        replayed failure is ``"failed"``) and stores tallies in
+        ``result.meta["sweep"]``.
         """
         from dataclasses import replace
 
@@ -242,8 +250,7 @@ class SweepGuard:
                 # Replay only a fingerprint match: an entry without
                 # one cannot prove it came from these parameters and
                 # this code, so it re-runs.
-                if entry is not None and entry["status"] == "ok" \
-                        and entry.get("fp") == fp:
+                if entry is not None and entry.get("fp") == fp:
                     cached = entry
             plan.append((spec, fp, cached))
             n_pending += cached is None
@@ -268,9 +275,13 @@ class SweepGuard:
         for spec, fp, cached in plan:
             label = spec.scope_key
             if cached is not None:
-                collected[(spec.key, spec.trial)] = cached
                 self.replayed.append(label)
-                statuses[label] = "replayed"
+                if cached["status"] == "ok":
+                    collected[(spec.key, spec.trial)] = cached
+                    statuses[label] = "replayed"
+                else:
+                    result.failures[label] = dict(cached["failure"])
+                    statuses[label] = "failed"
                 if measurer is not None:
                     measurer.on_point(result.name, spec.key, spec.trial,
                                       "replayed", None)

@@ -77,6 +77,14 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+#: Retry backoff of a crashed or timed-out point: the first retry waits
+#: ``BACKOFF_BASE_S``, each later one ``BACKOFF_FACTOR`` times longer, up
+#: to ``BACKOFF_CAP_S``, each with the point's deterministic jitter.
+BACKOFF_BASE_S = 0.5
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP_S = 30.0
+
+
 class WorkerCrash(RuntimeError):
     """A pool worker process died while the point was in flight."""
 
@@ -101,9 +109,6 @@ class ExecutionPolicy:
     point_timeout: Optional[float] = None
     point_retries: int = 2
     keep_going: bool = True
-    backoff_base_s: float = 0.5
-    backoff_factor: float = 2.0
-    backoff_cap_s: float = 30.0
     # Multi-seed trials: every sweep point fans out into ``trials``
     # seeded repetitions (consumed by ``SweepGuard.run_specs``).
     trials: int = 1
@@ -113,8 +118,6 @@ class ExecutionPolicy:
             raise ValueError("point_timeout must be > 0")
         if self.point_retries < 0:
             raise ValueError("point_retries must be >= 0")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -278,6 +281,7 @@ def build_env() -> dict:
     if tele is not None:
         env["telemetry"] = {"trace": tele.tracer is not None,
                             "metrics": tele.registry is not None,
+                            "engine_counters": tele.engine_counters,
                             "run": tele.run_label}
     from repro.sim import invariants as _inv
     if _inv.ENABLED:
@@ -316,7 +320,8 @@ def _execute_point(task: Tuple[PointSpec, dict]) -> dict:
         if tele_env is not None:
             from repro.obs.telemetry import telemetry_context
             tele = stack.enter_context(telemetry_context(
-                trace=tele_env["trace"], metrics=tele_env["metrics"]))
+                trace=tele_env["trace"], metrics=tele_env["metrics"],
+                engine_counters=tele_env["engine_counters"]))
             tele.set_run(tele_env["run"])
         inv_env = env.get("check_invariants")
         if inv_env is not None:
@@ -549,9 +554,8 @@ class SweepExecutor:
                                 "attempts": failures[idx]}}
             else:
                 _obs_inc("executor.point_retries")
-                delay = _backoff(policy.backoff_base_s, failures[idx],
-                                 policy.backoff_factor,
-                                 policy.backoff_cap_s,
+                delay = _backoff(BACKOFF_BASE_S, failures[idx],
+                                 BACKOFF_FACTOR, BACKOFF_CAP_S,
                                  _retry_jitter(spec, failures[idx]))
                 logger.info("retrying point %s/%s in %.2fs (attempt %d "
                             "failed: %s)", spec.experiment, spec.key,

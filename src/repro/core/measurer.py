@@ -34,12 +34,15 @@ from typing import Dict, List, Optional
 from repro.analysis.stats import read_journal_entries
 
 __all__ = ["CampaignMeasurer", "sidecar_path", "read_status",
-           "render_status", "SIDECAR_INTERVAL_S"]
+           "render_status", "SIDECAR_INTERVAL_S", "WRITE_SIDECAR"]
 
 #: Least wall time between two mid-sweep sidecar rewrites.  Replacing
 #: an existing file can block for tens of milliseconds on some file
 #: systems, far longer than a fast point takes to run.
 SIDECAR_INTERVAL_S = 1.0
+
+#: Whether a measurer mirrors its progress into the sidecar at all.
+WRITE_SIDECAR = True
 
 
 def sidecar_path(journal_path) -> Path:
@@ -50,9 +53,9 @@ def sidecar_path(journal_path) -> Path:
 class CampaignMeasurer:
     """Tracks per-sweep progress as records land."""
 
-    def __init__(self, journal_path, sidecar: bool = True):
+    def __init__(self, journal_path):
         self.path = Path(journal_path)
-        self.sidecar = sidecar_path(journal_path) if sidecar else None
+        self.sidecar = sidecar_path(journal_path) if WRITE_SIDECAR else None
         # experiment -> running tallies (insertion order = sweep order)
         self._sweeps: Dict[str, dict] = {}
         # time.monotonic() of the last sidecar write
@@ -61,9 +64,9 @@ class CampaignMeasurer:
         self._repeat: Optional[str] = None
 
     @classmethod
-    def attach(cls, journal, sidecar: bool = True) -> "CampaignMeasurer":
+    def attach(cls, journal) -> "CampaignMeasurer":
         """Attach a measurer to a :class:`CampaignJournal`."""
-        measurer = cls(journal.path, sidecar=sidecar)
+        measurer = cls(journal.path)
         journal.measurer = measurer
         return measurer
 

@@ -11,6 +11,7 @@ figures, so journaling, ``--resume`` and ``--jobs`` all work unchanged.
 Format (all tables optional except ``[scenario]``)::
 
     [scenario]
+    name = "fig4a-linkfault"    # label; not read by the run
     experiment = "fig4a"        # registry name (see `repro list`)
     spec = "henri"              # cluster preset
     fast = true                 # start from the --fast profile
@@ -55,11 +56,16 @@ Format (all tables optional except ``[scenario]``)::
     metrics = "metrics.json"    # metrics registry export
     plot = false                # append ASCII charts
 
-CLI flags override scenario values (``--jobs 4`` beats
-``[execution] jobs``), so a scenario is a reproducible default, not a
-cage.  Validation is strict: unknown tables, unknown keys, wrong types,
-unknown experiments and parameters the experiment does not accept all
-fail with a :class:`ScenarioError` naming the offending field.
+Each key of ``[scenario]``, ``[faults]``, ``[execution]`` and
+``[output]`` fills one ``repro run`` flag (``_SCHEMA`` maps it to the
+flag's argparse dest), and only where the command line leaves that flag
+unset: ``--jobs 4`` beats ``[execution] jobs``, so a scenario is a
+reproducible default, not a cage.  The CLI then checks every option once,
+whichever source set it (preset names, ranges, fault specs,
+``resume`` without ``journal``).  Parsing checks what argparse cannot:
+tables, keys and TOML types, the experiment name, ``[params]``,
+``[topology]`` and ``[[apps]]``; each failure is a
+:class:`ScenarioError` naming the offending field.
 """
 
 from __future__ import annotations
@@ -75,96 +81,81 @@ class ScenarioError(ValueError):
     """A scenario file failed validation; the message names the field."""
 
 
-# ---------------------------------------------------------------------------
-# TOML loading
-# ---------------------------------------------------------------------------
-
-def _parse_toml(text: str, source: str) -> Dict[str, object]:
-    try:
-        return tomllib.loads(text)
-    except tomllib.TOMLDecodeError as err:
-        raise ScenarioError(f"{source}: invalid TOML: {err}") from None
-
-
-# ---------------------------------------------------------------------------
-# Schema
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario: base experiment + layered configuration."""
+    """A parsed scenario: the base experiment, its parameter overrides,
+    and the ``repro run`` options the file sets, keyed by argparse dest
+    (``{"out": "report.md", "fault": [...], "jobs": 2}``)."""
 
-    name: str
     experiment: str
-    spec: str = "henri"
-    fast: bool = False
     params: Mapping[str, object] = field(default_factory=dict)
-    fault_specs: Tuple[str, ...] = ()
-    fault_seed: Optional[int] = None
-    timeout: Optional[float] = None
-    max_retries: Optional[int] = None
-    jobs: Optional[int] = None
-    trials: Optional[int] = None
-    journal: Optional[str] = None
-    resume: bool = False
-    point_timeout: Optional[float] = None
-    point_retries: Optional[int] = None
-    keep_going: Optional[bool] = None
-    report: Optional[str] = None
-    trace: Optional[str] = None
-    metrics: Optional[str] = None
-    plot: bool = False
-
-    def describe(self) -> str:
-        bits = [f"experiment={self.experiment}", f"spec={self.spec}"]
-        if self.fast:
-            bits.append("fast")
-        if self.params:
-            bits.append(f"params={{{', '.join(sorted(self.params))}}}")
-        if self.fault_specs:
-            bits.append(f"faults={len(self.fault_specs)}")
-        if self.jobs is not None:
-            bits.append(f"jobs={self.jobs}")
-        return f"scenario {self.name}: " + ", ".join(bits)
+    options: Mapping[str, object] = field(default_factory=dict)
 
 
-_SCHEMA: Dict[str, Dict[str, type | Tuple[type, ...]]] = {
-    "scenario": {"name": str, "experiment": str, "spec": str,
-                 "fast": bool, "title": str},
-    "faults": {"specs": list, "seed": int, "timeout": (int, float),
-               "max_retries": int},
-    "execution": {"jobs": int, "trials": int, "journal": str,
-                  "resume": bool, "point_timeout": (int, float),
-                  "point_retries": int, "keep_going": bool},
-    "output": {"report": str, "trace": str, "metrics": str, "plot": bool},
+#: ``(table, key) -> (argparse dest, accepted TOML type)``: the one map
+#: from scenario keys to the ``repro run`` flags they fill.  A ``None``
+#: dest is read by the parser itself (``experiment``) or is a label the
+#: run does not use (``name``, ``title``).
+_SCHEMA: Dict[Tuple[str, str],
+              Tuple[Optional[str], type | Tuple[type, ...]]] = {
+    ("scenario", "name"): (None, str),
+    ("scenario", "title"): (None, str),
+    ("scenario", "experiment"): (None, str),
+    ("scenario", "spec"): ("spec", str),
+    ("scenario", "fast"): ("fast", bool),
+    ("faults", "specs"): ("fault", list),
+    ("faults", "seed"): ("fault_seed", int),
+    ("faults", "timeout"): ("timeout", (int, float)),
+    ("faults", "max_retries"): ("max_retries", int),
+    ("execution", "jobs"): ("jobs", int),
+    ("execution", "trials"): ("trials", int),
+    ("execution", "journal"): ("journal", str),
+    ("execution", "resume"): ("resume", bool),
+    ("execution", "point_timeout"): ("point_timeout", (int, float)),
+    ("execution", "point_retries"): ("point_retries", int),
+    ("execution", "keep_going"): ("keep_going", bool),
+    ("output", "report"): ("out", str),
+    ("output", "trace"): ("trace", str),
+    ("output", "metrics"): ("metrics", str),
+    ("output", "plot"): ("plot", bool),
 }
+_TABLES = tuple(dict.fromkeys(table for table, _key in _SCHEMA))
 
 
-def _check_table(doc: Mapping[str, object], table: str,
-                 source: str) -> Dict[str, object]:
-    raw = doc.get(table, {})
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{source}: [{table}] must be a table, got "
-                            f"{type(raw).__name__}")
-    schema = _SCHEMA[table]
-    for key, value in raw.items():
-        if key not in schema:
-            raise ScenarioError(
-                f"{source}: unknown key {key!r} in [{table}]; valid keys: "
-                f"{', '.join(sorted(schema))}")
-        expected = schema[key]
-        # bool is an int subclass; reject bools where ints are expected.
-        if isinstance(value, bool) and expected is not bool:
-            raise ScenarioError(
-                f"{source}: [{table}] {key} must be "
-                f"{getattr(expected, '__name__', 'number')}, got a boolean")
-        if not isinstance(value, expected):
-            name = expected.__name__ if isinstance(expected, type) \
-                else "number"
-            raise ScenarioError(
-                f"{source}: [{table}] {key} must be {name}, got "
-                f"{type(value).__name__} ({value!r})")
-    return dict(raw)
+def _read_tables(doc: Mapping[str, object],
+                 source: str) -> Dict[Tuple[str, str], object]:
+    """Every ``(table, key)`` the file sets, its TOML type checked
+    (numbers that may be fractional come back as floats)."""
+    values: Dict[Tuple[str, str], object] = {}
+    for table in _TABLES:
+        raw = doc.get(table, {})
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"{source}: [{table}] must be a table, got "
+                                f"{type(raw).__name__}")
+        for key, value in raw.items():
+            if (table, key) not in _SCHEMA:
+                valid = sorted(k for t, k in _SCHEMA if t == table)
+                raise ScenarioError(
+                    f"{source}: unknown key {key!r} in [{table}]; valid "
+                    f"keys: {', '.join(valid)}")
+            expected = _SCHEMA[(table, key)][1]
+            # bool is an int subclass; reject bools where ints are expected.
+            if not isinstance(value, expected) or (
+                    isinstance(value, bool) and expected is not bool):
+                got = "a boolean" if isinstance(value, bool) \
+                    else f"{type(value).__name__} ({value!r})"
+                raise ScenarioError(
+                    f"{source}: [{table}] {key} must be "
+                    f"{getattr(expected, '__name__', 'number')}, got {got}")
+            if expected is list:
+                for i, item in enumerate(value):
+                    if not isinstance(item, str):
+                        raise ScenarioError(
+                            f"{source}: [{table}] {key}[{i}] must be a "
+                            f"string, got {type(item).__name__}")
+            values[(table, key)] = float(value) \
+                if expected == (int, float) else value
+    return values
 
 
 def _validate_params(experiment: str, params: Mapping[str, object],
@@ -249,57 +240,31 @@ def _validate_apps(raw: object,
     return out
 
 
-def _validate_faults(specs: List[object], source: str) -> Tuple[str, ...]:
-    from repro.faults import parse_fault
-    out = []
-    for i, spec in enumerate(specs):
-        if not isinstance(spec, str):
-            raise ScenarioError(
-                f"{source}: [faults] specs[{i}] must be a string fault "
-                f"spec, got {type(spec).__name__}")
-        try:
-            parse_fault(spec)
-        except ValueError as err:
-            raise ScenarioError(
-                f"{source}: [faults] specs[{i}] ({spec!r}): {err}"
-                ) from None
-        out.append(spec)
-    return tuple(out)
-
-
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     """Parse + validate scenario TOML text into a :class:`Scenario`."""
     from repro.core import registry
-    from repro.hardware.presets import get_preset
 
-    doc = _parse_toml(text, source)
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{source}: scenario must be a TOML document")
+    try:
+        doc = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as err:
+        raise ScenarioError(f"{source}: invalid TOML: {err}") from None
     unknown = [k for k in doc
-               if k not in _SCHEMA and k not in ("params", "topology",
-                                                 "apps")]
+               if k not in _TABLES + ("params", "topology", "apps")]
     if unknown:
         raise ScenarioError(
             f"{source}: unknown table(s) {', '.join(sorted(unknown))}; "
             f"valid tables: [scenario], [params], [topology], [[apps]], "
             f"[faults], [execution], [output]")
-
-    scen = _check_table(doc, "scenario", source)
-    if "experiment" not in scen:
+    values = _read_tables(doc, source)
+    experiment = values.get(("scenario", "experiment"))
+    if experiment is None:
         raise ScenarioError(
             f"{source}: [scenario] is missing the required key "
             f"'experiment' (see `repro list` for valid names)")
-    experiment = scen["experiment"]
     try:
         registry.get(experiment)
     except registry.UnknownExperimentError as err:
         raise ScenarioError(f"{source}: [scenario] experiment: {err}"
-                            ) from None
-    spec = scen.get("spec", "henri")
-    try:
-        get_preset(spec)
-    except KeyError as err:
-        raise ScenarioError(f"{source}: [scenario] spec: {err.args[0]}"
                             ) from None
 
     params = doc.get("params", {})
@@ -312,62 +277,9 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         params["apps"] = apps
     _validate_params(experiment, params, source)
 
-    faults = _check_table(doc, "faults", source)
-    # Reliability knobs without fault specs are fine: like the CLI
-    # flags, they imply the reliable transport with an empty plan.
-    fault_specs = _validate_faults(faults.get("specs", []), source)
-
-    execution = _check_table(doc, "execution", source)
-    output = _check_table(doc, "output", source)
-    if execution.get("resume") and not execution.get("journal"):
-        raise ScenarioError(
-            f"{source}: [execution] resume = true requires journal")
-
-    point_timeout = execution.get("point_timeout")
-    if point_timeout is not None and point_timeout <= 0:
-        raise ScenarioError(
-            f"{source}: [execution] point_timeout must be > 0, got "
-            f"{point_timeout!r}")
-    point_retries = execution.get("point_retries")
-    if point_retries is not None and point_retries < 0:
-        raise ScenarioError(
-            f"{source}: [execution] point_retries must be >= 0, got "
-            f"{point_retries!r}")
-    jobs = execution.get("jobs")
-    if jobs is not None and jobs < 0:
-        raise ScenarioError(
-            f"{source}: [execution] jobs must be >= 0 (0 = cpu count), "
-            f"got {jobs!r}")
-    trials = execution.get("trials")
-    if trials is not None and trials < 1:
-        raise ScenarioError(
-            f"{source}: [execution] trials must be >= 1, got {trials!r}")
-
-    name = scen.get("name") or experiment
-    timeout = faults.get("timeout")
-    return Scenario(
-        name=name,
-        experiment=experiment,
-        spec=spec,
-        fast=bool(scen.get("fast", False)),
-        params=dict(params),
-        fault_specs=fault_specs,
-        fault_seed=faults.get("seed"),
-        timeout=float(timeout) if timeout is not None else None,
-        max_retries=faults.get("max_retries"),
-        jobs=jobs,
-        trials=trials,
-        journal=execution.get("journal"),
-        resume=bool(execution.get("resume", False)),
-        point_timeout=float(point_timeout)
-        if point_timeout is not None else None,
-        point_retries=point_retries,
-        keep_going=execution.get("keep_going"),
-        report=output.get("report"),
-        trace=output.get("trace"),
-        metrics=output.get("metrics"),
-        plot=bool(output.get("plot", False)),
-    )
+    options = {_SCHEMA[tk][0]: value for tk, value in values.items()
+               if _SCHEMA[tk][0] is not None}
+    return Scenario(experiment=experiment, params=params, options=options)
 
 
 def load_scenario(path: str) -> Scenario:

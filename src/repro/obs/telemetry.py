@@ -27,7 +27,6 @@ runs export byte-identical files.
 from __future__ import annotations
 
 import logging
-import os
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
@@ -75,7 +74,8 @@ class _Binding:
 class Telemetry:
     """Ambient telemetry sink (install via :func:`telemetry_context`)."""
 
-    def __init__(self, trace: bool = True, metrics: bool = True):
+    def __init__(self, trace: bool = True, metrics: bool = True,
+                 engine_counters: bool = False):
         self.registry: Optional[MetricsRegistry] = \
             MetricsRegistry() if metrics else None
         self.tracer: Optional[SpanTracer] = SpanTracer() if trace else None
@@ -88,12 +88,10 @@ class Telemetry:
                             if self.registry is not None else None)
         # (protocol, app) -> on_transfer's three instruments.
         self._transfer_instruments: Dict[tuple, tuple] = {}
-        # Engine hot-loop counters are opt-in (REPRO_ENGINE_COUNTERS=1,
-        # set by `repro profile`): materializing them by default would
-        # add keys to every metrics export and break byte-identity
-        # against pre-PR9 pinned artifacts.
-        self._engine_counters = os.environ.get(
-            "REPRO_ENGINE_COUNTERS", "") not in ("", "0")
+        # Engine hot-loop counters are opt-in (`repro profile` asks for
+        # them): materializing them by default would add keys to every
+        # metrics export and change the pinned artifacts' bytes.
+        self.engine_counters = engine_counters
 
     # -- run labelling -----------------------------------------------------
     def set_run(self, label: str) -> None:
@@ -145,7 +143,7 @@ class Telemetry:
         """Engine deltas for one ``run()`` invocation.
 
         ``sim.events`` books the dispatched callbacks.  The hot-loop
-        counters are gated on ``REPRO_ENGINE_COUNTERS=1`` and
+        counters are gated on ``engine_counters`` and
         materialized only when nonzero (the ``executor.*`` discipline):
         default exports carry no new keys and stay byte-identical.
         ``direct_dispatches`` counts the dispatches that took the
@@ -155,7 +153,7 @@ class Telemetry:
         if registry is None:
             return
         self._sim_events.value += dispatched
-        if not self._engine_counters:
+        if not self.engine_counters:
             return
         if dispatched:
             registry.counter("engine.events_dispatched").inc(dispatched)
@@ -463,9 +461,11 @@ class Telemetry:
 
 
 @contextmanager
-def telemetry_context(trace: bool = True, metrics: bool = True):
+def telemetry_context(trace: bool = True, metrics: bool = True,
+                      engine_counters: bool = False):
     """Install a fresh :class:`Telemetry` as the ambient sink."""
-    tele = Telemetry(trace=trace, metrics=metrics)
+    tele = Telemetry(trace=trace, metrics=metrics,
+                     engine_counters=engine_counters)
     install_telemetry(tele)
     try:
         yield tele

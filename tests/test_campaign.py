@@ -196,3 +196,34 @@ def test_fresh_journal_runs_a_shared_sweep_once(tmp_path):
     assert fig1b.meta["sweep"]["replayed"] == 12
     sets = CampaignResults.from_journal(path).trial_sets()
     assert sets and all(len(ts.values) == 1 for ts in sets)
+
+
+def test_shared_sweep_replays_its_failed_points(tmp_path):
+    """Under a fail-stop, fig1b replays the points fig1a saw fail in
+    this run instead of running and journaling them again; a resume of
+    the journal still re-runs every failed point."""
+    from repro.analysis.stats import CampaignResults
+    from repro.core import registry
+    from repro.core.measurer import CampaignMeasurer, read_status
+    path = tmp_path / "j.jsonl"
+    plan = FaultPlan(seed=0).fail_stop(node=1, at=6e-5)
+    with fault_context(plan), CampaignJournal(path) as journal:
+        CampaignMeasurer.attach(journal)
+        fig1a = registry.run_experiment("fig1a", fast=True,
+                                        journal=journal)
+        fig1b = registry.run_experiment("fig1b", fast=True,
+                                        journal=journal)
+    assert len(path.read_text().splitlines()) == 12
+    assert len(fig1a.failures) == 8
+    assert fig1b.failures == fig1a.failures
+    assert fig1b.meta["sweep"]["failed"] == 8
+    assert len(CampaignResults.from_journal(path).failures()) == 8
+    exp = read_status(path)["experiments"]["fig1"]
+    assert (exp["points"], exp["ok"], exp["failed"]) == (12, 4, 8)
+
+    with CampaignJournal(path, resume=True) as journal:
+        resumed = registry.run_experiment("fig1a", fast=True,
+                                          journal=journal)
+    assert resumed.ok
+    assert resumed.meta["sweep"]["replayed"] == 4
+    assert len(path.read_text().splitlines()) == 20

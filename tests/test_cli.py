@@ -64,20 +64,36 @@ def test_run_with_trace_and_metrics(capsys, tmp_path):
     assert "attribution" in doc
 
 
-def test_engine_counters_count_every_dispatch(capsys, tmp_path,
-                                             monkeypatch):
+def test_engine_counters_count_every_dispatch(capsys, tmp_path):
     """fig3bc runs until its kernels finish; every dispatch on the way
-    is booked both as ``sim.events`` and as the opt-in engine count,
-    and the sleeps dispatched past the heap are counted too."""
-    monkeypatch.setenv("REPRO_ENGINE_COUNTERS", "1")
+    is booked both as ``sim.events`` and as the engine count that
+    ``repro profile`` asks for, and the sleeps dispatched past the heap
+    are counted too."""
     metrics = tmp_path / "m.json"
-    assert main(["run", "fig3bc", "--fast", "--metrics", str(metrics)]) == 0
+    assert main(["profile", "fig3bc", "--top", "1",
+                 "--out", str(tmp_path / "P.txt"),
+                 "--metrics", str(metrics)]) == 0
     doc = json.loads(metrics.read_text())["metrics"]
     assert doc["sim.events"]["value"] > 0
     assert doc["engine.events_dispatched"]["value"] == \
         doc["sim.events"]["value"]
     assert 0 < doc["engine.direct_dispatches"]["value"] < \
         doc["engine.events_dispatched"]["value"]
+
+
+def test_profile_leaves_later_runs_unchanged(capsys, tmp_path):
+    """The engine counters belong to the profile's own telemetry: a run
+    after ``repro profile`` in the same process exports the same keys
+    as a run before it."""
+    before, after = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["run", "fig9", "--fast", "--metrics", str(before)]) == 0
+    assert main(["profile", "fig9", "--top", "1",
+                 "--out", str(tmp_path / "P.txt")]) == 0
+    assert main(["run", "fig9", "--fast", "--metrics", str(after)]) == 0
+    keys = [set(json.loads(path.read_text())["metrics"])
+            for path in (before, after)]
+    assert keys[0] == keys[1]
+    assert not any(key.startswith("engine.") for key in keys[1])
 
 
 def test_trace_summary_command(capsys, tmp_path):

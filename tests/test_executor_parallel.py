@@ -352,7 +352,9 @@ def test_build_env_snapshots_ambient_contexts():
             env = build_env()
     assert env["fault_plan"]["seed"] == 5
     assert env["telemetry"] == {"trace": False, "metrics": True,
-                                "run": "fig9"}
+                                "engine_counters": False, "run": "fig9"}
+    with telemetry_context(trace=False, engine_counters=True):
+        assert build_env()["telemetry"]["engine_counters"] is True
 
 
 # -- executor shape ---------------------------------------------------------

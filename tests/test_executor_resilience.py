@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+import repro.core.executor as executor_mod
 from repro.cli import main
 from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import (ExecutionPolicy, PointSpec, SweepExecutor,
@@ -23,8 +24,12 @@ from repro.core.results import ExperimentResult
 from repro.faults.chaos import maybe_chaos, parse_chaos
 from repro.faults.reliability import ReliabilityConfig, backoff_delay
 
-# Fast-retry policy so chaos tests don't sit in real backoff sleeps.
-FAST = dict(backoff_base_s=0.02, backoff_cap_s=0.1)
+
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    """Fast retries, so chaos tests don't sit in real backoff sleeps."""
+    monkeypatch.setattr(executor_mod, "BACKOFF_BASE_S", 0.02)
+    monkeypatch.setattr(executor_mod, "BACKOFF_CAP_S", 0.1)
 
 
 def _row_runner(params):
@@ -56,12 +61,12 @@ def _series_bytes(result):
 def test_crash_once_sweep_completes_byte_identical(tmp_path, monkeypatch):
     """A worker killed mid-sweep is requeued; results match a clean run."""
     clean = _guard()
-    with executor_context(2, ExecutionPolicy(**FAST)):
+    with executor_context(2, ExecutionPolicy()):
         assert set(clean.run_specs(_specs()).values()) == {"ok"}
 
     monkeypatch.setenv("REPRO_CHAOS", f"crash:n=3:once={tmp_path}")
     chaotic = _guard()
-    with executor_context(2, ExecutionPolicy(**FAST)):
+    with executor_context(2, ExecutionPolicy()):
         statuses = chaotic.run_specs(_specs())
     assert set(statuses.values()) == {"ok"}
     assert _series_bytes(chaotic.result) == _series_bytes(clean.result)
@@ -82,7 +87,7 @@ def test_crash_exhaustion_journals_structured_failure(tmp_path):
     with CampaignJournal(path) as journal:
         guard = SweepGuard(ExperimentResult(name="figX", title="t"),
                            journal=journal)
-        with executor_context(2, ExecutionPolicy(point_retries=1, **FAST)):
+        with executor_context(2, ExecutionPolicy(point_retries=1)):
             statuses = guard.run_specs([spec])
     assert statuses == {"n=1": "failed"}
     failure = guard.result.failures["n=1"]
@@ -107,7 +112,7 @@ def test_crash_once_journals_goods_around_recovered_point(tmp_path,
     with CampaignJournal(path) as journal:
         guard = SweepGuard(ExperimentResult(name="figX", title="t"),
                            journal=journal)
-        with executor_context(2, ExecutionPolicy(**FAST)):
+        with executor_context(2, ExecutionPolicy()):
             statuses = guard.run_specs(_specs(4))
     assert set(statuses.values()) == {"ok"}
     entries = [json.loads(line) for line in path.read_text().splitlines()]
@@ -122,12 +127,12 @@ def test_timeout_kills_hung_point_and_retries(tmp_path, monkeypatch):
     from repro.obs.telemetry import telemetry_context
 
     clean = _guard()
-    with executor_context(2, ExecutionPolicy(**FAST)):
+    with executor_context(2, ExecutionPolicy()):
         clean.run_specs(_specs(4))
 
     monkeypatch.setenv("REPRO_CHAOS", f"hang:n=2:for=30,once={tmp_path}")
     chaotic = _guard()
-    policy = ExecutionPolicy(point_timeout=1.5, **FAST)
+    policy = ExecutionPolicy(point_timeout=1.5)
     with telemetry_context(trace=False, metrics=True) as tele:
         with executor_context(2, policy):
             statuses = chaotic.run_specs(_specs(4))
@@ -139,7 +144,7 @@ def test_timeout_kills_hung_point_and_retries(tmp_path, monkeypatch):
 def test_timeout_exhaustion_degrades(monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS", "hang:n=0:for=30")
     guard = _guard()
-    policy = ExecutionPolicy(point_timeout=0.5, point_retries=0, **FAST)
+    policy = ExecutionPolicy(point_timeout=0.5, point_retries=0)
     with executor_context(2, policy):
         statuses = guard.run_specs(_specs(2))
     assert statuses["n=0"] == "failed"

@@ -13,8 +13,8 @@ from repro.core.measurer import (CampaignMeasurer, read_status,
                                  render_status, sidecar_path)
 
 
-def _measurer(tmp_path, **kw):
-    return CampaignMeasurer(tmp_path / "c.jsonl", **kw)
+def _measurer(tmp_path):
+    return CampaignMeasurer(tmp_path / "c.jsonl")
 
 
 def test_measurer_counts_and_eta(tmp_path):
@@ -71,8 +71,10 @@ def test_sidecar_rewrites_are_throttled_mid_sweep(tmp_path, monkeypatch):
     assert pending() == 1                  # interval elapsed: rewritten
 
 
-def test_measurer_without_sidecar_writes_nothing(tmp_path):
-    m = _measurer(tmp_path, sidecar=False)
+def test_measurer_without_sidecar_writes_nothing(tmp_path, monkeypatch):
+    import repro.core.measurer as measurer_mod
+    monkeypatch.setattr(measurer_mod, "WRITE_SIDECAR", False)
+    m = _measurer(tmp_path)
     m.begin_sweep("fig1", total=1, trials=1, cached=0, jobs=1)
     m.on_point("fig1", "k", 0, "ok", 1.0)
     assert list(tmp_path.iterdir()) == []
@@ -164,8 +166,8 @@ def test_status_counts_a_shared_sweep_once(tmp_path):
 
 
 def test_repeat_sweep_adds_only_its_fresh_points(tmp_path):
-    """A repeat sighting re-runs what it cannot replay (a point that
-    failed under fault injection): that work counts, its replays not."""
+    """A repeat sighting re-runs what it cannot replay (a point whose
+    fingerprint differs): that work counts, its replays not."""
     m = _measurer(tmp_path)
     m.begin_sweep("fig1", total=2, trials=1, cached=0, jobs=1)
     m.on_point("fig1", "k1", 0, "ok", 1.0)

@@ -6,8 +6,8 @@ import pathlib
 import pytest
 
 from repro.cli import main
-from repro.core.scenario import (Scenario, ScenarioError, load_scenario,
-                                 parse_scenario)
+from repro.core.scenario import (_SCHEMA, Scenario, ScenarioError,
+                                 load_scenario, parse_scenario)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 EXAMPLES = sorted((ROOT / "examples").glob("scenario_*.toml"))
@@ -39,23 +39,21 @@ report = "report.md"
 
 def test_parse_valid_scenario():
     scen = parse_scenario(VALID)
-    assert scen.name == "fig4a-under-faults"
     assert scen.experiment == "fig4a"
-    assert scen.fast is True
     assert scen.params == {"core_counts": [0, 12, 35], "reps": 4}
-    assert scen.fault_specs == (
-        "link:src=0,dst=1,bw_factor=0.5,start=0,duration=1",)
-    assert scen.timeout == pytest.approx(0.0002)
-    assert scen.max_retries == 8
-    assert scen.jobs == 2
-    assert scen.journal == "campaign.jsonl"
-    assert scen.report == "report.md"
-    assert "fig4a" in scen.describe()
+    # Options are keyed by the argparse dest of the flag they fill;
+    # the [scenario] name is a label only.
+    assert scen.options == {
+        "spec": "henri", "fast": True,
+        "fault": ["link:src=0,dst=1,bw_factor=0.5,start=0,duration=1"],
+        "timeout": pytest.approx(0.0002), "max_retries": 8,
+        "jobs": 2, "journal": "campaign.jsonl", "out": "report.md"}
 
 
 def test_minimal_scenario_defaults():
     scen = parse_scenario('[scenario]\nexperiment = "fig9"\n')
-    assert scen == Scenario(name="fig9", experiment="fig9")
+    assert scen == Scenario(experiment="fig9")
+    assert scen.params == {} and scen.options == {}
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -68,30 +66,16 @@ def test_minimal_scenario_defaults():
      "jobs"),
     ("[scenario]\nexperiment = 'fig9'\n[execution]\njobs = true\n",
      "jobs"),
-    ("[scenario]\nexperiment = 'fig9'\n[execution]\njobs = -1\n",
-     "jobs must be >= 0"),
-    ("[scenario]\nexperiment = 'fig9'\nspec = 'bogus'\n",
-     "spec: unknown preset 'bogus'; available: ['billy', 'bora', 'henri'"),
-    ("[scenario]\nexperiment = 'fig9'\n[execution]\nresume = true\n",
-     "resume"),
     ("[scenario]\nexperiment = 'fig4a'\n[params]\nbogus_knob = 3\n",
      "bogus_knob"),
     ("[scenario]\nexperiment = 'fig4a'\n[params]\nspec = 'bora'\n",
      "spec"),
     ("[scenario]\nexperiment = 'fig4a'\n[params]\njournal = 'x'\n",
      "journal"),
-    ("[scenario]\nexperiment = 'fig9'\n[faults]\nspecs = ['zap:x=1']\n",
-     "zap"),
     ("[scenario]\nexperiment = 'fig9'\n[faults]\nspecs = [3]\n",
      "specs[0]"),
-    ("[scenario]\nexperiment = 'fig9'\n[execution]\npoint_timeout = 0\n",
-     "point_timeout"),
-    ("[scenario]\nexperiment = 'fig9'\n[execution]\npoint_timeout = -2.5\n",
-     "point_timeout"),
     ("[scenario]\nexperiment = 'fig9'\n[execution]\n"
      "point_timeout = '2m'\n", "point_timeout"),
-    ("[scenario]\nexperiment = 'fig9'\n[execution]\npoint_retries = -1\n",
-     "point_retries"),
     ("[scenario]\nexperiment = 'fig9'\n[execution]\npoint_retries = true\n",
      "point_retries"),
     ("[scenario]\nexperiment = 'fig9'\n[execution]\nkeep_going = 1\n",
@@ -103,21 +87,103 @@ def test_malformed_scenarios_name_the_field(text, needle):
     assert needle in str(err.value)
 
 
+@pytest.mark.parametrize("text,needle", [
+    ("[scenario]\nexperiment = 'fig9'\n[execution]\njobs = -1\n",
+     "--jobs must be >= 0 (0 = one per CPU), got -1"),
+    ("[scenario]\nexperiment = 'fig9'\nspec = 'bogus'\n",
+     "--spec: unknown preset 'bogus'; available: ['billy', 'bora', "
+     "'henri'"),
+    ("[scenario]\nexperiment = 'fig9'\n[execution]\nresume = true\n",
+     "--resume requires --journal"),
+    ("[scenario]\nexperiment = 'fig9'\n[faults]\nspecs = ['zap:x=1']\n",
+     "unknown fault kind 'zap'"),
+    ("[scenario]\nexperiment = 'fig9'\n[execution]\npoint_timeout = 0\n",
+     "point_timeout must be > 0"),
+    ("[scenario]\nexperiment = 'fig9'\n[execution]\npoint_timeout = -2.5\n",
+     "point_timeout must be > 0"),
+    ("[scenario]\nexperiment = 'fig9'\n[execution]\npoint_retries = -1\n",
+     "point_retries must be >= 0"),
+    ("[scenario]\nexperiment = 'fig9'\n[execution]\ntrials = 0\n",
+     "trials must be >= 1"),
+], ids=["jobs", "spec", "resume", "fault", "point_timeout-zero",
+        "point_timeout-negative", "point_retries", "trials"])
+def test_scenario_values_get_the_flags_checks(tmp_path, capsys, text,
+                                              needle):
+    """A value the TOML types allow but the run cannot use fails in the
+    CLI's own check for that flag, whichever source set it: exit 2, a
+    named error, nothing run and no output made."""
+    path = tmp_path / "s.toml"
+    path.write_text(text + '[output]\nreport = "o/R.md"\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert needle in err
+    assert out == "" and not (tmp_path / "o").exists()
+
+
+#: Per TOML type: the file's value as TOML, what it parses to, the
+#: flag's arguments and what they parse to.
+_SAMPLES = {
+    str: ('"from-file"', "from-file", ["from-flag"], "from-flag"),
+    int: ("3", 3, ["5"], 5),
+    (int, float): ("3", 3.0, ["5"], 5.0),
+    bool: ("false", False, [], True),
+    list: ('["from-file"]', ["from-file"], ["from-flag"], ["from-flag"]),
+}
+
+
+@pytest.mark.parametrize("table,key", [
+    pair for pair, (dest, _type) in _SCHEMA.items() if dest is not None])
+def test_every_scenario_key_fills_its_flag(tmp_path, table, key):
+    """Each key reaches its flag's dest when the flag is absent, and the
+    flag wins when it is given."""
+    from repro import cli
+    dest, expected = _SCHEMA[(table, key)]
+    toml_value, file_value, flag_args, flag_value = _SAMPLES[expected]
+    path = tmp_path / "s.toml"
+    line = f"{key} = {toml_value}\n"
+    path.write_text('[scenario]\nexperiment = "fig9"\n'
+                    + (line if table == "scenario"
+                       else f"[{table}]\n{line}"))
+    parser = cli._parser()
+    flag = "--" + dest.replace("_", "-")
+    for argv, want in (([], file_value), ([flag, *flag_args], flag_value)):
+        args = parser.parse_args(["run", "--scenario", str(path), *argv])
+        cli._apply_scenario(args, parser)
+        assert getattr(args, dest) == want
+        assert type(getattr(args, dest)) is type(want)
+
+
+def test_unset_flags_fall_back_to_one_default_each():
+    """Without a scenario every run flag stays unset except the preset
+    and the worker count."""
+    from repro import cli
+    parser = cli._parser()
+    args = parser.parse_args(["run", "fig9"])
+    cli._apply_scenario(args, parser)
+    assert (args.spec, args.jobs) == ("henri", 1)
+    assert {dest for _pair, (dest, _t) in _SCHEMA.items()
+            if dest is not None and getattr(args, dest) is not None
+            } == {"spec", "jobs"}
+
+
 def test_execution_robustness_keys_parse():
     scen = parse_scenario(
         '[scenario]\nexperiment = "fig9"\n'
+        '[faults]\ntimeout = 1\n'
         '[execution]\npoint_timeout = 120\npoint_retries = 3\n'
         'keep_going = false\n')
-    assert scen.point_timeout == pytest.approx(120.0)
-    assert isinstance(scen.point_timeout, float)  # int coerced
-    assert scen.point_retries == 3
-    assert scen.keep_going is False
-    # Unset keys stay None so the CLI can tell "unset" from "0"/"off"
-    # when folding scenario values under explicit flags.
+    assert scen.options["point_timeout"] == pytest.approx(120.0)
+    assert isinstance(scen.options["point_timeout"], float)  # int coerced
+    assert isinstance(scen.options["timeout"], float)
+    assert scen.options["point_retries"] == 3
+    assert scen.options["keep_going"] is False
+    # Unset keys are absent so the CLI can tell "unset" from "0"/"off"
+    # when filling flags from the scenario.
     scen = parse_scenario('[scenario]\nexperiment = "fig9"\n')
-    assert scen.point_timeout is None
-    assert scen.point_retries is None
-    assert scen.keep_going is None
+    assert not {"point_timeout", "point_retries", "keep_going"} \
+        & set(scen.options)
 
 
 def test_cli_flags_override_scenario_execution_keys(tmp_path, monkeypatch):
@@ -188,11 +254,11 @@ def test_fig3bc_rejects_phase_seconds():
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
 def test_example_scenarios_validate(path):
     scen = load_scenario(str(path))
-    assert scen.fast, f"{path.name} should use --fast for CI"
+    assert scen.options.get("fast"), f"{path.name} should use --fast for CI"
     # Every example demonstrates at least one layered capability on
     # top of the base experiment (a fault plan, multi-seed trials, or
     # a topology/co-scheduling configuration).
-    assert (scen.fault_specs or (scen.trials or 1) > 1
+    assert (scen.options.get("fault") or scen.options.get("trials", 1) > 1
             or "topology" in scen.params or "apps" in scen.params)
 
 
@@ -273,16 +339,12 @@ def test_execution_trials_key_parses():
     scen = parse_scenario(
         '[scenario]\nexperiment = "fig1a"\n'
         '[execution]\ntrials = 5\n')
-    assert scen.trials == 5
-    assert parse_scenario('[scenario]\nexperiment = "fig1a"\n'
-                          ).trials is None
+    assert scen.options["trials"] == 5
+    assert "trials" not in parse_scenario(
+        '[scenario]\nexperiment = "fig1a"\n').options
 
 
 def test_execution_trials_validated():
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario('[scenario]\nexperiment = "fig1a"\n'
-                       '[execution]\ntrials = 0\n')
-    assert "trials must be >= 1" in str(err.value)
     with pytest.raises(ScenarioError) as err:
         parse_scenario('[scenario]\nexperiment = "fig1a"\n'
                        '[execution]\ntrials = true\n')
