@@ -67,10 +67,6 @@ class SummaryStats:
     #: unchanged).
     dropped: int = 0
 
-    @property
-    def band_width(self) -> float:
-        return self.p90 - self.p10
-
 
 def _pairwise_sum(values: Sequence[float], lo: int, n: int) -> float:
     """numpy's pairwise float64 sum of ``values[lo:lo + n]``: in order

@@ -519,7 +519,7 @@ def _dispatch(args, parser) -> int:
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0 (0 = one per CPU), "
                      f"got {args.jobs}")
-    names = registry.names(in_all=True) if args.experiment == "all" \
+    names = registry.run_all_names() if args.experiment == "all" \
         else [args.experiment]
     if args.experiment != "all":
         try:

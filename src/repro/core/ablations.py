@@ -103,7 +103,7 @@ def _fig4a_sweep(name: str, title: str, spec: MachineSpec | str,
 
 @experiment(name="no_pio_colocation",
             title="Ablation: PIO co-location penalty off (Figure 4a)",
-            tags=("ablation", "contention"), in_all=False, plot=False,
+            tags=("ablation", "contention"), plot=False,
             fast=_FAST)
 def no_pio_colocation_experiment(spec: MachineSpec | str = "henri",
                                  core_counts: Optional[Sequence[int]] = None,
@@ -121,7 +121,7 @@ def no_pio_colocation_experiment(spec: MachineSpec | str = "henri",
 
 @experiment(name="no_dma_derating",
             title="Ablation: DMA latency de-rating off (Figure 4b)",
-            tags=("ablation", "contention"), in_all=False, plot=False,
+            tags=("ablation", "contention"), plot=False,
             fast=_FAST)
 def no_dma_derating_experiment(spec: MachineSpec | str = "henri",
                                core_counts: Optional[Sequence[int]] = None,
@@ -139,7 +139,7 @@ def no_dma_derating_experiment(spec: MachineSpec | str = "henri",
 
 @experiment(name="no_dma_priority",
             title="Ablation: NIC DMA priority off (Figure 4b)",
-            tags=("ablation", "contention"), in_all=False, plot=False,
+            tags=("ablation", "contention"), plot=False,
             fast=_FAST)
 def no_dma_priority_experiment(spec: MachineSpec | str = "henri",
                                core_counts: Optional[Sequence[int]] = None,
@@ -171,7 +171,7 @@ def _runtime_ablation(name: str, spec: MachineSpec | str,
 
 @experiment(name="no_stack_stall",
             title="Ablation: runtime stack stalling off (CG, §6)",
-            tags=("ablation", "runtime"), in_all=False, plot=False,
+            tags=("ablation", "runtime"), plot=False,
             fast=dict(worker_counts=(1, 16), n=30_000, iterations=2))
 def no_stack_stall_experiment(spec: MachineSpec | str = "henri",
                               worker_counts: Sequence[int] = (1, 16, 34),
@@ -203,7 +203,7 @@ def no_stack_stall_experiment(spec: MachineSpec | str = "henri",
 
 @experiment(name="no_scheduler_locality",
             title="Ablation: locality-blind task scheduler (GEMM, §6)",
-            tags=("ablation", "runtime"), in_all=False, plot=False,
+            tags=("ablation", "runtime"), plot=False,
             fast=dict(n_workers=8, n=1024))
 def no_scheduler_locality_experiment(spec: MachineSpec | str = "henri",
                                      n_workers: int = 34,

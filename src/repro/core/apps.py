@@ -21,9 +21,6 @@ Patterns (all recycle buffers, NetPIPE-style):
 ``ring``
     Every rank streams ``reps`` messages to its ring successor, all
     ranks concurrently — a shift exchange saturating many links at once.
-``uniform``
-    Every rank sends ``reps`` messages round-robin over all other ranks
-    — an all-to-all-ish background load.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from repro.mpi.comm import CommWorld
 
 __all__ = ["AppSpec", "AppResult", "Application", "run_apps"]
 
-PATTERNS = ("pingpong", "ring", "uniform")
+PATTERNS = ("pingpong", "ring")
 
 
 @dataclass(frozen=True)
@@ -180,11 +177,6 @@ class Application:
         for i in range(n):
             yield [(i, (i + 1) % n)]
 
-    def _uniform_streams(self):
-        n = len(self.spec.nodes)
-        for i in range(n):
-            yield [(i, d) for d in range(n) if d != i]
-
     def start(self) -> "Application":
         """Spawn the pattern's driver processes (one per stream)."""
         if self._procs:
@@ -192,7 +184,6 @@ class Application:
         streams = {
             "pingpong": self._pingpong_streams,
             "ring": self._ring_streams,
-            "uniform": self._uniform_streams,
         }[self.spec.pattern]()
         sim = self.cluster.sim
         self._t0 = sim.now

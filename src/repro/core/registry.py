@@ -93,7 +93,6 @@ class ExperimentDef:
     fast_kwargs: Mapping[str, object] = field(default_factory=dict)
     multi_result: bool = False        # returns {key: ExperimentResult}
     plot_capable: bool = True         # --plot can chart the result
-    in_all: bool = True               # included in `repro run all`
     index_key: str = ""               # row id in the DESIGN.md §5 index
     renderer: Optional[object] = None  # callable or "module:func"
     # Scenario-overridable parameter names for ``**kwargs`` entry points
@@ -192,7 +191,7 @@ def experiment(name: Optional[str] = None, *, title: str,
                tags: Sequence[str] = (),
                fast: Optional[Mapping[str, object]] = None,
                multi_result: bool = False,
-               plot: bool = True, in_all: bool = True,
+               plot: bool = True,
                index_key: Optional[str] = None,
                renderer: Optional[object] = None,
                params: Sequence[str] = ()) -> Callable:
@@ -207,7 +206,7 @@ def experiment(name: Optional[str] = None, *, title: str,
             name=exp_name, runner=func, title=title,
             doc=inspect.getdoc(func) or "", tags=tuple(tags),
             fast_kwargs=dict(fast or {}),
-            multi_result=multi_result, plot_capable=plot, in_all=in_all,
+            multi_result=multi_result, plot_capable=plot,
             index_key=index_key or exp_name, renderer=renderer,
             scenario_params=tuple(params)))
         return func
@@ -243,17 +242,15 @@ def all_defs() -> List[ExperimentDef]:
     return sorted(_REGISTRY.values(), key=lambda d: _ORDER[d.name])
 
 
-def names(tag: Optional[str] = None, *,
-          in_all: Optional[bool] = None) -> List[str]:
-    """Registered names, optionally filtered by tag / ``run all``."""
-    out = []
-    for defn in all_defs():
-        if tag is not None and tag not in defn.tags:
-            continue
-        if in_all is not None and defn.in_all != in_all:
-            continue
-        out.append(defn.name)
-    return out
+def names(tag: Optional[str] = None) -> List[str]:
+    """Registered names, optionally filtered by tag."""
+    return [defn.name for defn in all_defs()
+            if tag is None or tag in defn.tags]
+
+
+def run_all_names() -> List[str]:
+    """What ``repro run all`` runs: every experiment but the ablations."""
+    return [defn.name for defn in all_defs() if "ablation" not in defn.tags]
 
 
 def run_experiment(name: str, spec: str = "henri", fast: bool = False,

@@ -181,11 +181,12 @@ def _fold_topology(raw: object, source: str) -> Dict[str, object]:
     ::
 
         [topology]
-        kind = "dragonfly"     # fullmesh | fattree | dragonfly | torus
+        kind = "dragonfly"     # fullmesh | dragonfly
         group_size = 8         # remaining keys are shape parameters
 
-    Kind and parameter names are validated against the fabric catalog
-    here, at parse time, so a typo fails before any point runs.
+    The topology is constructed (not built) here, at parse time, so its
+    own checks of the kind, the parameter names and their values fail
+    before any point runs.
     """
     if raw is None:
         return {}
@@ -198,10 +199,10 @@ def _fold_topology(raw: object, source: str) -> Dict[str, object]:
     if not isinstance(kind, str):
         raise ScenarioError(
             f"{source}: [topology] needs kind = \"<name>\" "
-            f"(fullmesh, fattree, dragonfly or torus)")
-    from repro.hardware.fabric import validate_topology_params
+            f"(dragonfly or fullmesh)")
+    from repro.hardware.fabric import make_topology
     try:
-        validate_topology_params(kind, table)
+        make_topology(kind, **table)
     except ValueError as err:
         raise ScenarioError(f"{source}: [topology]: {err}") from None
     out: Dict[str, object] = {"topology": kind}

@@ -4,15 +4,14 @@ The paper measures interference between communications and computations
 *inside* one node; at rack scale a second channel appears — independent
 applications contending for shared fabric links.  This experiment
 quantifies it the paper's way: a victim ping-pong is probed while an
-aggressor application drives traffic across the same fat-tree uplinks or
-dragonfly global links, sweeping the number of aggressor streams.
+aggressor application drives traffic across the same dragonfly global
+links, sweeping the number of aggressor streams.
 
-Placement is *provably* colliding, not probabilistic: for each topology
-the aggressor pairs are chosen so their minimal routes cross the same
-fabric edge as the victim's (dragonfly: same group pair → same global
-link; fat-tree: same ``(src+dst) % spines`` class → same uplink).  On a
-full mesh the pairs share no links — the sweep then shows the flat
-baseline that motivates real topologies.
+Placement is *provably* colliding, not probabilistic: the aggressor pairs
+are chosen so their minimal routes cross the same fabric edge as the
+victim's (same dragonfly group pair → same global link).  On a full mesh
+the pairs share no links — the sweep then shows the flat baseline that
+motivates real topologies.
 
 Every application carries its own telemetry identity (``app=`` metric
 labels, per-app journal series ``app_bw[<name>]``), so campaign journals
@@ -28,7 +27,7 @@ from repro.core.campaign import CampaignJournal, SweepGuard
 from repro.core.executor import PointSpec, stat_row, value_row
 from repro.core.registry import experiment
 from repro.core.results import ExperimentResult
-from repro.hardware.fabric import Dragonfly, FatTree, make_topology
+from repro.hardware.fabric import Dragonfly, make_topology
 from repro.hardware.presets import MachineSpec, get_preset
 from repro.hardware.topology import Cluster
 
@@ -63,35 +62,8 @@ def xapp_placements(topo, n_nodes: int,
         victim = (0, gs)
         pairs = [(j, gs + j) for j in range(1, streams + 1)]
         return victim, pairs
-    if isinstance(topo, FatTree):
-        hpl, spines = topo.hosts_per_leaf, topo.spines
-        if topo.n_leaves < 2:
-            raise ValueError(
-                "xapp needs >= 2 fat-tree leaves for a cross-leaf "
-                "victim route")
-        victim = (0, hpl)
-        target = topo.spine_of(*victim)
-        pairs: List[Tuple[int, int]] = []
-        used = {victim[0], victim[1]}
-        for a in range(1, hpl):
-            if len(pairs) == streams:
-                break
-            for b in range(hpl + 1, min(2 * hpl, n_nodes)):
-                if b in used:
-                    continue
-                if topo.spine_of(a, b) == target:
-                    pairs.append((a, b))
-                    used.update((a, b))
-                    break
-        if len(pairs) < streams:
-            raise ValueError(
-                f"only {len(pairs)} colliding aggressor pairs fit on "
-                f"this fat-tree (hosts_per_leaf={hpl}, spines={spines}); "
-                f"asked for {streams}")
-        return victim, pairs
-    # Full mesh / torus: sequential pairs off the victim's nodes.  On a
-    # full mesh they share no fabric links (flat-baseline control); on a
-    # torus collisions depend on dimension-order geometry.
+    # Full mesh: sequential pairs off the victim's nodes.  They share no
+    # fabric links (flat-baseline control).
     victim = (0, 1)
     needed = 2 + 2 * streams
     if needed > n_nodes:

@@ -1,49 +1,45 @@
 """Composable cluster fabrics: topology-owned links and routing.
 
 The seed model wired every node pair directly (one full-duplex
-:class:`~repro.sim.fluid.Resource` per directed pair, optionally behind a
-single shared ``switch``).  That is the 2-node case of the paper; at rack
-scale the *fabric* itself becomes the contended resource — "Modeling and
-Analysis of Application Interference on Dragonfly+" shows cross-
-application slowdown is dominated by shared global links, not NICs.
+:class:`~repro.sim.fluid.Resource` per directed pair).  That is the
+2-node case of the paper; at rack scale the *fabric* itself becomes the
+contended resource — "Modeling and Analysis of Application Interference
+on Dragonfly+" shows cross-application slowdown is dominated by shared
+global links, not NICs.
 
 A :class:`Topology` owns the fabric's resources and the routing function
 ``route(src, dst) -> [Resource, ...]``.  Transfers simply join the flow
-network on every resource of their route, so link/switch contention falls
+network on every resource of their route, so link contention falls
 out of the same fluid max-min solver (and its dirty-component
 incrementality) that already models memory controllers and wires.
 
 Concrete topologies:
 
 ``fullmesh``
-    The seed behavior, bit-identical: one directed wire per pair, plus an
-    optional shared ``switch`` resource crossed by every transfer.
-``fattree``
-    Two-level k-ary fat-tree (leaf + spine).  Hosts hang off leaves;
-    cross-leaf routes climb a deterministic spine.  ``oversub`` thins the
-    uplinks (1.0 = non-blocking Clos).
+    The seed behavior, bit-identical: one directed wire per pair.
 ``dragonfly``
     One-level dragonfly: all-to-all router groups joined by all-to-all
     global links, minimal routing (local hop → global hop → local hop).
-``torus``
-    2D/3D torus with dimension-order routing and shortest-wrap links.
 
-All topologies are O(n·k) in resources, not O(n²) — the full mesh keeps
+The dragonfly is O(n·k) in resources, not O(n²) — the full mesh keeps
 its eager pair construction purely for byte-compatibility with the seed.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.fluid import Resource
 
 __all__ = [
-    "Topology", "FullMesh", "FatTree", "Dragonfly", "Torus",
-    "TOPOLOGIES", "make_topology", "validate_topology_params",
+    "Topology", "FullMesh", "Dragonfly", "TOPOLOGIES", "make_topology",
 ]
+
+
+def _is_a(value: object, kinds) -> bool:
+    """``isinstance`` that refuses bools, which subclass ``int``."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 class Topology:
@@ -63,8 +59,6 @@ class Topology:
         self._built = False
         # label -> Resource, insertion order == lane order.
         self._links: Dict[str, Resource] = {}
-        # Addressable (find_link) but not exported as telemetry lanes.
-        self._aux: Dict[str, Resource] = {}
 
     # -- construction ---------------------------------------------------
     def build(self, n_nodes: int, wire_bw: float) -> "Topology":
@@ -95,7 +89,7 @@ class Topology:
         """Validate a (src, dst) node pair with a descriptive error."""
         last = self.n_nodes - 1
         for name, node in (("src", src), ("dst", dst)):
-            if not isinstance(node, int) or isinstance(node, bool):
+            if not _is_a(node, int):
                 raise ValueError(
                     f"{name} node id must be an int, got {node!r}")
             if not 0 <= node <= last:
@@ -150,7 +144,7 @@ class Topology:
         return list(self._links.items())
 
     def find_link(self, label: str) -> Resource:
-        res = self._links.get(label) or self._aux.get(label)
+        res = self._links.get(label)
         if res is None:
             sample = ", ".join(list(self._links)[:6])
             raise ValueError(
@@ -159,28 +153,19 @@ class Topology:
         return res
 
     def n_links(self) -> int:
-        return len(self._links) + len(self._aux)
+        return len(self._links)
 
     def describe(self) -> str:
         return f"{self.kind}({self.n_nodes} nodes, {self.n_links()} links)"
 
 
 class FullMesh(Topology):
-    """The seed fabric: one directed wire per node pair.
-
-    Optionally every transfer also crosses a single shared ``switch``
-    resource (``switch_bw``) — the oversubscribed-fabric toy model used
-    by >2-node studies before real topologies existed.
-    """
+    """The seed fabric: one directed wire per node pair."""
 
     kind = "fullmesh"
 
-    def __init__(self, switch_bw: Optional[float] = None):
+    def __init__(self) -> None:
         super().__init__()
-        if switch_bw is not None and switch_bw <= 0:
-            raise ValueError("switch_bw must be > 0")
-        self.switch_bw = switch_bw
-        self.switch: Optional[Resource] = None
         self._wires: Dict[Tuple[int, int], Resource] = {}
 
     def _build(self) -> None:
@@ -190,106 +175,12 @@ class FullMesh(Topology):
                 if a != b:
                     self._wires[(a, b)] = self._link(
                         f"wire{a}->{b}", self.wire_bw)
-        if self.switch_bw is not None:
-            # The switch is addressable (faults) but is not a lane — the
-            # seed's telemetry exported wires only.
-            self.switch = Resource("switch", self.switch_bw)
-            self._aux["switch"] = self.switch
-
-    def wire(self, src: int, dst: int) -> Resource:
-        self.check_pair(src, dst)
-        return self._wires[(src, dst)]
 
     def _route(self, src: int, dst: int) -> List[Resource]:
-        path = [self._wires[(src, dst)]]
-        if self.switch is not None:
-            path.append(self.switch)
-        return path
+        return [self._wires[(src, dst)]]
 
     def extra_latency(self, src: int, dst: int) -> float:
         return 0.0
-
-
-class FatTree(Topology):
-    """Two-level k-ary fat-tree (leaf/spine Clos).
-
-    ``hosts_per_leaf`` hosts hang off each leaf switch; ``spines`` spine
-    switches join the leaves.  Each direction of each cable is its own
-    full-duplex resource:
-
-    * host <-> leaf: ``ft.h{h}.up`` / ``ft.h{h}.down`` at wire speed;
-    * leaf <-> spine: ``ft.l{l}.up{s}`` / ``ft.l{l}.down{s}`` sized so the
-      leaf's aggregate uplink capacity is ``hosts_per_leaf * wire_bw /
-      oversub`` (``oversub=1`` is non-blocking, ``2`` halves it, ...).
-
-    Routing is deterministic d-mod-k: a cross-leaf route climbs spine
-    ``(src + dst) % spines``, giving stable (reproducible) collision
-    patterns instead of random ECMP.
-    """
-
-    kind = "fattree"
-
-    def __init__(self, hosts_per_leaf: int = 8, spines: int = 4,
-                 oversub: float = 1.0,
-                 uplink_bw: Optional[float] = None):
-        super().__init__()
-        if hosts_per_leaf < 1:
-            raise ValueError("hosts_per_leaf must be >= 1")
-        if spines < 1:
-            raise ValueError("spines must be >= 1")
-        if oversub <= 0:
-            raise ValueError("oversub must be > 0")
-        if uplink_bw is not None and uplink_bw <= 0:
-            raise ValueError("uplink_bw must be > 0")
-        self.hosts_per_leaf = int(hosts_per_leaf)
-        self.spines = int(spines)
-        self.oversub = float(oversub)
-        self.uplink_bw = uplink_bw
-        self.n_leaves = 0
-        self._up: List[Resource] = []
-        self._down: List[Resource] = []
-        self._lup: Dict[Tuple[int, int], Resource] = {}
-        self._ldown: Dict[Tuple[int, int], Resource] = {}
-
-    def _build(self) -> None:
-        self.n_leaves = -(-self.n_nodes // self.hosts_per_leaf)
-        for h in range(self.n_nodes):
-            self._up.append(self._link(f"ft.h{h}.up", self.wire_bw))
-            self._down.append(self._link(f"ft.h{h}.down", self.wire_bw))
-        cap = self.uplink_bw
-        if cap is None:
-            cap = (self.wire_bw * self.hosts_per_leaf
-                   / (self.spines * self.oversub))
-        for leaf in range(self.n_leaves):
-            for s in range(self.spines):
-                self._lup[(leaf, s)] = self._link(
-                    f"ft.l{leaf}.up{s}", cap)
-                self._ldown[(leaf, s)] = self._link(
-                    f"ft.l{leaf}.down{s}", cap)
-
-    def leaf_of(self, host: int) -> int:
-        return host // self.hosts_per_leaf
-
-    def spine_of(self, src: int, dst: int) -> int:
-        return (src + dst) % self.spines
-
-    def _route(self, src: int, dst: int) -> List[Resource]:
-        ls, ld = self.leaf_of(src), self.leaf_of(dst)
-        path = [self._up[src]]
-        if ls != ld:
-            s = self.spine_of(src, dst)
-            path.append(self._lup[(ls, s)])
-            path.append(self._ldown[(ld, s)])
-        path.append(self._down[dst])
-        return path
-
-    def switch_hops(self, src: int, dst: int) -> int:
-        return 1 if self.leaf_of(src) == self.leaf_of(dst) else 3
-
-    def describe(self) -> str:
-        return (f"fattree({self.n_nodes} hosts, {self.n_leaves} leaves x "
-                f"{self.hosts_per_leaf}, {self.spines} spines, "
-                f"oversub {self.oversub:g})")
 
 
 class Dragonfly(Topology):
@@ -313,13 +204,14 @@ class Dragonfly(Topology):
                  local_bw: Optional[float] = None,
                  global_bw: Optional[float] = None):
         super().__init__()
-        if group_size < 1:
-            raise ValueError("group_size must be >= 1")
-        if local_bw is not None and local_bw <= 0:
-            raise ValueError("local_bw must be > 0")
-        if global_bw is not None and global_bw <= 0:
-            raise ValueError("global_bw must be > 0")
-        self.group_size = int(group_size)
+        if not _is_a(group_size, int) or group_size < 1:
+            raise ValueError(
+                f"group_size must be an int >= 1, got {group_size!r}")
+        for name, bw in (("local_bw", local_bw), ("global_bw", global_bw)):
+            if bw is not None and not (_is_a(bw, (int, float)) and bw > 0):
+                raise ValueError(
+                    f"{name} must be a number > 0, got {bw!r}")
+        self.group_size = group_size
         self.local_bw = local_bw
         self.global_bw = global_bw
         self.n_groups = 0
@@ -394,137 +286,30 @@ class Dragonfly(Topology):
                 f"x {self.group_size})")
 
 
-class Torus(Topology):
-    """2D/3D torus, dimension-order routed with shortest-wrap steps.
-
-    ``dims`` is a 2- or 3-tuple whose product must equal the node count
-    (omitted: the squarest 2D grid).  Each grid edge is one full-duplex
-    resource per direction, labelled ``torus.{a}->{b}``; a route is the
-    chain of edges visited walking dimension 0 first, then 1, then 2,
-    stepping whichever wrap direction is shorter (ties go +).
-    """
-
-    kind = "torus"
-
-    def __init__(self, dims: Optional[Sequence[int]] = None):
-        super().__init__()
-        if dims is not None:
-            dims = tuple(int(d) for d in dims)
-            if len(dims) not in (2, 3):
-                raise ValueError("torus dims must have 2 or 3 entries")
-            if any(d < 1 for d in dims):
-                raise ValueError("torus dims must all be >= 1")
-        self.dims: Optional[Tuple[int, ...]] = dims
-        self._edges: Dict[Tuple[int, int], Resource] = {}
-
-    @staticmethod
-    def _squarest(n: int) -> Tuple[int, int]:
-        best = (1, n)
-        for a in range(1, int(math.isqrt(n)) + 1):
-            if n % a == 0:
-                best = (a, n // a)
-        return best
-
-    def _build(self) -> None:
-        if self.dims is None:
-            self.dims = self._squarest(self.n_nodes)
-        prod = math.prod(self.dims)
-        if prod != self.n_nodes:
-            raise ValueError(
-                f"torus dims {self.dims} hold {prod} nodes but the "
-                f"cluster has {self.n_nodes}")
-        for node in range(self.n_nodes):
-            coords = self._coords(node)
-            for axis, extent in enumerate(self.dims):
-                if extent < 2:
-                    continue
-                for step in (1, -1):
-                    nb = list(coords)
-                    nb[axis] = (nb[axis] + step) % extent
-                    other = self._node(tuple(nb))
-                    if other != node and (node, other) not in self._edges:
-                        self._edges[(node, other)] = self._link(
-                            f"torus.{node}->{other}", self.wire_bw)
-
-    def _coords(self, node: int) -> Tuple[int, ...]:
-        coords = []
-        for extent in reversed(self.dims):
-            coords.append(node % extent)
-            node //= extent
-        return tuple(reversed(coords))
-
-    def _node(self, coords: Tuple[int, ...]) -> int:
-        node = 0
-        for coord, extent in zip(coords, self.dims):
-            node = node * extent + coord
-        return node
-
-    def _steps(self, src: int, dst: int) -> List[int]:
-        """The node chain visited walking dimension-order src -> dst."""
-        cur = list(self._coords(src))
-        goal = self._coords(dst)
-        chain = [src]
-        for axis, extent in enumerate(self.dims):
-            while cur[axis] != goal[axis]:
-                fwd = (goal[axis] - cur[axis]) % extent
-                back = (cur[axis] - goal[axis]) % extent
-                cur[axis] = (cur[axis] + (1 if fwd <= back else -1)) % extent
-                chain.append(self._node(tuple(cur)))
-        return chain
-
-    def _route(self, src: int, dst: int) -> List[Resource]:
-        chain = self._steps(src, dst)
-        return [self._edges[(a, b)] for a, b in zip(chain, chain[1:])]
-
-    def switch_hops(self, src: int, dst: int) -> int:
-        return len(self._steps(src, dst)) - 1
-
-    def describe(self) -> str:
-        dims = "x".join(str(d) for d in (self.dims or ()))
-        return f"torus({dims}, {self.n_nodes} nodes)"
-
-
 TOPOLOGIES: Dict[str, type] = {
     "fullmesh": FullMesh,
-    "fattree": FatTree,
     "dragonfly": Dragonfly,
-    "torus": Torus,
 }
 
 
 def make_topology(kind: str, **params) -> Topology:
-    """Instantiate a topology by name with shape parameters.
+    """Instantiate (unbuilt) a topology by name with shape parameters.
 
-    Raises a descriptive :class:`ValueError` for unknown kinds or
-    parameters (the scenario layer surfaces these verbatim).
+    Raises a descriptive :class:`ValueError` for an unknown kind, an
+    unknown parameter name, or a shape value the constructor rejects
+    (the scenario layer surfaces these verbatim).
     """
     cls = TOPOLOGIES.get(kind)
     if cls is None:
         raise ValueError(
             f"unknown topology {kind!r}; valid kinds: "
             f"{', '.join(sorted(TOPOLOGIES))}")
-    try:
-        return cls(**params)
-    except TypeError:
-        valid = [p for p in inspect.signature(cls.__init__).parameters
-                 if p != "self"]
-        bad = sorted(set(params) - set(valid))
-        raise ValueError(
-            f"invalid parameter(s) {bad} for topology {kind!r}; "
-            f"accepted: {', '.join(valid)}") from None
-
-
-def validate_topology_params(kind: str, params: Dict[str, object]) -> None:
-    """Scenario-time validation: checks names without building."""
-    cls = TOPOLOGIES.get(kind)
-    if cls is None:
-        raise ValueError(
-            f"unknown topology {kind!r}; valid kinds: "
-            f"{', '.join(sorted(TOPOLOGIES))}")
-    valid = {p for p in inspect.signature(cls.__init__).parameters
-             if p != "self"}
-    bad = sorted(set(params) - valid)
+    valid = [p for p in inspect.signature(cls.__init__).parameters
+             if p != "self"]
+    bad = sorted(set(params) - set(valid))
     if bad:
         raise ValueError(
             f"invalid parameter(s) {bad} for topology {kind!r}; "
-            f"accepted: {', '.join(sorted(valid))}")
+            f"accepted: {', '.join(valid) or 'none'}")
+    return cls(**params)
+

@@ -315,35 +315,26 @@ class Cluster:
 
     By default the fabric is a :class:`~repro.hardware.fabric.FullMesh`
     — independent full-duplex links per node pair (the 2-node case of
-    the paper); ``switch_bw`` adds its shared-switch resource.  Passing
-    ``topology`` (a kind name like ``"dragonfly"`` or a built-to-order
-    :class:`~repro.hardware.fabric.Topology` instance) swaps in a real
-    fabric: fat-tree, dragonfly, or torus, with per-link contention
-    solved by the same fluid network (see docs/CLUSTER.md).
+    the paper).  Passing ``topology`` (the kind name ``"dragonfly"`` or
+    a built-to-order :class:`~repro.hardware.fabric.Topology` instance)
+    swaps in a dragonfly, with per-link contention solved by the same
+    fluid network (see docs/CLUSTER.md).
     """
 
     def __init__(self, spec: MachineSpec | str, n_nodes: int = 2,
-                 seed: int = 0, switch_bw: Optional[float] = None,
-                 topology=None):
+                 seed: int = 0, topology=None):
         if isinstance(spec, str):
             spec = get_preset(spec)
         if n_nodes < 1:
             raise ValueError("cluster needs at least one node")
-        if switch_bw is not None and switch_bw <= 0:
-            raise ValueError("switch_bw must be > 0")
         if topology is None:
-            topology = fabric.FullMesh(switch_bw=switch_bw)
-        else:
-            if switch_bw is not None:
-                raise ValueError(
-                    "switch_bw only applies to the default full-mesh "
-                    "fabric; size the topology's links instead")
-            if isinstance(topology, str):
-                topology = fabric.make_topology(topology)
-            elif not isinstance(topology, fabric.Topology):
-                raise ValueError(
-                    f"topology must be a kind name or a Topology "
-                    f"instance, got {topology!r}")
+            topology = fabric.FullMesh()
+        elif isinstance(topology, str):
+            topology = fabric.make_topology(topology)
+        elif not isinstance(topology, fabric.Topology):
+            raise ValueError(
+                f"topology must be a kind name or a Topology "
+                f"instance, got {topology!r}")
         self.spec = spec
         self.sim = Simulator()
         self.net = FluidNetwork(self.sim)
@@ -384,11 +375,6 @@ class Cluster:
         if tele is not None:
             tele.bind_cluster(self)
 
-    @property
-    def switch(self) -> Optional[Resource]:
-        """The full mesh's shared switch resource, if configured."""
-        return getattr(self.topology, "switch", None)
-
     def wire(self, src: int, dst: int) -> Resource:
         """First fabric hop of the src->dst route (the injection link)."""
         return self.topology.wire(src, dst)
@@ -396,9 +382,6 @@ class Cluster:
     def route(self, src: int, dst: int) -> List[Resource]:
         """All fabric resources a src->dst transfer crosses, hop order."""
         return self.topology.route(src, dst)
-
-    # Pre-topology name, kept for callers of the seed API.
-    wire_path = route
 
     def find_link(self, label: str) -> Resource:
         """Look up a fabric link by label (fault targeting)."""

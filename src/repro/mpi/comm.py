@@ -111,13 +111,5 @@ class CommWorld:
         """The rank->node placement, world order."""
         return [r.node_id for r in self.ranks]
 
-    def rebind_comm_core(self, node_id: int, core: int) -> None:
-        """Move a rank's communication thread to another core."""
-        rank = self.ranks[node_id]
-        rank.machine.set_core_activity(rank.comm_core, CoreActivity.IDLE)
-        rank.comm_core = core
-        rank.machine.set_core_activity(core, CoreActivity.SCALAR,
-                                       uncore_active=False)
-
     def __len__(self) -> int:
         return len(self.ranks)

@@ -50,16 +50,6 @@ class PingPongResult:
         med = self.median_latency
         return self.size / med if med > 0 else 0.0
 
-    @property
-    def p10_bandwidth(self) -> float:
-        p90 = self.p90_latency
-        return self.size / p90 if p90 > 0 else 0.0
-
-    @property
-    def p90_bandwidth(self) -> float:
-        p10 = self.p10_latency
-        return self.size / p10 if p10 > 0 else 0.0
-
     def summary(self) -> str:
         return (f"size={self.size}B median={self.median_latency*1e6:.2f}us "
                 f"bw={self.bandwidth/1e9:.2f}GB/s n={len(self.latencies)}")

@@ -19,7 +19,6 @@ def test_summarize_basic():
     assert s.median == 3.0
     assert s.p10 <= s.median <= s.p90
     assert s.n == 5
-    assert s.band_width == s.p90 - s.p10
 
 
 def test_summarize_empty_rejected():

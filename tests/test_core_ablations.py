@@ -32,7 +32,7 @@ def test_all_ablations_have_registry_wrappers():
     for name in ABLATIONS:
         defn = registry.get(name)
         assert "ablation" in defn.tags
-        assert not defn.in_all
+        assert name not in registry.run_all_names()
         assert defn.fast_kwargs
 
 

@@ -1,15 +1,14 @@
 """Pluggable fabric topologies: construction, routing, addressing.
 
 Covers the topology layer itself (fullmesh equivalence with the seed,
-fat-tree/dragonfly/torus routing, resource scaling) plus the Cluster
-integration points (descriptive pair validation, link lookup,
-switch_bw compatibility).
+dragonfly routing, resource scaling, shape-value checks) plus the
+Cluster integration points (descriptive pair validation, link lookup).
 """
 
 import pytest
 
-from repro.hardware.fabric import (Dragonfly, FatTree, FullMesh, Torus,
-                                   make_topology, validate_topology_params)
+from repro.hardware.fabric import (TOPOLOGIES, Dragonfly, FullMesh,
+                                   make_topology)
 from repro.hardware.topology import Cluster
 
 BW = 12.5e9
@@ -36,8 +35,8 @@ def test_wire_out_of_range_names_valid_ids():
 
 
 def test_every_topology_validates_pairs():
-    for topo in (FullMesh(), FatTree(hosts_per_leaf=4, spines=2),
-                 Dragonfly(group_size=4), Torus()):
+    assert sorted(TOPOLOGIES) == ["dragonfly", "fullmesh"]
+    for topo in (FullMesh(), Dragonfly(group_size=4)):
         topo.build(8, BW)
         with pytest.raises(ValueError, match="to itself"):
             topo.route(3, 3)
@@ -60,57 +59,6 @@ def test_fullmesh_matches_seed_wiring():
     labels = [label for label, _ in cluster.topology.links()]
     assert labels[:3] == ["wire0->1", "wire0->2", "wire1->0"]
     assert len(labels) == 6
-
-
-def test_fullmesh_switch_on_route_but_not_a_lane():
-    cluster = Cluster("henri", n_nodes=3, switch_bw=5e9)
-    path = cluster.route(0, 2)
-    assert [r.name for r in path] == ["wire0->2", "switch"]
-    assert cluster.switch is path[1]
-    # The seed's telemetry exported wires only; the switch stays
-    # addressable for faults.
-    assert "switch" not in dict(cluster.topology.links())
-    assert cluster.find_link("switch") is cluster.switch
-
-
-def test_switch_bw_rejected_on_real_topologies():
-    with pytest.raises(ValueError, match="switch_bw"):
-        Cluster("henri", n_nodes=8, switch_bw=5e9, topology="dragonfly")
-    with pytest.raises(ValueError):
-        Cluster("henri", n_nodes=2, switch_bw=0)
-
-
-# -- fat-tree -------------------------------------------------------------
-
-def test_fattree_routes_same_leaf_vs_cross_leaf():
-    topo = FatTree(hosts_per_leaf=4, spines=2).build(8, BW)
-    same = [r.name for r in topo.route(0, 1)]
-    assert same == ["ft.h0.up", "ft.h1.down"]
-    cross = [r.name for r in topo.route(0, 5)]
-    spine = topo.spine_of(0, 5)
-    assert cross == [f"ft.h0.up", f"ft.l0.up{spine}",
-                     f"ft.l1.down{spine}", "ft.h5.down"]
-    assert topo.switch_hops(0, 1) == 1
-    assert topo.switch_hops(0, 5) == 3
-    assert topo.extra_latency(0, 5) == pytest.approx(2 * topo.hop_latency)
-
-
-def test_fattree_oversubscription_thins_uplinks():
-    full = FatTree(hosts_per_leaf=8, spines=4).build(16, BW)
-    thin = FatTree(hosts_per_leaf=8, spines=4, oversub=2.0).build(16, BW)
-    cap = full.find_link("ft.l0.up0").capacity
-    assert cap == pytest.approx(BW * 8 / 4)
-    assert thin.find_link("ft.l0.up0").capacity == pytest.approx(cap / 2)
-
-
-def test_fattree_64_nodes_subquadratic_resources():
-    """Satellite: real fabrics must not build O(n^2) wires eagerly."""
-    topo = FatTree(hosts_per_leaf=8, spines=4).build(64, BW)
-    # 2 host links per node + 2 leaf-spine links per (leaf, spine).
-    assert topo.n_links() == 2 * 64 + 2 * 8 * 4
-    assert topo.n_links() < 64 * 63 // 4      # far below the mesh count
-    mesh = FullMesh().build(64, BW)
-    assert mesh.n_links() == 64 * 63
 
 
 # -- dragonfly ------------------------------------------------------------
@@ -143,29 +91,25 @@ def test_dragonfly_rejects_ragged_group():
         Dragonfly(group_size=8).build(12, BW)
 
 
-# -- torus ----------------------------------------------------------------
-
-def test_torus_dimension_order_routing():
-    topo = Torus(dims=(3, 3)).build(9, BW)
-    # node ids are row-major: node 4 = (1, 1).
-    hop = [r.name for r in topo.route(4, 5)]
-    assert hop == ["torus.4->5"]
-    # (0,0) -> (1,1): dimension 0 first, then 1.
-    two = [r.name for r in topo.route(0, 4)]
-    assert two == ["torus.0->3", "torus.3->4"]
-    # Shortest wrap: (0,0) -> (0,2) steps backwards through the wrap.
-    wrap = [r.name for r in topo.route(0, 2)]
-    assert wrap == ["torus.0->2"]
-    assert topo.switch_hops(0, 4) == 2
+def test_dragonfly_64_nodes_subquadratic_resources():
+    """Real fabrics must not build O(n^2) wires eagerly."""
+    topo = Dragonfly(group_size=8).build(64, BW)
+    # 2 host links per node + all-to-all routers inside each of the 8
+    # groups + all-to-all global links between the groups.
+    assert topo.n_links() == 2 * 64 + 8 * 8 * 7 + 8 * 7 == 632
+    mesh = FullMesh().build(64, BW)
+    assert mesh.n_links() == 64 * 63 == 4032
 
 
-def test_torus_infers_squarest_grid_and_checks_dims():
-    topo = Torus().build(12, BW)
-    assert topo.dims == (3, 4)
-    with pytest.raises(ValueError, match="hold 9 nodes"):
-        Torus(dims=(3, 3)).build(8, BW)
-    with pytest.raises(ValueError, match="2 or 3 entries"):
-        Torus(dims=(2, 2, 2, 2))
+@pytest.mark.parametrize("params,bad", [
+    (dict(group_size="4"), "group_size"),
+    (dict(group_size=0), "group_size"),
+    (dict(group_size=True), "group_size"),
+    (dict(local_bw="fast"), "local_bw"),
+    (dict(global_bw=-1.0), "global_bw")])
+def test_dragonfly_rejects_bad_shape_values(params, bad):
+    with pytest.raises(ValueError, match=f"{bad} must be .*got"):
+        Dragonfly(**params)
 
 
 # -- factory, addressing, lifecycle ---------------------------------------
@@ -175,9 +119,16 @@ def test_make_topology_rejects_unknown_kind_and_params():
         make_topology("hypercube")
     with pytest.raises(ValueError, match="accepted:"):
         make_topology("dragonfly", group_sz=4)
-    with pytest.raises(ValueError, match="accepted:"):
-        validate_topology_params("fattree", {"spine_count": 2})
-    assert isinstance(make_topology("torus", dims=[2, 2]), Torus)
+    with pytest.raises(ValueError, match="accepted: none"):
+        make_topology("fullmesh", switch_bw=5e9)
+    for kind in ("fattree", "torus"):
+        with pytest.raises(ValueError,
+                           match="valid kinds: dragonfly, fullmesh"):
+            make_topology(kind)
+    # A wrong value is the constructor's error, not an unknown name.
+    with pytest.raises(ValueError, match=r"group_size must be .*'4'"):
+        make_topology("dragonfly", group_size="4")
+    assert isinstance(make_topology("dragonfly", group_size=2), Dragonfly)
 
 
 def test_find_link_unknown_label_names_samples():
@@ -187,7 +138,7 @@ def test_find_link_unknown_label_names_samples():
 
 
 def test_topology_is_single_use():
-    topo = FatTree(hosts_per_leaf=4, spines=2)
+    topo = Dragonfly(group_size=4)
     Cluster("henri", n_nodes=8, topology=topo)
     with pytest.raises(RuntimeError, match="single-use"):
         Cluster("henri", n_nodes=8, topology=topo)
@@ -199,5 +150,6 @@ def test_cluster_topology_by_name_with_params():
     cluster = Cluster("henri", n_nodes=8,
                       topology=make_topology("dragonfly", group_size=4))
     assert cluster.topology.describe().startswith("dragonfly(8 hosts")
-    by_name = Cluster("henri", n_nodes=9, topology="torus")
-    assert by_name.topology.dims == (3, 3)
+    by_name = Cluster("henri", n_nodes=16, topology="dragonfly")
+    assert by_name.topology.group_size == 8
+    assert by_name.topology.describe() == "dragonfly(16 hosts, 2 groups x 8)"

@@ -42,16 +42,6 @@ def test_comm_core_is_active_not_uncore(world):
     assert m.freq.uncore_hz(m.cores[core].socket_id) == HENRI.uncore.min_hz
 
 
-def test_rebind_comm_core(world):
-    from repro.hardware import CoreActivity
-    m = world.rank(0).machine
-    old = world.rank(0).comm_core
-    world.rebind_comm_core(0, 3)
-    assert world.rank(0).comm_core == 3
-    assert m.freq.activity(old) is CoreActivity.IDLE
-    assert m.freq.activity(3) is CoreActivity.SCALAR
-
-
 def test_rank_buffer_defaults_to_nic_numa(world):
     buf = world.rank(0).buffer(1024)
     assert buf.numa_id == world.rank(0).machine.nic_numa.id
@@ -191,5 +181,4 @@ def test_pingpong_result_statistics():
     res = PingPongResult(size=100, latencies=np.array([1e-6, 2e-6, 3e-6]))
     assert res.median_latency == pytest.approx(2e-6)
     assert res.bandwidth == pytest.approx(100 / 2e-6)
-    assert res.p90_bandwidth >= res.bandwidth >= res.p10_bandwidth
     assert "size=100B" in res.summary()

@@ -50,11 +50,11 @@ def test_kind_conflict_raises():
         reg.gauge("a")
 
 
-def test_gauge_set_inc_dec():
+def test_gauge_set_inc():
     g = Gauge()
     g.set(4.0)
     g.inc()
-    g.dec(2.0)
+    g.inc(-2.0)
     assert g.value == 3.0
 
 

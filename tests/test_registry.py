@@ -61,7 +61,9 @@ def test_every_entry_point_accepts_journal():
 def test_ablations_are_registered_but_not_in_all():
     ablations = registry.names(tag="ablation")
     assert len(ablations) == 5
-    assert not set(ablations) & set(registry.names(in_all=True))
+    run_all = registry.run_all_names()
+    assert not set(ablations) & set(run_all)
+    assert sorted(run_all + ablations) == sorted(registry.names())
 
 
 def test_unknown_experiment_error_is_actionable():

@@ -80,6 +80,8 @@ def test_minimal_scenario_defaults():
      "point_retries"),
     ("[scenario]\nexperiment = 'fig9'\n[execution]\nkeep_going = 1\n",
      "keep_going"),
+    ("[scenario]\nexperiment = 'fig_xapp'\n[topology]\n"
+     "kind = 'dragonfly'\ngroup_size = '4'\n", "group_size"),
 ])
 def test_malformed_scenarios_name_the_field(text, needle):
     with pytest.raises(ScenarioError) as err:
@@ -107,11 +109,12 @@ def test_malformed_scenarios_name_the_field(text, needle):
      "trials must be >= 1"),
 ], ids=["jobs", "spec", "resume", "fault", "point_timeout-zero",
         "point_timeout-negative", "point_retries", "trials"])
-def test_scenario_values_get_the_flags_checks(tmp_path, capsys, text,
-                                              needle):
+def test_scenario_values_get_the_flags_checks(tmp_path, capsys, monkeypatch,
+                                              text, needle):
     """A value the TOML types allow but the run cannot use fails in the
     CLI's own check for that flag, whichever source set it: exit 2, a
     named error, nothing run and no output made."""
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "s.toml"
     path.write_text(text + '[output]\nreport = "o/R.md"\n')
     with pytest.raises(SystemExit) as exc:
@@ -333,6 +336,25 @@ def test_malformed_scenario_fails_via_cli(tmp_path, capsys):
         main(["run", "--scenario", str(bad)])
     err = capsys.readouterr().err
     assert "bogus_knob" in err and "valid parameters" in err
+
+
+def test_retired_topology_kind_exits_before_any_output(tmp_path, capsys,
+                                                       monkeypatch):
+    """Only the full mesh and the dragonfly remain; any other kind fails
+    at parse time with exit 2, naming the valid kinds, and makes no
+    output directory."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "s.toml"
+    path.write_text('[scenario]\nexperiment = "fig_xapp"\nfast = true\n'
+                    '[topology]\nkind = "torus"\n'
+                    '[output]\nreport = "o/R.md"\n')
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", str(path)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "unknown topology 'torus'; valid kinds: dragonfly, fullmesh" \
+        in err
+    assert out == "" and not (tmp_path / "o").exists()
 
 
 def test_execution_trials_key_parses():

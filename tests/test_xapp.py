@@ -9,7 +9,7 @@ from repro.core.apps import AppSpec, run_apps
 from repro.core.xapp import fig_xapp, xapp_placements
 from repro.faults import FaultPlan, fault_context, parse_fault
 from repro.faults.plan import DegradedLink
-from repro.hardware.fabric import Dragonfly, FatTree, make_topology
+from repro.hardware.fabric import Dragonfly, make_topology
 from repro.hardware.topology import Cluster
 from repro.mpi.comm import CommWorld
 from repro.mpi.pingpong import PingPong
@@ -29,6 +29,9 @@ def test_appspec_validation():
         AppSpec(name="", nodes=(0, 1))
     with pytest.raises(ValueError, match="unknown app pattern"):
         AppSpec(name="a", pattern="storm", nodes=(0, 1))
+    with pytest.raises(ValueError, match="'uniform'; pick one of "
+                                         "pingpong, ring$"):
+        AppSpec(name="a", pattern="uniform", nodes=(0, 1))
     with pytest.raises(ValueError, match="at least 2 nodes"):
         AppSpec(name="a", nodes=(0,))
     with pytest.raises(ValueError, match="even rank count"):
@@ -109,11 +112,6 @@ def test_xapp_placements_collide_by_construction():
         assert glob in topo.route(*pair)
     with pytest.raises(ValueError, match="at most group_size-1"):
         xapp_placements(topo, 8, 4)
-
-    ft = FatTree(hosts_per_leaf=4, spines=2).build(8, 12.5e9)
-    fv, fpairs = xapp_placements(ft, 8, 1)
-    spine = ft.spine_of(*fv)
-    assert all(ft.spine_of(*p) == spine for p in fpairs)
 
 
 @pytest.mark.parametrize("topology,topology_params", [
