@@ -54,8 +54,6 @@ def _build_fault_plan(args):
     if args.fault:
         plan = FaultPlan(seed=seed,
                          faults=tuple(parse_fault(s) for s in args.fault))
-    elif args.fault_seed is not None:
-        plan = FaultPlan.random(args.fault_seed)
 
     reliability = None
     overrides = {}
@@ -461,8 +459,7 @@ def _parser() -> argparse.ArgumentParser:
                         "'link:src=0,dst=1,bw_factor=0.5,start=0,"
                         "duration=1'")
     faults.add_argument("--fault-seed", type=int, default=None,
-                        help="seed for fault randomness; without --fault "
-                        "this draws a random fault plan from the seed")
+                        help="seed for fault randomness (needs --fault)")
     faults.add_argument("--timeout", type=float, default=None,
                         help="transport retransmit timeout in seconds")
     faults.add_argument("--max-retries", type=int, default=None,
@@ -529,6 +526,8 @@ def _dispatch(args, parser) -> int:
 
     if args.resume and not args.journal:
         parser.error("--resume requires --journal")
+    if args.fault_seed is not None and not args.fault:
+        parser.error("--fault-seed requires --fault")
     try:
         plan, reliability = _build_fault_plan(args)
     except ValueError as err:
@@ -625,18 +624,20 @@ def _dispatch(args, parser) -> int:
                              f"{', fast' if args.fast else ''})")
         print(f"wrote {args.out}", file=sys.stderr)
 
-    # An invariant violation means the model broke: the run fails.
-    # Harness-level point losses (worker crash / timeout with retries
-    # exhausted) mean the campaign is degraded: reports render with the
-    # holes marked, the journal has structured failure entries, and the
-    # exit code says so.  Simulated-fault failures are expected output
-    # and do not affect the exit code.
+    # A model error (an invariant violation, or any exception a point
+    # raises other than an injected fault's TransportError) means the
+    # model or its configuration broke: the run fails.  Harness-level
+    # point losses (worker crash / timeout with retries exhausted) mean
+    # the campaign is degraded: reports render with the holes marked,
+    # the journal has structured failure entries, and the exit code
+    # says so.  Simulated-fault failures are expected output and do not
+    # affect the exit code.
     from repro.core.report import collect_failures, render_failure_table
-    violations = collect_failures(results, "invariant")
-    for v in violations:
-        print(f"InvariantViolation in {v['experiment']} at point "
+    model = collect_failures(results, "model")
+    for v in model:
+        print(f"{v['error']} in {v['experiment']} at point "
               f"{v['key']}: {v['message']}", file=sys.stderr)
-    if violations:
+    if model:
         return 1
     harness = collect_failures(results, "harness")
     if harness:

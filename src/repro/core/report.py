@@ -87,16 +87,18 @@ def render_experiment(result: ExperimentResult) -> str:
                   f"{not_derived}\n")
     if result.failures:
         by_kind: Dict[str, Dict[str, dict]] = {
-            "simulated": {}, "invariant": {}, "harness": {}}
+            "simulated": {}, "model": {}, "harness": {}}
         for key, info in result.failures.items():
             by_kind[failure_kind(info)][key] = info
         simulated, harness = by_kind["simulated"], by_kind["harness"]
-        if by_kind["invariant"]:
-            # A solver self-check fired: the model broke, so these are
-            # neither fault-injection outcomes nor harness losses.
-            out.write("\nInvariant violations (run failed):\n")
-            for key, info in sorted(by_kind["invariant"].items()):
-                out.write(f"  {key}: {info.get('message', '')}\n")
+        if by_kind["model"]:
+            # The model or its configuration broke (a solver self-check
+            # included): neither fault-injection outcomes nor harness
+            # losses.
+            out.write("\nModel errors (run failed):\n")
+            for key, info in sorted(by_kind["model"].items()):
+                out.write(f"  {key}: {info.get('error', '?')}: "
+                          f"{info.get('message', '')}\n")
         if simulated:
             out.write("\nFailed points (fault injection):\n")
             for key in sorted(simulated):
@@ -121,13 +123,14 @@ def render_experiment(result: ExperimentResult) -> str:
 
 def failure_kind(info: dict) -> str:
     """Classify a point failure: ``"harness"`` (worker crash / timeout,
-    retries exhausted), ``"invariant"`` (a solver self-check raised
-    ``InvariantViolation``) or ``"simulated"`` (fault injection)."""
+    retries exhausted), ``"simulated"`` (the ``TransportError`` an
+    injected fault raises) or ``"model"`` (any other error, a solver
+    self-check's ``InvariantViolation`` included)."""
     if info.get("harness"):
         return "harness"
-    if info.get("error") == "InvariantViolation":
-        return "invariant"
-    return "simulated"
+    if info.get("error") == "TransportError":
+        return "simulated"
+    return "model"
 
 
 def collect_failures(results: Dict[str, object], kind: str) -> List[dict]:
@@ -136,8 +139,8 @@ def collect_failures(results: Dict[str, object], kind: str) -> List[dict]:
 
     Accepts plain :class:`ExperimentResult` values and the
     ``multi_result`` dict-of-results shape alike.  Harness failures
-    degrade a campaign and invariant violations fail it;
-    simulated-fault failures are expected experiment output.
+    degrade a campaign and model errors fail it; simulated-fault
+    failures are expected experiment output.
     """
     out: List[dict] = []
     for result in results.values():

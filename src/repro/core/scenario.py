@@ -3,7 +3,7 @@
 A scenario names a base experiment from the registry and layers custom
 sweep parameters, a fault plan, execution settings and output artifacts
 on top — the combinations the paper's methodology invites ("Figure 4a
-under link degradation", "fig10 with a fail-slow node at 2 jobs")
+under link degradation", "fig10 with a fail-stop node at 2 jobs")
 without writing Python or a one-off shell pipeline.  ``repro run
 --scenario my.toml`` feeds the same PointSpec machinery as the built-in
 figures, so journaling, ``--resume`` and ``--jobs`` all work unchanged.
@@ -61,10 +61,10 @@ Each key of ``[scenario]``, ``[faults]``, ``[execution]`` and
 flag's argparse dest), and only where the command line leaves that flag
 unset: ``--jobs 4`` beats ``[execution] jobs``, so a scenario is a
 reproducible default, not a cage.  The CLI then checks every option once,
-whichever source set it (preset names, ranges, fault specs,
-``resume`` without ``journal``).  Parsing checks what argparse cannot:
-tables, keys and TOML types, the experiment name, ``[params]``,
-``[topology]`` and ``[[apps]]``; each failure is a
+whichever source set it (preset names, ranges, fault specs, ``resume``
+without ``journal``, ``seed`` without ``specs``).  Parsing checks what
+argparse cannot: tables, keys and TOML types, the experiment name,
+``[params]``, ``[topology]`` and ``[[apps]]``; each failure is a
 :class:`ScenarioError` naming the offending field.
 """
 
@@ -186,7 +186,10 @@ def _fold_topology(raw: object, source: str) -> Dict[str, object]:
 
     The topology is constructed (not built) here, at parse time, so its
     own checks of the kind, the parameter names and their values fail
-    before any point runs.
+    before any point runs.  The table gives the whole shape: its
+    ``topology_params`` (``{}`` when it names no shape key) replace any
+    the ``--fast`` profile sets, so a key one topology accepts never
+    reaches another.
     """
     if raw is None:
         return {}
@@ -205,10 +208,7 @@ def _fold_topology(raw: object, source: str) -> Dict[str, object]:
         make_topology(kind, **table)
     except ValueError as err:
         raise ScenarioError(f"{source}: [topology]: {err}") from None
-    out: Dict[str, object] = {"topology": kind}
-    if table:
-        out["topology_params"] = table
-    return out
+    return {"topology": kind, "topology_params": table}
 
 
 def _validate_apps(raw: object,

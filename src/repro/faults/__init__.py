@@ -1,23 +1,19 @@
 """Deterministic fault injection for the simulated cluster.
 
 The paper measures interference on *healthy* hardware; production
-clusters are dominated by fail-slow NICs, flaky links and stragglers.
-This package lets every experiment run under a seeded, reproducible
-:class:`FaultPlan`:
+clusters also see flaky links and dead nodes.  This package lets every
+experiment run under a seeded, reproducible :class:`FaultPlan`:
 
-* **fail-slow cores** — frequency capped mid-run;
 * **degraded links** — bandwidth/latency multipliers applied to the
   fluid wire resources;
-* **transient message loss / corruption** — consumed by the reliable
-  transport in :mod:`repro.netmodel.protocols`;
-* **registration-cache flushes** — NIC pin-down cache invalidation;
+* **transient message loss** — consumed by the reliable transport in
+  :mod:`repro.netmodel.protocols`;
 * **fail-stop node crashes** — transfers to/from the node raise
-  :class:`TransportError`, the node's runtime workers stop and their
-  in-flight tasks are requeued.
+  :class:`TransportError` and the node's runtime workers stop.
 
 All faults are ordinary simulation events with start/duration windows,
-and every random decision (loss draws, random plan generation) comes
-from :class:`~repro.sim.randomness.RandomStreams` seeded by the plan's
+and every random decision (the loss draws) comes from
+:class:`~repro.sim.randomness.RandomStreams` seeded by the plan's
 seed — two runs with the same ``--fault-seed`` are bit-identical.
 
 Usage::
@@ -38,16 +34,14 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".injector": ("FaultInjector",),
     ".plan": (
-        "CrashWorker", "DegradedLink", "FailSlowCore", "FailStop", "FaultPlan",
-        "MessageLoss", "RegCacheFlush", "parse_fault",
+        "DegradedLink", "FailStop", "FaultPlan", "MessageLoss", "parse_fault",
     ),
     ".chaos": ("maybe_chaos",),
     ".reliability": ("ReliabilityConfig", "TransportError", "backoff_delay"),
 })
 
 __all__ = [
-    "FaultPlan", "FailSlowCore", "DegradedLink", "MessageLoss",
-    "RegCacheFlush", "FailStop", "CrashWorker", "parse_fault",
+    "FaultPlan", "DegradedLink", "MessageLoss", "FailStop", "parse_fault",
     "ReliabilityConfig", "TransportError", "backoff_delay", "maybe_chaos",
     "FaultInjector",
     "InstalledFaults", "install_faults", "clear_faults", "active_faults",

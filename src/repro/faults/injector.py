@@ -3,10 +3,10 @@
 The injector translates each fault spec into simulation events
 (start/end callbacks) and keeps the *live* fault state that the
 reliable transport queries on every message: which nodes are dead,
-the latency multiplier of each link, and the loss/corruption rate of
-the active windows.  All probabilistic decisions draw from one
-dedicated RNG stream seeded by the plan — independent from the
-measurement-noise streams, so a plan with zero loss perturbs nothing.
+the latency multiplier of each link, and the loss rate of the active
+windows.  All probabilistic decisions draw from one dedicated RNG
+stream seeded by the plan — independent from the measurement-noise
+streams, so a plan with zero loss perturbs nothing.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ import logging
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.faults.plan import (
-    CrashWorker, DegradedLink, FailSlowCore, FailStop, FaultPlan,
-    MessageLoss, RegCacheFlush,
-)
+from repro.faults.plan import DegradedLink, FailStop, FaultPlan, MessageLoss
 from repro.faults.reliability import ReliabilityConfig
 from repro.sim.randomness import RandomStreams
 
@@ -55,15 +52,11 @@ class FaultInjector:
         # the pair-addressed fast path is untouched.
         self._res_lat_factor: Dict[object, float] = {}
         self._loss_windows: List[MessageLoss] = []
-        self._engines: List[object] = []      # ProtocolEngines to flush
         self._runtimes: List[object] = []     # RuntimeSystems to crash
         self.log: List[dict] = []             # applied-fault timeline
         self._armed = False
 
-    # -- registration (engines/runtimes announce themselves) --------------
-    def register_engine(self, engine) -> None:
-        self._engines.append(engine)
-
+    # -- registration (runtimes announce themselves) ----------------------
     def register_runtime(self, runtime) -> None:
         self._runtimes.append(runtime)
 
@@ -76,13 +69,7 @@ class FaultInjector:
         sim = self.cluster.sim
         now = sim.now
         for fault in self.plan.faults:
-            if isinstance(fault, FailSlowCore):
-                sim.schedule_at(max(now, fault.start),
-                                self._start_fail_slow, fault)
-                if math.isfinite(fault.duration):
-                    sim.schedule_at(max(now, fault.start + fault.duration),
-                                    self._end_fail_slow, fault)
-            elif isinstance(fault, DegradedLink):
+            if isinstance(fault, DegradedLink):
                 sim.schedule_at(max(now, fault.start),
                                 self._start_link, fault)
                 if math.isfinite(fault.duration):
@@ -94,16 +81,8 @@ class FaultInjector:
                 if math.isfinite(fault.duration):
                     sim.schedule_at(max(now, fault.start + fault.duration),
                                     self._end_loss, fault)
-            elif isinstance(fault, RegCacheFlush):
-                repeats = fault.count if fault.period is not None else 1
-                for k in range(max(1, repeats)):
-                    at = fault.at + k * (fault.period or 0.0)
-                    sim.schedule_at(max(now, at), self._flush, fault)
             elif isinstance(fault, FailStop):
                 sim.schedule_at(max(now, fault.at), self._fail_stop, fault)
-            elif isinstance(fault, CrashWorker):
-                sim.schedule_at(max(now, fault.at), self._crash_worker,
-                                fault)
             else:  # pragma: no cover - new fault kinds must be wired here
                 raise TypeError(f"unhandled fault spec {fault!r}")
         return self
@@ -117,25 +96,6 @@ class FaultInjector:
         tele = active_telemetry()
         if tele is not None:
             tele.on_fault(self.cluster, action, fault)
-
-    # -- fail-slow cores ---------------------------------------------------
-    def _cores_of(self, fault: FailSlowCore) -> List[int]:
-        machine = self.cluster.machine(fault.node)
-        if fault.core is not None:
-            return [fault.core]
-        return [c.id for c in machine.cores]
-
-    def _start_fail_slow(self, fault: FailSlowCore) -> None:
-        machine = self.cluster.machine(fault.node)
-        for core in self._cores_of(fault):
-            machine.freq.set_core_cap(core, fault.freq_cap_hz)
-        self._note("start", fault)
-
-    def _end_fail_slow(self, fault: FailSlowCore) -> None:
-        machine = self.cluster.machine(fault.node)
-        for core in self._cores_of(fault):
-            machine.freq.set_core_cap(core, None)
-        self._note("end", fault)
 
     # -- degraded links ----------------------------------------------------
     def _link_res(self, fault: DegradedLink):
@@ -192,14 +152,6 @@ class FaultInjector:
             self._loss_windows.remove(fault)
         self._note("end", fault)
 
-    # -- registration-cache flushes -----------------------------------------
-    def _flush(self, fault: RegCacheFlush) -> None:
-        for engine in self._engines:
-            cache = engine.reg_caches.get(fault.node)
-            if cache is not None:
-                cache.flush()
-        self._note("flush", fault)
-
     # -- crashes -------------------------------------------------------------
     def _fail_stop(self, fault: FailStop) -> None:
         if fault.node in self._dead:
@@ -209,14 +161,6 @@ class FaultInjector:
             if runtime.rank_id == fault.node:
                 runtime.crash()
         self._note("fail_stop", fault)
-
-    def _crash_worker(self, fault: CrashWorker) -> None:
-        for runtime in self._runtimes:
-            if runtime.rank_id != fault.node:
-                continue
-            if 0 <= fault.worker_index < len(runtime.workers):
-                runtime.workers[fault.worker_index].crash()
-        self._note("crash_worker", fault)
 
     # -- live queries (the reliable transport's view) ----------------------
     def node_alive(self, node: int) -> bool:
@@ -232,28 +176,18 @@ class FaultInjector:
                     factor *= f
         return factor
 
-    def _window_rate(self, src: int, dst: int, attr: str) -> float:
-        """Combined rate of the active windows matching the link."""
+    def loss_rate(self, src: int, dst: int) -> float:
+        """Combined loss rate of the active windows matching the link."""
         keep = 1.0
         for window in self._loss_windows:
             if window.src is not None and window.src != src:
                 continue
             if window.dst is not None and window.dst != dst:
                 continue
-            keep *= 1.0 - getattr(window, attr)
+            keep *= 1.0 - window.loss_rate
         return 1.0 - keep
-
-    def loss_rate(self, src: int, dst: int) -> float:
-        return self._window_rate(src, dst, "loss_rate")
-
-    def corrupt_rate(self, src: int, dst: int) -> float:
-        return self._window_rate(src, dst, "corrupt_rate")
 
     def draw_loss(self, src: int, dst: int) -> bool:
         """Bernoulli loss draw; consumes RNG only under an active window."""
         rate = self.loss_rate(src, dst)
-        return rate > 0.0 and float(self._rng.random()) < rate
-
-    def draw_corrupt(self, src: int, dst: int) -> bool:
-        rate = self.corrupt_rate(src, dst)
         return rate > 0.0 and float(self._rng.random()) < rate

@@ -14,23 +14,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Union
 
-from repro.sim.randomness import RandomStreams
-
-__all__ = [
-    "FailSlowCore", "DegradedLink", "MessageLoss", "RegCacheFlush",
-    "FailStop", "CrashWorker", "FaultPlan", "parse_fault",
-]
-
-
-@dataclass(frozen=True)
-class FailSlowCore:
-    """Cap a core's (or a whole node's) frequency during a window."""
-
-    node: int
-    freq_cap_hz: float
-    start: float = 0.0
-    duration: float = math.inf
-    core: Optional[int] = None      # None = every core of the node
+__all__ = ["DegradedLink", "MessageLoss", "FailStop", "FaultPlan",
+           "parse_fault"]
 
 
 @dataclass(frozen=True)
@@ -39,7 +24,7 @@ class DegradedLink:
 
     Address the link either by directed node pair (``src``/``dst`` — the
     injection wire of that route, the seed semantics) or by fabric edge
-    label (``link="ft.l0.up1"``, ``link="df.g0->g1"``, ... — any label
+    label (``link="df.g0->g1"``, ... — any label
     from the cluster topology's link catalog).  With ``link`` set the
     latency multiplier applies to every route crossing that edge.
     """
@@ -61,24 +46,13 @@ class DegradedLink:
 
 @dataclass(frozen=True)
 class MessageLoss:
-    """Transient loss/corruption window, optionally scoped to a link."""
+    """Transient message-loss window, optionally scoped to a link."""
 
     loss_rate: float
     start: float = 0.0
     duration: float = math.inf
     src: Optional[int] = None       # None = any source
     dst: Optional[int] = None       # None = any destination
-    corrupt_rate: float = 0.0       # delivered but checksum-rejected
-
-
-@dataclass(frozen=True)
-class RegCacheFlush:
-    """Flush a node's NIC registration cache (optionally periodically)."""
-
-    node: int
-    at: float
-    period: Optional[float] = None
-    count: int = 1                  # number of flushes when periodic
 
 
 @dataclass(frozen=True)
@@ -89,33 +63,17 @@ class FailStop:
     at: float
 
 
-@dataclass(frozen=True)
-class CrashWorker:
-    """Fail-stop one runtime worker; its in-flight task is requeued."""
-
-    node: int
-    at: float
-    worker_index: int = 0
-
-
-Fault = Union[FailSlowCore, DegradedLink, MessageLoss, RegCacheFlush,
-              FailStop, CrashWorker]
+Fault = Union[DegradedLink, MessageLoss, FailStop]
 
 _FAULT_KINDS: Dict[str, type] = {
-    "fail_slow": FailSlowCore,
-    "degraded_link": DegradedLink,
+    "fail_stop": FailStop,
     "link": DegradedLink,
     "loss": MessageLoss,
-    "reg_flush": RegCacheFlush,
-    "fail_stop": FailStop,
-    "crash_worker": CrashWorker,
 }
 
-_KIND_OF_TYPE = {FailSlowCore: "fail_slow", DegradedLink: "degraded_link",
-                 MessageLoss: "loss", RegCacheFlush: "reg_flush",
-                 FailStop: "fail_stop", CrashWorker: "crash_worker"}
+_KIND_OF_TYPE = {cls: kind for kind, cls in _FAULT_KINDS.items()}
 
-_INT_FIELDS = {"node", "core", "src", "dst", "count", "worker_index"}
+_INT_FIELDS = {"node", "src", "dst"}
 _STR_FIELDS = {"link"}
 
 
@@ -139,7 +97,7 @@ def parse_fault(spec: str) -> Fault:
     if cls is None:
         raise ValueError(
             f"unknown fault kind {kind!r}; pick one of "
-            f"{sorted(set(_FAULT_KINDS))}")
+            f"{sorted(_FAULT_KINDS)}")
     kwargs = {}
     for part in rest.split(","):
         part = part.strip()
@@ -167,13 +125,6 @@ class FaultPlan:
         self.faults.append(fault)
         return self
 
-    def fail_slow(self, node: int, freq_cap_hz: float, start: float = 0.0,
-                  duration: float = math.inf,
-                  core: Optional[int] = None) -> "FaultPlan":
-        return self.add(FailSlowCore(node=node, freq_cap_hz=freq_cap_hz,
-                                     start=start, duration=duration,
-                                     core=core))
-
     def degrade_link(self, src: int = -1, dst: int = -1, start: float = 0.0,
                      duration: float = math.inf, bw_factor: float = 1.0,
                      latency_factor: float = 1.0,
@@ -185,70 +136,18 @@ class FaultPlan:
 
     def message_loss(self, loss_rate: float, start: float = 0.0,
                      duration: float = math.inf, src: Optional[int] = None,
-                     dst: Optional[int] = None,
-                     corrupt_rate: float = 0.0) -> "FaultPlan":
+                     dst: Optional[int] = None) -> "FaultPlan":
         return self.add(MessageLoss(loss_rate=loss_rate, start=start,
-                                    duration=duration, src=src, dst=dst,
-                                    corrupt_rate=corrupt_rate))
-
-    def flush_reg_cache(self, node: int, at: float,
-                        period: Optional[float] = None,
-                        count: int = 1) -> "FaultPlan":
-        return self.add(RegCacheFlush(node=node, at=at, period=period,
-                                      count=count))
+                                    duration=duration, src=src, dst=dst))
 
     def fail_stop(self, node: int, at: float) -> "FaultPlan":
         return self.add(FailStop(node=node, at=at))
 
-    def crash_worker(self, node: int, at: float,
-                     worker_index: int = 0) -> "FaultPlan":
-        return self.add(CrashWorker(node=node, at=at,
-                                    worker_index=worker_index))
-
-    # -- random generation -------------------------------------------------
-    @classmethod
-    def random(cls, seed: int, n_nodes: int = 2,
-               horizon: float = 0.1) -> "FaultPlan":
-        """A plausible mixed fault load, fully determined by *seed*.
-
-        One transient loss window, one degraded link and one fail-slow
-        core, with parameters drawn from the seeded stream.  The same
-        seed always yields the same plan.
-        """
-        rng = RandomStreams(seed).stream("plan")
-        plan = cls(seed=seed)
-        t0 = float(rng.uniform(0.0, 0.3 * horizon))
-        plan.message_loss(
-            loss_rate=float(rng.uniform(0.002, 0.05)),
-            start=t0, duration=float(rng.uniform(0.3, 1.0)) * horizon,
-            corrupt_rate=float(rng.uniform(0.0, 0.005)))
-        src = int(rng.integers(0, n_nodes))
-        dst = int((src + 1 + rng.integers(0, max(1, n_nodes - 1)))
-                  % n_nodes)
-        plan.degrade_link(
-            src=src, dst=dst,
-            start=float(rng.uniform(0.0, 0.5 * horizon)),
-            duration=float(rng.uniform(0.2, 0.8)) * horizon,
-            bw_factor=float(rng.uniform(0.3, 0.9)),
-            latency_factor=float(rng.uniform(1.1, 3.0)))
-        plan.fail_slow(
-            node=int(rng.integers(0, n_nodes)),
-            freq_cap_hz=float(rng.uniform(1.0e9, 1.8e9)),
-            start=float(rng.uniform(0.0, 0.5 * horizon)),
-            duration=float(rng.uniform(0.3, 1.0)) * horizon)
-        return plan
-
     # -- serialisation ------------------------------------------------------
     def to_dict(self) -> dict:
-        faults = []
-        for f in self.faults:
-            entry = dict(kind=_KIND_OF_TYPE[type(f)], **asdict(f))
-            # Pair-addressed link faults serialise exactly as before the
-            # fabric-edge extension (no "link": None key).
-            if isinstance(f, DegradedLink) and f.link is None:
-                del entry["link"]
-            faults.append(entry)
-        return {"seed": self.seed, "faults": faults}
+        return {"seed": self.seed,
+                "faults": [dict(kind=_KIND_OF_TYPE[type(f)], **asdict(f))
+                           for f in self.faults]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":

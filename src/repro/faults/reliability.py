@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ReliabilityConfig", "TransportError", "backoff_delay"]
+__all__ = ["BACKOFF_FACTOR", "MAX_BACKOFF_S", "ReliabilityConfig",
+           "TransportError", "backoff_delay"]
 
 
 def backoff_delay(base: float, attempt: int, factor: float = 2.0,
@@ -50,48 +51,39 @@ class TransportError(RuntimeError):
         self.timeouts = timeouts
 
 
+#: Retransmit-timeout policy of the reliable transport: the timeout
+#: doubles after every consecutive timeout, up to the cap.
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_S = 10e-3
+
+
 @dataclass(frozen=True)
 class ReliabilityConfig:
     """Ack/timeout/retransmit policy of the reliable transport.
 
     ``timeout_s`` is the base retransmit timeout armed when the sender
-    hands a message to the NIC; it doubles (``backoff_factor``) after
-    every consecutive timeout up to ``max_backoff_s``.  Rendezvous
-    messages use ``handshake_timeout_s`` for the RTS/CTS handshake
-    (default: same as ``timeout_s``).  After ``max_retries`` failed
-    retransmissions the transfer raises :class:`TransportError` — a
-    faulted simulation therefore always terminates, never hangs.
+    hands a message to the NIC; it grows by :data:`BACKOFF_FACTOR` after
+    every consecutive timeout, up to :data:`MAX_BACKOFF_S`.  After
+    ``max_retries`` failed retransmissions the transfer raises
+    :class:`TransportError` — a faulted simulation therefore always
+    terminates, never hangs.
 
     Acks are piggybacked on the reverse control channel and add no
-    latency of their own, but when ``ack_loss`` is true they traverse
-    the same lossy links as data: a lost ack forces a (redundant)
-    retransmission exactly like a lost message.
+    latency of their own, but they traverse the same lossy links as
+    data: a lost ack forces a (redundant) retransmission exactly like a
+    lost message.
     """
 
     timeout_s: float = 100e-6
     max_retries: int = 10
-    backoff_factor: float = 2.0
-    max_backoff_s: Optional[float] = 10e-3
-    handshake_timeout_s: Optional[float] = None
-    ack_loss: bool = True
 
     def __post_init__(self) -> None:
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.max_backoff_s is not None and self.max_backoff_s <= 0:
-            raise ValueError("max_backoff_s must be > 0")
-        if self.handshake_timeout_s is not None \
-                and self.handshake_timeout_s <= 0:
-            raise ValueError("handshake_timeout_s must be > 0")
 
-    def retransmit_timeout(self, n_timeouts: int, rendezvous: bool) -> float:
+    def retransmit_timeout(self, n_timeouts: int) -> float:
         """Timeout armed after *n_timeouts* consecutive losses (>= 1)."""
-        base = (self.handshake_timeout_s
-                if rendezvous and self.handshake_timeout_s is not None
-                else self.timeout_s)
-        return backoff_delay(base, n_timeouts, self.backoff_factor,
-                             self.max_backoff_s)
+        return backoff_delay(self.timeout_s, n_timeouts, BACKOFF_FACTOR,
+                             MAX_BACKOFF_S)

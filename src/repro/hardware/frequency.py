@@ -64,8 +64,6 @@ class FrequencyModel(EpochSource):
             c: False for c in socket_of_core}
         self._userspace_hz: Optional[float] = None
         self._uncore_fixed_hz: Optional[float] = None
-        # Fault injection: per-core hard frequency caps (fail-slow cores).
-        self._core_caps: Dict[int, float] = {}
         self._active_count: Dict[int, int] = {}
         self._uncore_count: Dict[int, int] = {}
         for socket in set(socket_of_core.values()):
@@ -122,25 +120,6 @@ class FrequencyModel(EpochSource):
         self._bump_epoch()
         self._uncore_fixed_hz = hz
 
-    def set_core_cap(self, core_id: int, hz: Optional[float]) -> None:
-        """Cap *core_id*'s frequency at *hz* (fail-slow fault injection).
-
-        The cap dominates every governor, including ``userspace`` pins —
-        a thermally throttled or firmware-degraded core cannot honour the
-        requested frequency.  ``None`` lifts the cap.
-        """
-        if core_id not in self._socket_of_core:
-            raise ValueError(f"unknown core id {core_id}")
-        if hz is None:
-            self._bump_epoch()
-            self._core_caps.pop(core_id, None)
-        else:
-            if hz <= 0:
-                raise ValueError("frequency cap must be > 0")
-            self._bump_epoch()
-            self._core_caps[core_id] = float(hz)
-        self._core_hz_memo.clear()
-
     # -- activity tracking ----------------------------------------------------
     def set_activity(self, core_id: int, activity: CoreActivity,
                      uncore_active: Optional[bool] = None) -> None:
@@ -189,23 +168,14 @@ class FrequencyModel(EpochSource):
     def _compute_core_hz(self, core_id: int) -> float:
         """:meth:`core_hz` computed afresh."""
         if self._userspace_hz is not None:
-            hz = self._userspace_hz
-        else:
-            activity = self._activity[core_id]
-            if activity is CoreActivity.IDLE:
-                hz = self.spec.freq.min_hz
-            else:
-                socket = self._socket_of_core[core_id]
-                n_active = self._active_count[socket]
-                table = (self.spec.freq.avx512
-                         if activity is CoreActivity.AVX512
-                         else self.spec.freq.turbo)
-                hz = table.frequency(max(1, n_active))
-        if self._core_caps:
-            cap = self._core_caps.get(core_id)
-            if cap is not None:
-                hz = min(hz, cap)
-        return hz
+            return self._userspace_hz
+        activity = self._activity[core_id]
+        if activity is CoreActivity.IDLE:
+            return self.spec.freq.min_hz
+        n_active = self._active_count[self._socket_of_core[core_id]]
+        table = (self.spec.freq.avx512 if activity is CoreActivity.AVX512
+                 else self.spec.freq.turbo)
+        return table.frequency(max(1, n_active))
 
     def uncore_hz(self, socket: int) -> float:
         """Instantaneous uncore frequency of *socket* in Hz."""

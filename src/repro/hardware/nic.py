@@ -56,14 +56,6 @@ class RegistrationCache:
     def invalidate(self, buffer: Buffer) -> None:
         self._entries.pop(buffer.id, None)
 
-    def flush(self) -> int:
-        """Drop every entry (fault injection: full cache invalidation,
-        as after a memory-hotplug or ODP teardown event); returns the
-        number of entries dropped."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        return dropped
-
     def __len__(self) -> int:
         return len(self._entries)
 

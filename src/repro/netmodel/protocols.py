@@ -61,7 +61,7 @@ class TransferRecord:
     end: float
     components: Dict[str, float] = field(default_factory=dict)
     retries: int = 0              # retransmissions before success
-    timeouts: int = 0             # timer expiries (loss, corruption, acks)
+    timeouts: int = 0             # timer expiries (lost messages and acks)
     # Cycle activity overlapping this transfer, summed over both end
     # machines (telemetry only; 0.0 when telemetry is off).  The ratio
     # mem_stall_overlap / busy_overlap is the paper's Fig-10 x-axis.
@@ -99,8 +99,6 @@ class ProtocolEngine:
         # (ack + timeout + retransmit).  Without a plan the engine runs
         # the exact pre-fault code path — same events, same RNG draws.
         self.injector = getattr(cluster, "fault_injector", None)
-        if self.injector is not None:
-            self.injector.register_engine(self)
         # Extra per-message overhead in cycles (used by the task-based
         # runtime layer, §5.2: StarPU's longer software stack).
         self.extra_cycles_send = 0.0
@@ -315,8 +313,7 @@ class ProtocolEngine:
 
         Loss is decided at sender handoff time from the injector's
         active windows; a lost message costs the sender its software
-        overheads plus the armed retransmit timeout.  A corrupted
-        message (checksum-rejected by the receiver) and a lost ack cost
+        overheads plus the armed retransmit timeout.  A lost ack costs
         a full attempt plus the *residual* timeout.  After
         ``max_retries`` retransmissions the transfer raises
         :class:`TransportError` — it never hangs.
@@ -324,10 +321,8 @@ class ProtocolEngine:
         inj = self.injector
         rel: ReliabilityConfig = inj.reliability
         src_m = self.cluster.machine(src_node)
-        spec = src_m.spec.nic
         if size is None:
             size = src_buf.size
-        rendezvous = size > spec.eager_threshold
         start = self.sim.now
         retries = 0
         timeouts = 0
@@ -346,9 +341,8 @@ class ProtocolEngine:
                 record = yield from self._attempt(
                     src_node, src_core, src_buf, dst_node, dst_core,
                     dst_buf, size)
-                delivered = (inj.node_alive(dst_node)
-                             and not inj.draw_corrupt(src_node, dst_node))
-                if delivered and rel.ack_loss:
+                delivered = inj.node_alive(dst_node)
+                if delivered:
                     # The piggybacked ack crosses the reverse link; a
                     # lost ack forces a redundant retransmission (the
                     # receiver dedups by sequence number).
@@ -376,7 +370,7 @@ class ProtocolEngine:
                     "retries exhausted", src=src_node, dst=dst_node,
                     size=size, retries=retries, timeouts=timeouts)
             retries += 1
-            rto = rel.retransmit_timeout(timeouts, rendezvous)
+            rto = rel.retransmit_timeout(timeouts)
             wait = max(0.0, rto - (self.sim.now - t_attempt))
             if wait > 0.0:
                 yield wait

@@ -301,7 +301,7 @@ class Telemetry:
 
     def on_retransmit(self, cluster, src_node: int, dst_node: int,
                       size: int, reason: str, timeouts: int) -> None:
-        """A retransmit timer fired (loss/corruption/ack loss)."""
+        """A retransmit timer fired (message or ack loss)."""
         if self.registry is not None:
             self.registry.counter("net.timeouts", reason=reason).inc()
         tracer = self.tracer

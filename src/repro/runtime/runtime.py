@@ -142,9 +142,8 @@ class RuntimeSystem:
     def crash(self) -> None:
         """Fail-stop the whole node's runtime (fault injection).
 
-        Workers die where they stand (their in-flight tasks are
-        requeued, though nothing on this node will ever pop them) and a
-        pending :meth:`wait_all` fails with a
+        Workers die where they stand, with their in-flight tasks, and
+        a pending :meth:`wait_all` fails with a
         :class:`~repro.faults.reliability.TransportError` so campaigns
         observe a structured failure instead of a hang.
         """
@@ -199,17 +198,6 @@ class RuntimeSystem:
     def _make_ready(self, task: Task) -> None:
         self.scheduler.push(task)
         self._wake_all()
-
-    def requeue(self, task: Task) -> None:
-        """Return a crashed worker's in-flight task to the ready list.
-
-        The task re-enters through the ordinary push path, so a
-        surviving worker pops it from the eager ready list; its
-        pending/dependency bookkeeping is untouched (it was never
-        completed).
-        """
-        task.start_time = None
-        self._make_ready(task)
 
     def on_task_done(self, task: Task) -> None:
         task.done = True

@@ -15,7 +15,7 @@ the task's dominant data's NUMA node, stalls recorded in the counters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.hardware.frequency import CoreActivity
 from repro.hardware.topology import Machine
@@ -36,27 +36,15 @@ class Worker:
         self.core_id = core_id
         self.tasks_executed = 0
         self.busy_time = 0.0
-        self.crashed = False
-        self.current_task: Optional[Task] = None
-        self._requeue_on_crash = True
         self._process = None
         self._rng = None  # lazily bound noise stream (one per worker)
 
     def start(self) -> None:
         self._process = self.machine.sim.process(self._loop())
 
-    def crash(self, requeue: bool = True) -> None:
-        """Fail-stop this worker (fault injection).
-
-        The worker thread dies at its current yield point; with
-        *requeue* its in-flight task goes back to the scheduler's ready
-        list, where the surviving workers pick it up through the normal
-        eager pop.
-        """
-        if self.crashed:
-            return
-        self.crashed = True
-        self._requeue_on_crash = requeue
+    def crash(self) -> None:
+        """Fail-stop this worker (fault injection): the worker thread
+        dies at its current yield point, and its in-flight task with it."""
         if self._process is not None and self._process.is_alive:
             self._process.interrupt("worker crash")
 
@@ -91,12 +79,8 @@ class Worker:
                     continue
                 yield from self._execute(task)
         except Interrupt:
-            # Crash injection: the worker dies here.  Its in-flight
-            # task (if any) survives by going back to the ready list,
-            # where a living worker pops it.
-            task, self.current_task = self.current_task, None
-            if task is not None and not task.done and self._requeue_on_crash:
-                runtime.requeue(task)
+            # Crash injection: the worker dies here.
+            pass
         except GeneratorExit:
             # The suspended loop is being closed because its simulation
             # was discarded (GC of a dead cluster).  Restoring core
@@ -116,7 +100,6 @@ class Worker:
         if rng is None:
             rng = self._rng = machine.rng.stream(f"worker{self.core_id}")
         spec = machine.spec
-        self.current_task = task
         task.start_time = sim.now
         tele = active_telemetry()
         span = None if tele is None else tele.begin_span(
@@ -176,7 +159,6 @@ class Worker:
         task.end_time = sim.now
         self.tasks_executed += 1
         self.busy_time += exec_time + overhead
-        self.current_task = None
         if tele is not None:
             tele.finish_span(machine, span)
             tele.on_task_done(machine, self.core_id, task,

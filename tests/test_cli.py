@@ -285,6 +285,12 @@ def test_bad_spec_or_jobs_is_a_usage_error(capsys, tmp_path, argv, needle):
     (["run", "fig1a", "--fast", "--point-timeout", "-1",
       "--out", "{d}/o/x.md"],
      "point_timeout must be > 0"),
+    (["run", "fig1a", "--fast", "--fault-seed", "7", "--out", "{d}/o/x.md"],
+     "--fault-seed requires --fault"),
+    (["run", "fig1a", "--fast", "--fault", "fail_slow:node=0,freq_cap_hz=1e9",
+      "--out", "{d}/o/x.md"],
+     "unknown fault kind 'fail_slow'; pick one of "
+     "['fail_stop', 'link', 'loss']"),
 ])
 def test_bad_arguments_create_no_output_directory(capsys, tmp_path, argv,
                                                   needle):

@@ -289,11 +289,52 @@ def test_invariant_violation_fails_the_run(tmp_path, capsys, monkeypatch):
     assert "InvariantViolation in inv_sweep at point size=8: " \
         "component 8 broke" in err
     report = md.read_text()
-    assert "Invariant violations" in report
+    assert "Model errors (run failed):\n" \
+        "  size=8: InvariantViolation: component 8 broke" in report
     assert "fault injection" not in report
     statuses = [json.loads(line)["status"]
                 for line in journal.read_text().splitlines()]
     assert statuses == ["ok", "failed"]
+
+
+def _keyerror_runner(params):
+    return {"missing": params["no_such_param"]}
+
+
+def _keyerror_sweep(spec="henri", journal=None):
+    result = ExperimentResult(name="key_sweep", title="t")
+    SweepGuard(result, journal).run_specs([
+        PointSpec(experiment="key_sweep", key="size=4",
+                  runner="tests.test_executor_parallel:_row_runner",
+                  params={"size": 4}),
+        PointSpec(experiment="key_sweep", key="size=8",
+                  runner="tests.test_executor_parallel:_keyerror_runner",
+                  params={"size": 8}),
+    ])
+    return result
+
+
+def test_runner_error_without_faults_fails_the_run(tmp_path, capsys,
+                                                   monkeypatch):
+    """Only an injected fault's TransportError fails a point quietly:
+    a plain bug in a runner is a model error, so the run exits 1, the
+    report lists it apart from fault outcomes, and the journal marks
+    it failed so --resume runs it again."""
+    _register(monkeypatch, "key_sweep", _keyerror_sweep)
+    md = tmp_path / "r.md"
+    journal = tmp_path / "j.jsonl"
+    argv = ["run", "key_sweep", "--out", str(md), "--journal", str(journal)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "KeyError in key_sweep at point size=8: 'no_such_param'" in err
+    report = md.read_text()
+    assert "Model errors (run failed):\n" \
+        "  size=8: KeyError: 'no_such_param'" in report
+    assert "fault injection" not in report
+    assert main(argv + ["--resume"]) == 1
+    statuses = [json.loads(line)["status"]
+                for line in journal.read_text().splitlines()]
+    assert statuses == ["ok", "failed", "failed"]
 
 
 def test_invariant_violation_outside_a_sweep_is_named(capsys, monkeypatch):

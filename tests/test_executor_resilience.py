@@ -22,7 +22,8 @@ from repro.core.executor import (ExecutionPolicy, PointSpec, SweepExecutor,
                                  _retry_jitter, executor_context)
 from repro.core.results import ExperimentResult
 from repro.faults.chaos import maybe_chaos, parse_chaos
-from repro.faults.reliability import ReliabilityConfig, backoff_delay
+from repro.faults.reliability import (BACKOFF_FACTOR, MAX_BACKOFF_S,
+                                     ReliabilityConfig, backoff_delay)
 
 
 @pytest.fixture(autouse=True)
@@ -185,11 +186,10 @@ def test_close_waits_on_clean_exit_only(monkeypatch):
 
 def test_backoff_matches_transport_policy():
     """Executor retries back off with the transport's exact arithmetic."""
-    rc = ReliabilityConfig(timeout_s=1e-4, backoff_factor=2.0,
-                           max_backoff_s=1e-3)
-    for n in range(1, 9):
-        assert rc.retransmit_timeout(n, rendezvous=False) == \
-            backoff_delay(1e-4, n, 2.0, 1e-3)
+    rc = ReliabilityConfig(timeout_s=1e-4)
+    for n in range(1, 11):
+        assert rc.retransmit_timeout(n) == \
+            backoff_delay(1e-4, n, BACKOFF_FACTOR, MAX_BACKOFF_S)
     assert backoff_delay(1.0, 3) == 4.0
     assert backoff_delay(1.0, 3, cap=2.5) == 2.5
     assert backoff_delay(1.0, 1, jitter=0.25) == 1.25

@@ -42,6 +42,15 @@ def test_parse_fault_rejects_unknown():
         parse_fault("meteor:at=1")
     with pytest.raises(ValueError):
         parse_fault("no-colon-here")
+    # Retired kinds and the retired corruption field name what is valid.
+    for spec in ("fail_slow:node=0,freq_cap_hz=1e9",
+                 "reg_flush:node=0,at=0", "crash_worker:node=0,at=0",
+                 "degraded_link:src=0,dst=1,bw_factor=0.5"):
+        with pytest.raises(ValueError,
+                           match=r"\['fail_stop', 'link', 'loss'\]"):
+            parse_fault(spec)
+    with pytest.raises(ValueError, match="corrupt_rate"):
+        parse_fault("loss:loss_rate=0.1,corrupt_rate=0.1")
 
 
 def test_plan_roundtrip_dict():
@@ -52,12 +61,6 @@ def test_plan_roundtrip_dict():
     clone = FaultPlan.from_dict(plan.to_dict())
     assert clone.seed == plan.seed
     assert clone.faults == plan.faults
-
-
-def test_random_plan_is_deterministic():
-    a, b = FaultPlan.random(21), FaultPlan.random(21)
-    assert a.faults == b.faults
-    assert FaultPlan.random(22).faults != a.faults
 
 
 def test_fault_context_stack():
@@ -84,19 +87,6 @@ def test_cluster_without_faults_has_no_injector():
     assert cluster.fault_injector is None
 
 
-def test_fail_slow_caps_core_frequency():
-    plan = FaultPlan(seed=0).fail_slow(node=0, freq_cap_hz=8e8,
-                                       start=0.0, duration=1.0)
-    with fault_context(plan):
-        cluster = Cluster("henri", n_nodes=2)
-        sim = cluster.sim
-        machine = cluster.machine(0)
-        sim.run(until=0.5)
-        assert machine.freq.core_hz(0) <= 8e8
-        sim.run(until=2.0)
-        assert machine.freq.core_hz(0) > 8e8  # window closed
-
-
 def test_degraded_link_slows_transfers():
     base = _pingpong(size=65536)
     degraded = _pingpong(
@@ -104,21 +94,6 @@ def test_degraded_link_slows_transfers():
                                        bw_factor=0.25, latency_factor=2.0),
         size=65536)
     assert degraded.median_latency > base.median_latency
-
-
-def test_fail_slow_node_slows_pingpong():
-    base = _pingpong()
-    slow = _pingpong(FaultPlan(seed=0).fail_slow(
-        node=0, freq_cap_hz=8e8, start=0.0, duration=10.0))
-    assert slow.median_latency > base.median_latency
-
-
-def test_reg_cache_flush_costs_registration():
-    big = 1 << 20
-    base = _pingpong(size=big)
-    flushed = _pingpong(FaultPlan(seed=0).flush_reg_cache(
-        node=0, at=1e-4, period=1e-4, count=50), size=big)
-    assert flushed.median_latency > base.median_latency
 
 
 def test_fail_stop_raises_transport_error():
@@ -137,7 +112,7 @@ def test_injector_timeline_logged():
     assert any(entry["fault"] == "FailStop" for entry in log)
 
 
-# -- runtime crash recovery ----------------------------------------------
+# -- runtime fail-stop ---------------------------------------------------
 
 def _submit_tasks(rt, n):
     tasks = [Task(name=f"t{i}", cost=TileCost("triad", 5e6, 1 << 20),
@@ -145,22 +120,6 @@ def _submit_tasks(rt, n):
     for task in tasks:
         rt.submit(task)
     return tasks
-
-
-def test_worker_crash_requeues_task():
-    plan = FaultPlan(seed=0).crash_worker(node=0, at=2e-4, worker_index=0)
-    with fault_context(plan):
-        cluster = Cluster("henri", n_nodes=1)
-        world = CommWorld(cluster)
-        rt = RuntimeSystem(world, 0, n_workers=4).start()
-        tasks = _submit_tasks(rt, 12)
-        done = rt.wait_all()
-        world.sim.run()
-    assert done.triggered and done.ok
-    assert all(t.done for t in tasks)
-    assert rt.workers[0].crashed
-    # The dead worker's share was redistributed, nothing was lost.
-    assert sum(w.tasks_executed for w in rt.workers) == 12
 
 
 def test_node_fail_stop_fails_wait_all():

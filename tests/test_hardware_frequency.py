@@ -153,8 +153,6 @@ _MUTATIONS = st.lists(st.one_of(
     st.tuples(st.just("uncore"),
               st.sampled_from([None, HENRI.uncore.min_hz,
                                HENRI.uncore.max_hz])),
-    st.tuples(st.just("cap"), _CORE,
-              st.sampled_from([None, 1.0e9, 2.2e9, 5.0e9])),
 ), min_size=1, max_size=30)
 
 
@@ -175,10 +173,8 @@ def test_memoized_pio_delay_and_core_hz_match_fresh_values(mutations):
             machine.set_core_activity(op[1], op[2], op[3])
         elif kind == "userspace":
             freq.set_userspace(op[1])
-        elif kind == "uncore":
-            machine.set_uncore(op[1])
         else:
-            freq.set_core_cap(op[1], op[2])
+            machine.set_uncore(op[1])
         for c in cores:
             assert machine.pio_delay(c).hex() == \
                 machine._compute_pio_delay(c).hex()

@@ -107,8 +107,10 @@ def test_malformed_scenarios_name_the_field(text, needle):
      "point_retries must be >= 0"),
     ("[scenario]\nexperiment = 'fig9'\n[execution]\ntrials = 0\n",
      "trials must be >= 1"),
+    ("[scenario]\nexperiment = 'fig9'\n[faults]\nseed = 7\n",
+     "--fault-seed requires --fault"),
 ], ids=["jobs", "spec", "resume", "fault", "point_timeout-zero",
-        "point_timeout-negative", "point_retries", "trials"])
+        "point_timeout-negative", "point_retries", "trials", "fault_seed"])
 def test_scenario_values_get_the_flags_checks(tmp_path, capsys, monkeypatch,
                                               text, needle):
     """A value the TOML types allow but the run cannot use fails in the
@@ -355,6 +357,30 @@ def test_retired_topology_kind_exits_before_any_output(tmp_path, capsys,
     assert "unknown topology 'torus'; valid kinds: dragonfly, fullmesh" \
         in err
     assert out == "" and not (tmp_path / "o").exists()
+
+
+def test_topology_table_gives_the_whole_shape(tmp_path, capsys,
+                                              monkeypatch):
+    """A [topology] table replaces the --fast profile's shape: the full
+    mesh never receives the dragonfly-only group_size, so every point
+    runs and the disjoint victim keeps all of its bandwidth."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "s.toml"
+    path.write_text('[scenario]\nexperiment = "fig_xapp"\nfast = true\n'
+                    '[topology]\nkind = "fullmesh"\n'
+                    '[output]\nreport = "R.md"\n')
+    params = parse_scenario(path.read_text()).params
+    assert params == {"topology": "fullmesh", "topology_params": {}}
+    from repro.core import registry
+    result = registry.get("fig_xapp").run(fast=True, overrides=params)
+    assert not result.failures
+    assert result.observations["victim_bw_retained"] == 1.0
+    assert main(["run", "--scenario", str(path)]) == 0
+    report = (tmp_path / "R.md").read_text()
+    assert "Failed points" not in report
+    assert "Model errors" not in report
+    assert "  victim_bw_retained: 1\n" in report
+    assert "group_size" not in capsys.readouterr().err
 
 
 def test_execution_trials_key_parses():

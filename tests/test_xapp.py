@@ -144,11 +144,12 @@ def test_parse_link_fault_by_label():
     fault = parse_fault("link:link=df.g0->g1,bw_factor=0.5,duration=1")
     assert isinstance(fault, DegradedLink)
     assert fault.link == "df.g0->g1"
-    # Pair addressing and serialization still work as before.
+    # Label and pair addressing both round-trip through serialization.
     plan = FaultPlan(seed=3).add(fault)
     assert FaultPlan.from_dict(plan.to_dict()).faults == plan.faults
     pair_plan = FaultPlan(seed=0).degrade_link(0, 1, bw_factor=0.5)
-    assert "link" not in pair_plan.to_dict()["faults"][0]
+    assert FaultPlan.from_dict(pair_plan.to_dict()).faults \
+        == pair_plan.faults
     with pytest.raises(ValueError):
         DegradedLink(bw_factor=0.5)     # neither pair nor label
 
